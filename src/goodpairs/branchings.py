@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .digraph import Digraph, VertexSet, _in_rows, _scc_masks, bits, strong_decomposition
+from .digraph import Digraph, VertexSet, _in_rows, bits, strong_decomposition
 
 DEFAULT_NODE_BUDGET = 250_000
 
@@ -32,8 +32,8 @@ class Branching:
     def arcs(self) -> set[tuple[int, int]]:
         return set(self.parent.values())
 
-    def __hash__(self):  # dict field; identity hash is enough for our uses
-        return id(self)
+    def __hash__(self):  # the dict field is unhashable; hash what __eq__ compares
+        return hash((self.kind, self.root, frozenset(self.parent.items())))
 
 
 @dataclass(frozen=True)
@@ -177,40 +177,61 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _terminal_comp_count(n: int, adj: list[int]) -> int:
-    count = 0
-    for comp in _scc_masks(n, adj):
-        for u in bits(comp):
-            if adj[u] & ~comp:
-                break
-        else:
-            count += 1
-    return count
+def _reach(rows: list[int], seen: VertexSet, full: VertexSet) -> VertexSet:
+    """Vertices reachable from the set ``seen`` along ``rows``, seen included."""
+    frontier = seen
+    while frontier and seen != full:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
+
+
+def _single_terminal(
+    rows: list[int], in_rows: list[int], full: VertexSet, t: int
+) -> tuple[bool, int]:
+    """Whether ``rows`` has exactly one terminal strong component.
+
+    Also returns a vertex of a terminal component, found by descending from
+    the hint ``t``: while some vertex reachable from t does not reach t, t
+    moves to the lowest such vertex.  The forward reach of t shrinks
+    strictly at each move, so the descent ends within n moves at a vertex
+    whose forward reach is its own (terminal) component.  There is exactly
+    one terminal component iff every vertex reaches that vertex.
+    """
+    while True:
+        back = _reach(in_rows, 1 << t, full)
+        if back == full:
+            return True, t
+        ahead = _reach(rows, 1 << t, full) & ~back
+        if not ahead:
+            return False, t
+        t = (ahead & -ahead).bit_length() - 1
 
 
 def _in_branching_completion(
-    n: int, res: list[int], full: int, root_in: int | None
+    n: int, res: list[int], res_in: list[int], full: int, root_in: int | None, hint: int
 ) -> tuple[int, dict[int, tuple[int, int]]] | None:
     """In-branching of the residual digraph, or None if none exists.
 
     The residual has one exactly when its strong decomposition has a single
-    terminal component; the root must lie inside it.
+    terminal component; the root must lie inside it, that is, every vertex
+    must reach the root.  Without a prescribed root, the root is the lowest
+    vertex of that component.
     """
-    terms = []
-    for comp in _scc_masks(n, res):
-        for u in bits(comp):
-            if res[u] & ~comp:
-                break
-        else:
-            terms.append(comp)
-    if len(terms) != 1:
-        return None
-    term = terms[0]
     if root_in is not None:
-        if not term >> root_in & 1:
+        if _reach(res_in, 1 << root_in, full) != full:
             return None
         t = root_in
     else:
+        single, t = _single_terminal(res, res_in, full, hint)
+        if not single:
+            return None
+        term = _reach(res, 1 << t, full)
         t = (term & -term).bit_length() - 1
     parent: dict[int, tuple[int, int]] = {}
     settled = 1 << t
@@ -241,13 +262,17 @@ def find_good_pair_exact(
     Out-branchings are grown depth-first one frontier arc at a time; the
     lowest candidate arc is either included in the tree or excluded from
     every tree of that subtree of the search, so no branching is visited
-    twice.  A partial tree is abandoned as soon as the residual digraph
-    (host minus tree arcs) stops having exactly one terminal strong
-    component, some unreached vertex loses its last usable in-arc, or some
-    unreached vertex is no longer reachable through usable arcs.  Budget
-    exhaustion yields "inconclusive", which is distinct from the
-
-    definitive "none" produced by exhausting the whole search space.
+    twice.  A partial tree is abandoned as soon as some unreached vertex
+    loses its last usable in-arc, some unreached vertex is no longer
+    reachable through usable arcs, or the residual digraph (host minus tree
+    arcs) stops having an in-branching.  The last test is a co-reach check
+    on bitmask rows: the residual keeps exactly one terminal strong
+    component iff every vertex reaches a vertex t of a terminal component.
+    The search keeps the residual's in-rows up to date and carries t from
+    node to node, descending from it to a new terminal vertex only when
+    some vertex no longer reaches it.  Budget exhaustion yields
+    "inconclusive", which is distinct from the definitive "none" produced
+    by exhausting the whole search space.
     """
     n = d.n
     full = d.full_mask
@@ -266,11 +291,14 @@ def find_good_pair_exact(
     found: list[GoodPairCert] = []
 
     res = list(adj)          # host arcs minus current tree arcs
+    res_in = list(in_all)    # in-rows of res
+    hint = 0                 # last vertex found in a terminal component of res
     avail = list(adj)        # res minus arcs excluded from the future tree
     forb_in = [0] * n        # per head: tails whose arc was excluded
     out_parent: dict[int, tuple[int, int]] = {}
 
     def prunable(tree: int) -> bool:
+        nonlocal hint
         rest = full ^ tree
         probe = rest
         while probe:
@@ -279,25 +307,15 @@ def find_good_pair_exact(
             probe ^= low
             if not in_all[v] & ~forb_in[v]:
                 return True
-        reach = tree
-        frontier = tree
-        while frontier and reach != full:
-            step = 0
-            f = frontier
-            while f:
-                low = f & -f
-                step |= avail[low.bit_length() - 1]
-                f ^= low
-            frontier = step & ~reach
-            reach |= frontier
-        if reach != full:
+        if _reach(avail, tree, full) != full:
             return True
-        return _terminal_comp_count(n, res) != 1
+        single, hint = _single_terminal(res, res_in, full, hint)
+        return not single
 
     def extend(tree: int) -> bool:
         nonlocal nodes
         if tree == full:
-            done = _in_branching_completion(n, res, full, root_in)
+            done = _in_branching_completion(n, res, res_in, full, root_in, hint)
             if done is None:
                 return False
             t, in_parent = done
@@ -332,10 +350,12 @@ def find_good_pair_exact(
                 u, v = arc
                 ubit, vbit = 1 << u, 1 << v
                 res[u] &= ~vbit
+                res_in[v] &= ~ubit
                 avail[u] &= ~vbit
                 out_parent[v] = (u, v)
                 ok = extend(tree | vbit)
                 res[u] |= vbit
+                res_in[v] |= ubit
                 if ok:
                     return True
                 del out_parent[v]

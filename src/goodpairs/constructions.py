@@ -912,14 +912,14 @@ def _digon_cert() -> GoodPairCert:
     )
 
 
-def _iter_subsets(vertices: list[int], size: int):
-    import itertools
-
-    yield from itertools.combinations(vertices, size)
-
-
 def _seed_subdigraph(d: Digraph) -> tuple[VertexSet, GoodPairCert, str] | None:
-    """Smallest sub-digraph with a good pair: digon, then 3, then 4 vertices."""
+    """Smallest sub-digraph with a good pair: a digon, else 4 vertices.
+
+    A good pair on k vertices uses 2(k - 1) distinct arcs.  Without a digon
+    3 vertices carry at most 3 arcs, and 4 vertices carry 6 only when every
+    two of them are joined; so after the digon check the candidates are the
+    4-cliques of the underlying graph, tried in lexicographic order.
+    """
     n = d.n
     in_rows = _in_rows(n, d.out_adj)
     for u in range(n):
@@ -927,31 +927,19 @@ def _seed_subdigraph(d: Digraph) -> tuple[VertexSet, GoodPairCert, str] | None:
         if both:
             v = (both & -both).bit_length() - 1
             return (1 << u) | (1 << v), _digon_cert(), f"digon {u}-{v}"
-    verts = list(range(n))
-    for size, arc_floor in ((3, 4), (4, 6)):
-        if n < size:
-            break
-        for combo in _iter_subsets(verts, size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            h, _ = induced_subdigraph(d, mask)
-            if h.m < arc_floor:
-                continue
-            if size == 4:
-                degree_ok = all(
-                    h.out_degree(v) >= 1 and h.in_degree(v) >= 1 for v in range(4)
-                )
-                semicomplete = all(
-                    h.has_arc(i, j) or h.has_arc(j, i)
-                    for i in range(4)
-                    for j in range(i + 1, 4)
-                )
-                if not (degree_ok or semicomplete):
-                    continue
-            res = find_good_pair_exact(h)
-            if res.status == "found":
-                return mask, res.cert, f"{size}-vertex base with {h.m} arcs"
+    joined = [d.out_adj[v] | in_rows[v] for v in range(n)]
+    for a in range(n):
+        above_a = joined[a] & ~((2 << a) - 1)
+        for b in bits(above_a):
+            above_b = above_a & joined[b] & ~((2 << b) - 1)
+            for c in bits(above_b):
+                above_c = above_b & joined[c] & ~((2 << c) - 1)
+                for e in bits(above_c):
+                    mask = 1 << a | 1 << b | 1 << c | 1 << e
+                    h, _ = induced_subdigraph(d, mask)
+                    res = find_good_pair_exact(h)
+                    if res.status == "found":
+                        return mask, res.cert, f"4-vertex base with {h.m} arcs"
     return None
 
 

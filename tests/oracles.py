@@ -2,16 +2,18 @@
 
 Everything here is deliberately naive: subset enumeration for cuts,
 transitive closure for strong components, a fraction-free determinant for
-counting branchings, and a cross product of exhaustively enumerated
-branchings for the good-pair decision.  Nothing imports the algorithms
+counting branchings, a cross product of exhaustively enumerated
+branchings for the good-pair decision, and a scan over every small vertex
+subset for the seed of the reduction.  Nothing imports the algorithms
 under test beyond plain data types and the branching enumerator.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
-from goodpairs import Digraph, bits, enumerate_branchings
+from goodpairs import Digraph, bits, enumerate_branchings, mask_of
 
 
 def rand_digraph(rng: random.Random, n: int, p: float) -> Digraph:
@@ -159,3 +161,42 @@ def independent_set_size(d: Digraph) -> int:
         if ok:
             best = max(best, x.bit_count())
     return best
+
+
+def _induced(d: Digraph, vertices: tuple[int, ...]) -> Digraph:
+    rows = []
+    for u in vertices:
+        rows.append(mask_of(i for i, v in enumerate(vertices) if d.has_arc(u, v)))
+    return Digraph(len(vertices), tuple(rows))
+
+
+def seed_subdigraph_reference(d: Digraph) -> tuple[int, str] | None:
+    """The reduction's seed as ``(vertex mask, trace note)``, or None.
+
+    The lowest digon first; then every 3-subset and every 4-subset in
+    lexicographic order, each induced and kept when it has at least 4
+    (resp. 6) arcs, a 4-subset only when every vertex has an in- and an
+    out-arc inside it or every pair is joined, and decided by the
+    brute-force good-pair search.
+    """
+    n = d.n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if d.has_arc(u, v) and d.has_arc(v, u):
+                return (1 << u) | (1 << v), f"digon {u}-{v}"
+    for size, arc_floor in ((3, 4), (4, 6)):
+        for combo in itertools.combinations(range(n), size):
+            h = _induced(d, combo)
+            if h.m < arc_floor:
+                continue
+            if size == 4:
+                degree_ok = all(h.out_degree(v) >= 1 and h.in_degree(v) >= 1 for v in range(4))
+                semicomplete = all(
+                    h.has_arc(i, j) or h.has_arc(j, i)
+                    for i, j in itertools.combinations(range(4), 2)
+                )
+                if not (degree_ok or semicomplete):
+                    continue
+            if good_pair_exists_bruteforce(h):
+                return mask_of(combo), f"{size}-vertex base with {h.m} arcs"
+    return None

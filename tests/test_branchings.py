@@ -1,8 +1,12 @@
 """Branching verification, certificates, enumeration, exact search."""
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from goodpairs import (
     Branching,
@@ -18,7 +22,8 @@ from goodpairs import (
     verify_branching,
     verify_good_pair,
 )
-from goodpairs.digraph import from_arcs
+from goodpairs.branchings import _single_terminal
+from goodpairs.digraph import _in_rows, _scc_masks, from_arcs, parse_digraph
 
 from oracles import count_out_branchings, good_pair_exists_bruteforce, rand_digraph
 
@@ -44,6 +49,19 @@ class TestBranchingRoots:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             branching_roots(C3, "up")
+
+
+class TestHashing:
+    def test_equal_branchings_share_a_set_slot(self):
+        a = Branching("out", 0, {1: (0, 1), 2: (1, 2)})
+        b = Branching("out", 0, dict([(2, (1, 2)), (1, (0, 1))]))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert len({a, Branching("in", 0, {1: (0, 1), 2: (1, 2)})}) == 2
+
+    def test_certificates_stay_hashable(self):
+        certs = {find_good_pair_exact(BI3).cert for _ in range(3)}
+        assert len(certs) == 1
 
 
 class TestVerifyBranching:
@@ -204,3 +222,67 @@ class TestExactSearch:
             d = rand_digraph(rng, rng.randint(2, 4), rng.uniform(0.2, 1.0))
             res = find_good_pair_exact(d)
             assert (res.status == "found") == good_pair_exists_bruteforce(d)
+
+
+def _terminal_count(n, rows):
+    count = 0
+    for comp in _scc_masks(n, rows):
+        if all(not rows[u] & ~comp for u in range(n) if comp >> u & 1):
+            count += 1
+    return count
+
+
+@st.composite
+def digraphs_with_deletions(draw):
+    n = draw(st.integers(1, 14))
+    full = (1 << n) - 1
+    sparsity = draw(st.integers(1, 3))  # a row is the AND of this many random masks
+    rows = []
+    for u in range(n):
+        row = full & ~(1 << u)
+        for _ in range(sparsity):
+            row &= draw(st.integers(0, full))
+        rows.append(row)
+    arcs = [(u, v) for u in range(n) for v in range(n) if rows[u] >> v & 1]
+    doomed = draw(st.lists(st.sampled_from(arcs), max_size=len(arcs))) if arcs else []
+    return n, rows, doomed, draw(st.integers(0, n - 1))
+
+
+class TestSingleTerminal:
+    """The co-reach test of the exact search against a full Tarjan count."""
+
+    @given(digraphs_with_deletions())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_scc_count(self, case):
+        n, rows, doomed, hint = case
+        full = (1 << n) - 1
+        in_rows = _in_rows(n, rows)
+        for step in range(len(doomed) + 1):
+            if step:
+                u, v = doomed[step - 1]
+                rows[u] &= ~(1 << v)
+                in_rows[v] &= ~(1 << u)
+            single, hint = _single_terminal(rows, in_rows, full, hint)
+            assert single == (_terminal_count(n, rows) == 1)
+            terminal = [c for c in _scc_masks(n, rows) if c >> hint & 1][0]
+            assert all(not rows[u] & ~terminal for u in range(n) if terminal >> u & 1)
+
+
+GOLDEN = Path(__file__).parent / "data" / "exact_search_golden.json"
+
+
+def _cert_digest(cert):
+    return hashlib.sha256(cert_to_json(cert).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("row", json.loads(GOLDEN.read_text()))
+def test_exact_search_pinned(row):
+    """Search trees and certificates recorded on arc-minimal n=12..18 inputs
+    with the Tarjan-based terminal-component test, which the co-reach test
+    replaced: node counts and certificates must not move."""
+    text, nodes, digest, rooted_nodes, rooted_digest = row
+    d = parse_digraph(text)
+    res = find_good_pair_exact(d)
+    assert (res.status, res.nodes, _cert_digest(res.cert)) == ("found", nodes, digest)
+    res = find_good_pair_exact(d, root_out=d.n - 1, root_in=0)
+    assert (res.status, res.nodes, _cert_digest(res.cert)) == ("found", rooted_nodes, rooted_digest)

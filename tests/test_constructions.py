@@ -32,10 +32,10 @@ from goodpairs import (
     verify_dipath,
     verify_good_pair,
 )
-from goodpairs.constructions import _select_with_artifacts
+from goodpairs.constructions import _seed_subdigraph, _select_with_artifacts
 from goodpairs.digraph import _in_rows, from_arcs
 
-from oracles import rand_digraph
+from oracles import rand_digraph, seed_subdigraph_reference
 
 BI3 = Digraph(3, (0b110, 0b101, 0b011))
 C3 = Digraph(3, (0b010, 0b100, 0b001))
@@ -325,6 +325,40 @@ class TestHamiltonSplit:
     def test_invalid_path_rejected(self):
         with pytest.raises(ValueError, match="dipath"):
             pair_from_hamilton(HAM7, Dipath((6, 5, 4, 3, 2, 1, 0)))
+
+
+def _has_digon(d):
+    in_rows = _in_rows(d.n, d.out_adj)
+    return any(row & in_rows[u] for u, row in enumerate(d.out_adj))
+
+
+class TestSeedScan:
+    def _check(self, d):
+        got = _seed_subdigraph(d)
+        assert (None if got is None else (got[0], got[2])) == seed_subdigraph_reference(d)
+        if got is not None:
+            h, _ = induced_subdigraph(d, got[0])
+            assert verify_good_pair(h, got[1]) is None
+        return got
+
+    @pytest.mark.parametrize("kind", ["oriented-gnp-repair", "tournament"])
+    def test_matches_subset_scan(self, kind):
+        for n in range(5, 13):
+            for i in range(4):
+                self._check(random_2arc_strong(GenModel(kind, n, 0.3, derive_seed(31, 100 * n + i))))
+
+    def test_matches_subset_scan_on_digon_free_arc_minimal(self):
+        found = missed = 0
+        for i in range(2000):
+            n = 5 + i % 8
+            d = random_2arc_strong(GenModel("arc-minimal", n, 0.3, derive_seed(37, i)))
+            if _has_digon(d):
+                continue
+            if self._check(d) is None:
+                missed += 1
+            else:
+                found += 1
+        assert found and missed  # both outcomes of the scan are exercised
 
 
 class TestReduceAndLift:
