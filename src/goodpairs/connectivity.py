@@ -1,17 +1,28 @@
 """Arc connectivity via unit-capacity max-flow, plus branching packings.
 
-Flows are computed by repeated augmenting BFS on bitmask residual rows:
+Flows are computed by repeated augmentation on bitmask residual rows:
 ``fwd[u]`` holds heads of unused arcs out of u, ``bwd[u]`` holds the
-reversals of used arcs.  Every loop scans vertices in ascending order, so
-all results and witnesses are deterministic.
+reversals of used arcs.  Each augmenting path comes from a layered BFS
+that expands a whole frontier at once (``step |= fwd[u] | bwd[u]``),
+stops as soon as the sink is reached, and is read back through the
+stored layers by taking the lowest vertex with a residual arc into the
+next one.  Every loop scans vertices in ascending order, so all results
+are deterministic.
+
+Values and cut witnesses do not depend on which augmenting paths are
+chosen.  A maximum flow has one value, and every maximum flow leaves the
+same residual reach from the source (the minimum cut closest to the
+source) and the same residual co-reach to the sink (the one closest to
+the sink).  Only the particular paths of ``max_arc_disjoint_paths``
+depend on the search order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .branchings import Branching
-from .digraph import Digraph, Dipath, VertexSet, bits
+from .branchings import Branching, _reach
+from .digraph import Digraph, Dipath, VertexSet, _in_rows, bits
 
 
 @dataclass(frozen=True)
@@ -48,36 +59,50 @@ def cut_degree(d: Digraph, x: VertexSet, direction: str) -> int:
     raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
 
 
-def _augment(n: int, fwd: list[int], bwd: list[int], s: int, t: int) -> bool:
-    parent = [-1] * n
-    parent[s] = s
-    seen = 1 << s
-    queue = [s]
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        cand = (fwd[u] | bwd[u]) & ~seen
-        seen |= cand
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            parent[v] = u
-            if v == t:
-                while v != s:
-                    p = parent[v]
-                    vbit = 1 << v
-                    if fwd[p] & vbit:
-                        fwd[p] &= ~vbit
-                        bwd[v] |= 1 << p
-                    else:
-                        bwd[p] &= ~vbit
-                        fwd[v] |= 1 << p
-                    v = p
-                return True
-            queue.append(v)
-    return False
+def _augment(fwd: list[int], bwd: list[int], s: int, t: int) -> bool:
+    """Push one unit along a shortest residual s-t path; False if none is left.
+
+    The BFS expands whole frontiers as bitmasks, in ascending vertex order,
+    and stops as soon as t is reached; the path is then read back through
+    the stored layers, taking at each one the lowest vertex with a residual
+    arc into the next.
+    """
+    tbit = 1 << t
+    seen = frontier = 1 << s
+    layers = []
+    while True:
+        layers.append(frontier)
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            u = low.bit_length() - 1
+            step |= fwd[u] | bwd[u]
+            if step & tbit:
+                break
+            frontier ^= low
+        if step & tbit:
+            break
+        frontier = step & ~seen
+        if not frontier:
+            return False
+        seen |= frontier
+    v = t
+    for layer in reversed(layers):
+        vbit = 1 << v
+        while True:
+            low = layer & -layer
+            p = low.bit_length() - 1
+            if (fwd[p] | bwd[p]) & vbit:
+                break
+            layer ^= low
+        if fwd[p] & vbit:
+            fwd[p] ^= vbit
+            bwd[v] |= low
+        else:
+            bwd[p] ^= vbit
+            fwd[v] |= low
+        v = p
+    return True
 
 
 def _max_flow(
@@ -87,7 +112,7 @@ def _max_flow(
     bwd = [0] * n
     value = 0
     while cap is None or value < cap:
-        if not _augment(n, fwd, bwd, s, t):
+        if not _augment(fwd, bwd, s, t):
             break
         value += 1
     return value, fwd, bwd
@@ -129,7 +154,13 @@ def _residual_coreach(n: int, fwd: list[int], bwd: list[int], t: int) -> int:
 
 
 def max_arc_disjoint_paths(d: Digraph, s: int, t: int) -> PathPacking:
-    """Maximum set of pairwise arc-disjoint s-t dipaths (Menger via max-flow)."""
+    """Maximum set of pairwise arc-disjoint s-t dipaths (Menger via max-flow).
+
+    The flow is split into paths by following the lowest remaining flow arc
+    out of each vertex.  A flow may also carry a circulation; when a walk
+    comes back to a vertex it already holds, the loop since that vertex is
+    such a circulation and is dropped, so every path is a dipath.
+    """
     if not (0 <= s < d.n and 0 <= t < d.n):
         raise ValueError("endpoint out of range")
     if s == t:
@@ -139,39 +170,70 @@ def max_arc_disjoint_paths(d: Digraph, s: int, t: int) -> PathPacking:
     paths = []
     for _ in range(value):
         walk = [s]
+        held = 1 << s
         cur = s
         while cur != t:
             step = used[cur] & -used[cur]  # lowest remaining flow arc
-            nxt = step.bit_length() - 1
-            used[cur] ^= step
-            walk.append(nxt)
-            cur = nxt
+            cur = step.bit_length() - 1
+            used[walk[-1]] ^= step
+            if held & step:
+                while walk[-1] != cur:
+                    held ^= 1 << walk.pop()
+            else:
+                held |= step
+                walk.append(cur)
         paths.append(Dipath(tuple(walk)))
     return PathPacking(s, t, value, tuple(paths))
 
 
-def arc_connectivity(d: Digraph) -> tuple[int, CutWitness]:
-    """Global arc-connectivity with a certifying cut.
+def arc_connectivity(d: Digraph, cap: int | None = None) -> tuple[int, CutWitness | None]:
+    """Global arc-connectivity with a certifying cut, or a lower bound.
 
     lambda(D) = min over proper nonempty X of the out-degree of X, computed
-    as the minimum over t != 0 of maxflow(0, t) and maxflow(t, 0).  The
-    witness is the source side of the first minimum cut attained.
+    as the minimum over t != 0 of maxflow(0, t) and maxflow(t, 0), pairs
+    taken in that order.  The witness is the residual reach of the first
+    pair whose flow equals the minimum (the source side of its minimum cut
+    closest to the source).
+
+    With ``cap=k`` (k >= 1) only "lambda >= k, or else a deficient cut" is
+    decided: every flow stops at k or at the least value seen so far, and
+    the call returns ``(k, None)`` when lambda >= k.  Otherwise it returns
+    exactly the ``(lambda, witness)`` of the uncapped call, since the flow
+    that attains the minimum stays below every cap it runs under.
+
+    No flow runs on a digraph that is not strong: lambda is 0, and the
+    witness is the reach of vertex 0, or of the first t that cannot reach
+    0, whichever pair comes first.  On a strong digraph the loop stops at
+    the first pair of value 1.
     """
     if d.n < 2:
         raise ValueError("arc connectivity needs at least 2 vertices")
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be at least 1")
     n = d.n
-    best: int | None = None
-    witness = 0
+    rows = d.out_adj
+    full = d.full_mask
+    reach = _reach(rows, 1, full)
+    coreach = _reach(_in_rows(n, rows), 1, full)
+    if reach & coreach != full:
+        for t in range(1, n):
+            if not reach >> t & 1:
+                return 0, CutWitness(reach, "out", 0)
+            if not coreach >> t & 1:
+                return 0, CutWitness(_reach(rows, 1 << t, full), "out", 0)
+    if cap == 1:
+        return 1, None
+    best = cap
+    witness = None
     for t in range(1, n):
         for s, goal in ((0, t), (t, 0)):
-            value, fwd, bwd = _max_flow(n, d.out_adj, s, goal, cap=best)
+            value, fwd, bwd = _max_flow(n, rows, s, goal, cap=best)
             if best is None or value < best:
                 best = value
-                witness = _residual_reach(n, fwd, bwd, s)
-        if best == 0:
-            break
-    assert best is not None
-    return best, CutWitness(witness, "out", best)
+                witness = CutWitness(_residual_reach(n, fwd, bwd, s), "out", value)
+                if value == 1:
+                    return 1, witness
+    return best, witness
 
 
 def edmonds_branchings(d: Digraph, z: int, k: int) -> list[Branching] | CutWitness:

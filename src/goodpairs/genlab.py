@@ -78,7 +78,7 @@ def _repair_to_2_arc_strong(n: int, rows: list[int], oriented: bool) -> list[int
     full = (1 << n) - 1
     for _ in range(2 * n * n + 4):
         d = Digraph(n, tuple(rows))
-        lam, witness = arc_connectivity(d)
+        lam, witness = arc_connectivity(d, cap=2)
         if lam >= 2:
             return rows
         x = witness.x_set
@@ -136,7 +136,7 @@ def random_2arc_strong(model: GenModel) -> Digraph:
                     else:
                         rows[v] |= 1 << u
             d = Digraph(n, tuple(rows))
-            if arc_connectivity(d)[0] < 2:
+            if arc_connectivity(d, cap=2)[0] < 2:
                 rows = None
         if rows is None:
             continue
@@ -154,22 +154,31 @@ def arc_minimize(d: Digraph, seed: int) -> Digraph:
 
     One pass suffices for a minimal result relative to the visiting order:
     an arc is removable exactly when two arc-disjoint paths from its tail
-    to its head survive its removal, a single capped flow per arc.
+    to its head survive its removal.  An arc whose removal would leave its
+    tail with out-degree below 2 or its head with in-degree below 2 is
+    kept without a flow; every other arc costs one flow capped at 2.
     """
     from .connectivity import _max_flow
 
-    lam, _ = arc_connectivity(d)
+    lam, _ = arc_connectivity(d, cap=2)
     if lam < 2:
         raise ValueError("arc_minimize expects a 2-arc-strong digraph")
     rng = random.Random(seed)
     arcs = list(d.arcs())
     rng.shuffle(arcs)
     rows = list(d.out_adj)
+    out_deg = [row.bit_count() for row in rows]
+    in_deg = [row.bit_count() for row in d.in_adj()]
     for u, v in arcs:
+        if out_deg[u] <= 2 or in_deg[v] <= 2:
+            continue
         rows[u] &= ~(1 << v)
         value, _, _ = _max_flow(d.n, rows, u, v, cap=2)
         if value < 2:
             rows[u] |= 1 << v
+        else:
+            out_deg[u] -= 1
+            in_deg[v] -= 1
     return Digraph(d.n, tuple(rows))
 
 

@@ -1,11 +1,14 @@
 """Independent reference implementations used to check the library.
 
-Everything here is deliberately naive: subset enumeration for cuts,
-transitive closure for strong components, a fraction-free determinant for
-counting branchings, a cross product of exhaustively enumerated
-branchings for the good-pair decision, and a scan over every small vertex
-subset for the seed of the reduction.  Nothing imports the algorithms
-under test beyond plain data types and the branching enumerator.
+Everything here is deliberately naive: subset enumeration for cuts (and
+for the minimum cut closest to a source, which pins down the witnesses of
+the flow routines), depth-first augmenting paths on an explicit arc set
+for arc minimization, transitive closure for strong components, a
+fraction-free determinant for counting branchings, a cross product of
+exhaustively enumerated branchings for the good-pair decision, and a scan
+over every small vertex subset for the seed of the reduction.  Nothing
+imports the algorithms under test beyond plain data types and the
+branching enumerator.
 """
 
 from __future__ import annotations
@@ -200,3 +203,83 @@ def seed_subdigraph_reference(d: Digraph) -> tuple[int, str] | None:
             if good_pair_exists_bruteforce(h):
                 return mask_of(combo), f"{size}-vertex base with {h.m} arcs"
     return None
+
+
+def _min_cut_core(d: Digraph, s: int, t: int, cut) -> tuple[int, int]:
+    """Least value of ``cut`` over the sets holding s but not t, and the
+    intersection of the sets that attain it (the minimum cut closest to s)."""
+    best = None
+    core = d.full_mask
+    for x in range(1, d.full_mask + 1):
+        if x >> s & 1 and not x >> t & 1:
+            c = cut(d, x)
+            if best is None or c < best:
+                best, core = c, x
+            elif c == best:
+                core &= x
+    return best, core
+
+
+def arc_connectivity_reference(d: Digraph) -> tuple[int, int]:
+    """``(lambda, x_set)`` by enumeration: the witness is the minimum cut
+    closest to the source of the first pair (0, t), (t, 0), t = 1, 2, ...
+    whose minimum cut equals lambda."""
+    lam = lambda_enum(d)
+    for t in range(1, d.n):
+        for s, goal in ((0, t), (t, 0)):
+            value, core = _min_cut_core(d, s, goal, out_cut)
+            if value == lam:
+                return lam, core
+    raise AssertionError("no pair attains lambda")
+
+
+def edmonds_witness_reference(d: Digraph, z: int, k: int) -> tuple[int, int] | None:
+    """``(value, x_set)`` of the blocking cut for k out-branchings at z, or
+    None: the first t != z whose least in-cut over the sets holding t but
+    not z is below k, with the smallest such set of that in-cut."""
+    for t in range(d.n):
+        if t == z:
+            continue
+        value, core = _min_cut_core(d, t, z, in_cut)
+        if value < k:
+            return value, core
+    return None
+
+
+def _two_arc_disjoint_paths(rows: list[int], s: int, t: int) -> bool:
+    """Whether two arc-disjoint s-t paths exist: two augmenting depth-first
+    searches on an explicit set of residual arcs."""
+    n = len(rows)
+    residual = {(u, v) for u in range(n) for v in bits(rows[u])}
+    for _ in range(2):
+        parent = {s: None}
+        stack = [s]
+        while stack and t not in parent:
+            u = stack.pop()
+            for v in range(n):
+                if (u, v) in residual and v not in parent:
+                    parent[v] = u
+                    stack.append(v)
+        if t not in parent:
+            return False
+        v = t
+        while parent[v] is not None:
+            u = parent[v]
+            residual.remove((u, v))
+            residual.add((v, u))
+            v = u
+    return True
+
+
+def arc_minimize_reference(d: Digraph, seed: int) -> Digraph:
+    """One flow test per arc, in the seeded order: an arc goes when two
+    arc-disjoint paths from its tail to its head survive its removal."""
+    rng = random.Random(seed)
+    arcs = list(d.arcs())
+    rng.shuffle(arcs)
+    rows = list(d.out_adj)
+    for u, v in arcs:
+        rows[u] &= ~(1 << v)
+        if not _two_arc_disjoint_paths(rows, u, v):
+            rows[u] |= 1 << v
+    return Digraph(d.n, tuple(rows))

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from goodpairs import (
     Digraph,
@@ -11,15 +12,51 @@ from goodpairs import (
     cut_degree,
     edmonds_branchings,
     max_arc_disjoint_paths,
+    parse_digraph,
     verify_branching,
     verify_dipath,
 )
 from goodpairs.digraph import from_arcs
 
-from oracles import edmonds_feasible, in_cut, lambda_enum, out_cut, rand_digraph, subset_min_cut
+from oracles import (
+    arc_connectivity_reference,
+    edmonds_feasible,
+    edmonds_witness_reference,
+    in_cut,
+    lambda_enum,
+    out_cut,
+    rand_digraph,
+    subset_min_cut,
+)
 
 BI3 = Digraph(3, (0b110, 0b101, 0b011))
 C3 = Digraph(3, (0b010, 0b100, 0b001))
+
+
+@st.composite
+def digraphs(draw, max_n=10):
+    """Digraphs on 2..max_n vertices, sparse ones (often not strong) included."""
+    n = draw(st.integers(2, max_n))
+    full = (1 << n) - 1
+    sparsity = draw(st.integers(1, 3))  # a row is the AND of this many random masks
+    rows = []
+    for u in range(n):
+        row = full & ~(1 << u)
+        for _ in range(sparsity):
+            row &= draw(st.integers(0, full))
+        rows.append(row)
+    return Digraph(n, tuple(rows))
+
+
+def _assert_valid_packing(d, packing):
+    assert len(packing.paths) == packing.value
+    used = set()
+    for path in packing.paths:
+        assert verify_dipath(d, path) is None
+        assert path.vertices[0] == packing.s and path.vertices[-1] == packing.t
+        for arc in path.arcs():
+            assert arc not in used
+            used.add(arc)
 
 
 class TestCutDegree:
@@ -62,13 +99,31 @@ class TestPathPacking:
             s, t = rng.sample(range(n), 2)
             packing = max_arc_disjoint_paths(d, s, t)
             assert packing.value == subset_min_cut(d, s, t)
-            used = set()
-            for path in packing.paths:
-                assert verify_dipath(d, path) is None
-                assert path.vertices[0] == s and path.vertices[-1] == t
-                for arc in path.arcs():
-                    assert arc not in used
-                    used.add(arc)
+            _assert_valid_packing(d, packing)
+
+    @pytest.mark.parametrize(
+        "text, s, t, value",
+        [
+            ("&EY`cYkW", 1, 3, 2),
+            ("&I?wD@_@c?O@o@kG@_?", 3, 4, 2),
+            ("&JNkK@AdQ{LKP?CtP@B{IO?", 2, 5, 3),
+        ],
+    )
+    def test_circulation_is_dropped(self, text, s, t, value):
+        # flows here once carried a cycle through a path vertex, and the
+        # decomposition returned a walk that repeats it
+        d = parse_digraph(text)
+        packing = max_arc_disjoint_paths(d, s, t)
+        assert packing.value == value
+        _assert_valid_packing(d, packing)
+
+    def test_paths_are_dipaths(self):
+        rng = random.Random(4040)
+        for _ in range(4000):
+            n = rng.randint(2, 12)
+            d = rand_digraph(rng, n, rng.uniform(0.1, 0.9))
+            s, t = rng.sample(range(n), 2)
+            _assert_valid_packing(d, max_arc_disjoint_paths(d, s, t))
 
 
 class TestArcConnectivity:
@@ -102,6 +157,37 @@ class TestArcConnectivity:
             assert 0 < w.x_set < d.full_mask
             assert out_cut(d, w.x_set) == lam
 
+    @given(digraphs(max_n=8))
+    @settings(max_examples=300, deadline=None)
+    def test_witness_is_closest_cut_of_first_minimum_pair(self, d):
+        lam, w = arc_connectivity(d)
+        assert (lam, w.x_set) == arc_connectivity_reference(d)
+        assert w == CutWitness(w.x_set, "out", lam)
+
+    @given(digraphs(), st.integers(1, 3))
+    @settings(max_examples=400, deadline=None)
+    def test_cap_agrees_with_uncapped(self, d, k):
+        lam, w = arc_connectivity(d)
+        if lam < k:
+            assert arc_connectivity(d, cap=k) == (lam, w)
+        else:
+            assert arc_connectivity(d, cap=k) == (k, None)
+        if lam == 0:
+            assert cut_degree(d, w.x_set, "out") == 0
+
+    def test_not_strong_witness_order(self):
+        # 0 reaches every vertex and 2 is the first that cannot reach 0,
+        # so the witness is the reach of 2
+        d = from_arcs(4, [(0, 1), (1, 0), (0, 2), (2, 3), (3, 2), (1, 3)])
+        assert arc_connectivity(d) == (0, CutWitness(0b1100, "out", 0))
+        # 1 is the first vertex 0 cannot reach: the reach of 0
+        d = from_arcs(3, [(1, 0), (0, 2), (2, 0)])
+        assert arc_connectivity(d, cap=2) == (0, CutWitness(0b101, "out", 0))
+
+    def test_rejects_bad_cap(self):
+        with pytest.raises(ValueError, match="cap"):
+            arc_connectivity(BI3, cap=0)
+
 
 class TestEdmonds:
     def test_c3_blocking_cut(self):
@@ -129,6 +215,22 @@ class TestEdmonds:
             edmonds_branchings(C3, 5, 1)
         with pytest.raises(ValueError):
             edmonds_branchings(C3, 0, 0)
+
+    def test_blocking_cut_on_criterion_5_stream(self):
+        # the witness is the residual co-reach of the target, which is the
+        # same for every maximum flow: the smallest minimum cut around t
+        rng = random.Random(505)
+        for _ in range(500):
+            n = rng.randint(4, 8)
+            d = rand_digraph(rng, n, rng.uniform(0.2, 0.8))
+            z = rng.randrange(n)
+            k = rng.randint(1, 3)
+            got = edmonds_branchings(d, z, k)
+            ref = edmonds_witness_reference(d, z, k)
+            if ref is None:
+                assert isinstance(got, list) and len(got) == k
+            else:
+                assert got == CutWitness(ref[1], "in", ref[0])
 
     def test_matches_cut_oracle(self):
         rng = random.Random(31)

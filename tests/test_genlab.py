@@ -1,7 +1,9 @@
 """Generators, minimization, enumeration, canonicalization, and sweeps."""
 
+import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +24,9 @@ from goodpairs import (
 )
 from goodpairs.digraph import _in_rows, from_arcs
 
-from oracles import rand_digraph
+from oracles import arc_minimize_reference, rand_digraph
+
+GOLDEN = Path(__file__).parent / "data" / "generator_golden.json"
 
 
 class TestDerivedSeeds:
@@ -83,6 +87,23 @@ class TestRandom2ArcStrong:
         }
         assert len(draws) > 1
 
+    @pytest.mark.parametrize("kind", GEN_KINDS)
+    def test_stream_pinned(self, kind):
+        """sha256 of 40 digraph6 lines per (kind, n), recorded before the
+        generator's flows were capped: the drawn digraphs must not move."""
+        golden = json.loads(GOLDEN.read_text())
+        for n, digest in golden["digests"][kind].items():
+            lines = [
+                serialize_digraph(
+                    random_2arc_strong(
+                        GenModel(kind, int(n), golden["p"], derive_seed(golden["seed"], i))
+                    ),
+                    "digraph6",
+                )
+                for i in range(golden["count"])
+            ]
+            assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, (kind, n)
+
     def test_small_n_rejected(self):
         with pytest.raises(ValueError, match="fewer than 3"):
             random_2arc_strong(GenModel("gnp-repair", 2, seed=0))
@@ -108,6 +129,16 @@ class TestArcMinimize:
     def test_deterministic_in_seed(self):
         d = random_2arc_strong(GenModel("gnp-repair", 8, 0.6, 5))
         assert arc_minimize(d, 1) == arc_minimize(d, 1)
+
+    def test_matches_flow_per_arc_reference(self):
+        rng = random.Random(808)
+        kinds = ("gnp-repair", "oriented-gnp-repair", "tournament")
+        for i in range(200):
+            n = rng.randint(5, 20)
+            model = GenModel(kinds[i % 3], n, rng.uniform(0.2, 0.7), rng.getrandbits(32))
+            d = random_2arc_strong(model)
+            seed = rng.getrandbits(63)
+            assert arc_minimize(d, seed) == arc_minimize_reference(d, seed)
 
 
 class TestEnumerateSmall:
