@@ -164,7 +164,7 @@ def cert_from_json(text: str) -> GoodPairCert:
             int(in_obj["root"]),
             {int(v): (int(a[0]), int(a[1])) for v, a in in_obj["parent"].items()},
         )
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"malformed certificate object: {exc}") from None
     return GoodPairCert(n, out, in_)
 

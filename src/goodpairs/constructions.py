@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 from .branchings import (
     Branching,
@@ -37,12 +38,12 @@ from .digraph import (
     _scc_masks,
     bits,
     induced_subdigraph,
-    reverse,
+    mask_of,
+    strong_decomposition,
     verify_dipath,
 )
 
 TRACE_RULES = (
-    "digon-transfer",
     "absorb",
     "component-pairing",
     "spare-vertex",
@@ -72,11 +73,18 @@ class ReductionTrace:
     @classmethod
     def from_jsonl(cls, text: str) -> "ReductionTrace":
         steps = []
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            steps.append(TraceStep(obj["rule"], int(obj["subdigraph"], 16), obj["note"]))
+            try:
+                obj = json.loads(line)
+                step = TraceStep(obj["rule"], int(obj["subdigraph"], 16), obj["note"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"malformed trace line {lineno}: {exc!r}") from None
+            fields_ok = isinstance(step.rule, str) and isinstance(step.note, str)
+            if not fields_ok or step.subdigraph < 0:
+                raise ValueError(f"malformed trace line {lineno}: {line.strip()}")
+            steps.append(step)
         return cls(steps)
 
 
@@ -106,6 +114,15 @@ class PairingArtifacts:
     t_y: dict[int, tuple[int, int]]
 
 
+def _checked(d: Digraph, got, rule: str):
+    """Return ``got``; a certificate must first pass the verifier on d."""
+    if isinstance(got, GoodPairCert):
+        bad = verify_good_pair(d, got)
+        if bad:  # pragma: no cover - every rule builds arc-disjoint branchings
+            raise AssertionError(f"{rule} produced invalid certificate: {bad}")
+    return got
+
+
 # ---------------------------------------------------------------------------
 # root transfer across a digon
 
@@ -132,10 +149,7 @@ def digon_root_transfer(d: Digraph, cert: GoodPairCert, t: int) -> GoodPairCert:
     del in_parent[t]
     in_parent[s] = (s, t)
     new = GoodPairCert(d.n, Branching("out", t, out_parent), Branching("in", t, in_parent))
-    check = verify_good_pair(d, new)
-    if check:  # pragma: no cover - the construction always verifies
-        raise AssertionError(f"root transfer produced invalid certificate: {check}")
-    return new
+    return _checked(d, new, "root transfer")
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +157,13 @@ def digon_root_transfer(d: Digraph, cert: GoodPairCert, t: int) -> GoodPairCert:
 
 
 def _out_forest(
-    in_rows: list[int], inside: VertexSet, roots: VertexSet
+    in_rows: Sequence[int], inside: VertexSet, roots: VertexSet
 ) -> dict[int, tuple[int, int]] | None:
     """Parent arcs of an out-forest spanning ``inside`` from ``roots``.
 
-    Arcs stay inside the set; vertices attach lowest-first to their lowest
-    covered in-neighbour.  None when some vertex is unreachable.
+    The roots lie inside the set, so arcs stay inside it; vertices attach
+    lowest-first to their lowest covered in-neighbour.  None when some
+    vertex is unreachable.
     """
     parent: dict[int, tuple[int, int]] = {}
     covered = roots
@@ -169,65 +184,67 @@ def _out_forest(
 
 
 def _in_forest(
-    out_rows: list[int] | tuple[int, ...], inside: VertexSet, roots: VertexSet
+    out_rows: Sequence[int], inside: VertexSet, roots: VertexSet
 ) -> dict[int, tuple[int, int]] | None:
-    parent: dict[int, tuple[int, int]] = {}
-    covered = roots
-    rest = inside & ~roots
-    while rest:
-        attached = 0
-        for v in bits(rest):
-            hit = out_rows[v] & covered
-            if hit:
-                u = (hit & -hit).bit_length() - 1
-                parent[v] = (v, u)
-                covered |= 1 << v
-                attached |= 1 << v
-        if not attached:
-            return None
-        rest &= ~attached
-    return parent
+    """The in-forest into ``roots``: the out-forest of the reversed digraph,
+    arcs flipped back."""
+    forest = _out_forest(out_rows, inside, roots)
+    return None if forest is None else {v: (b, a) for v, (a, b) in forest.items()}
 
 
 # ---------------------------------------------------------------------------
 # component pairing
 
 
-def _subgraph_strong_comps(rows: list[int] | tuple[int, ...], n: int, inside: VertexSet) -> list[VertexSet]:
-    """Strong components of the digraph induced on ``inside``, as host masks,
-    ordered by smallest member."""
-    masked = [rows[u] & inside if inside >> u & 1 else 0 for u in range(n)]
-    comps = [c for c in _scc_masks(n, masked) if c & inside]
-    comps.sort(key=lambda c: c & -c)
-    return comps
+def _end_comps(
+    rows: Sequence[int], inside: VertexSet
+) -> tuple[list[VertexSet], list[VertexSet]]:
+    """Initial and terminal strong components of the digraph induced on
+    ``inside``, as host masks ordered by lowest member."""
+    n = len(rows)
+    masked = tuple(rows[u] & inside if inside >> u & 1 else 0 for u in range(n))
+    dec = strong_decomposition(Digraph(n, masked))
+
+    def ends(flags: tuple[bool, ...]) -> list[VertexSet]:
+        # vertices outside the set are isolated there: drop those singletons
+        comps = [c for c, flag in zip(dec.components, flags) if flag and c & inside]
+        return sorted(comps, key=lambda c: c & -c)
+
+    return ends(dec.initial), ends(dec.terminal)
 
 
-def _initial_comps(rows, in_rows, n, inside):
-    out = []
-    for c in _subgraph_strong_comps(rows, n, inside):
-        external = inside & ~c
-        if all(not in_rows[v] & external for v in bits(c)):
-            out.append(c)
-    return out
+@dataclass(frozen=True)
+class _Sides:
+    """The X / Y partition of a pairing on explicit rows.
 
+    ``comps_x`` are the initial strong components of D[X], ``comps_y`` the
+    terminal ones of D[Y]: the components the cross-arc systems must reach.
+    """
 
-def _terminal_comps(rows, n, inside):
-    out = []
-    for c in _subgraph_strong_comps(rows, n, inside):
-        external = inside & ~c
-        if all(not rows[v] & external for v in bits(c)):
-            out.append(c)
-    return out
+    rows: Sequence[int]
+    in_rows: Sequence[int]
+    x_set: VertexSet
+    y_set: VertexSet
+    comps_x: list[VertexSet]
+    comps_y: list[VertexSet]
+
+    @classmethod
+    def build(
+        cls, rows: Sequence[int], in_rows: Sequence[int], x_set: VertexSet, y_set: VertexSet
+    ) -> "_Sides":
+        comps_x = _end_comps(rows, x_set)[0]
+        comps_y = _end_comps(rows, y_set)[1]
+        return cls(rows, in_rows, x_set, y_set, comps_x, comps_y)
+
+    def reversed(self) -> "_Sides":
+        """The same partition in the reversed digraph, where X and Y trade
+        places: the initial components of reversed D[Y] are the terminal
+        components of D[Y], and vice versa."""
+        return _Sides(self.in_rows, self.rows, self.y_set, self.x_set, self.comps_y, self.comps_x)
 
 
 def _alternating_selection(
-    rows: list[int] | tuple[int, ...],
-    in_rows: list[int],
-    x_set: VertexSet,
-    y_set: VertexSet,
-    comps_x: list[VertexSet],
-    comps_y: list[VertexSet],
-    start: int,
+    s: _Sides, start: int
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
     """Pick one arc into each X-component and one out of each Y-component.
 
@@ -238,13 +255,14 @@ def _alternating_selection(
     ``start`` component may have a single entering arc, every other
     component must have two; returns None when a pick is impossible.
     """
+    comps_x, comps_y = s.comps_x, s.comps_y
     comp_of_x = {v: i for i, c in enumerate(comps_x) for v in bits(c)}
     comp_of_y = {v: i for i, c in enumerate(comps_y) for v in bits(c)}
 
     def arcs_into(c: VertexSet, exclude):
         out = []
         for v in bits(c):
-            for u in bits(in_rows[v] & y_set):
+            for u in bits(s.in_rows[v] & s.y_set):
                 if (u, v) != exclude:
                     out.append((u, v))
         out.sort()
@@ -253,7 +271,7 @@ def _alternating_selection(
     def arcs_out_of(c: VertexSet, exclude):
         out = []
         for u in bits(c):
-            for v in bits(rows[u] & x_set):
+            for v in bits(s.rows[u] & s.x_set):
                 if (u, v) != exclude:
                     out.append((u, v))
         out.sort()
@@ -321,51 +339,36 @@ def _lift_branching(b: Branching, vmap: tuple[int, ...]) -> tuple[int, dict]:
     return root, parent
 
 
-def _neighbourhoods(d: Digraph, q_set: VertexSet) -> tuple[VertexSet, VertexSet]:
+def _neighbourhoods(
+    rows: Sequence[int], in_rows: Sequence[int], q_set: VertexSet
+) -> tuple[VertexSet, VertexSet]:
     """(in-neighbourhood, out-neighbourhood) of the set, both outside it."""
     x = 0
     y = 0
     for q in bits(q_set):
-        y |= d.out_adj[q]
-    in_rows = _in_rows(d.n, d.out_adj)
-    for q in bits(q_set):
         x |= in_rows[q]
+        y |= rows[q]
     return x & ~q_set, y & ~q_set
 
 
-def _select_with_artifacts(
-    rows, n: int, x_set: VertexSet, y_set: VertexSet, start_comp: VertexSet | None
-) -> tuple[PairingArtifacts, list[VertexSet], list[VertexSet]] | None:
-    """Run the alternating selection plus forests on explicit rows."""
-    in_rows = _in_rows(n, rows)
-    comps_x = _initial_comps(rows, in_rows, n, x_set) if x_set else []
-    comps_y = _terminal_comps(rows, n, y_set) if y_set else []
-    start = 0
-    if start_comp is not None:
-        start = next(i for i, c in enumerate(comps_x) if c == start_comp)
-    sel = _alternating_selection(rows, in_rows, x_set, y_set, comps_x, comps_y, start)
+def _select_with_artifacts(s: _Sides, start: int) -> PairingArtifacts | None:
+    """Run the alternating selection plus forests on the partition."""
+    sel = _alternating_selection(s, start)
     if sel is None:
         return None
     p_x, p_y = sel
-    heads = 0
-    for _, v in p_x:
-        heads |= 1 << v
-    tails = 0
-    for u, _ in p_y:
-        tails |= 1 << u
-    in_rows_x = [in_rows[v] & x_set for v in range(n)]
-    rows_y = [rows[v] & y_set for v in range(n)]
-    t_x = _out_forest(in_rows_x, x_set, heads) if x_set else {}
-    t_y = _in_forest(rows_y, y_set, tails) if y_set else {}
+    t_x = _out_forest(s.in_rows, s.x_set, mask_of(v for _, v in p_x))
+    t_y = _in_forest(s.rows, s.y_set, mask_of(u for u, _ in p_y))
     if t_x is None or t_y is None:
         return None
-    art = PairingArtifacts(x_set, y_set, tuple(p_x), tuple(p_y), t_x, t_y)
-    return art, comps_x, comps_y
+    return PairingArtifacts(s.x_set, s.y_set, tuple(p_x), tuple(p_y), t_x, t_y)
 
 
-def _cross_degrees(rows, in_rows, comps_x, comps_y, x_set, y_set):
-    din = [sum((in_rows[v] & y_set).bit_count() for v in bits(c)) for c in comps_x]
-    dout = [sum((rows[u] & x_set).bit_count() for u in bits(c)) for c in comps_y]
+def _cross_degrees(s: _Sides) -> tuple[list[int], list[int]]:
+    """Arcs from Y into each component of comps_x, and from each component
+    of comps_y into X."""
+    din = [sum((s.in_rows[v] & s.y_set).bit_count() for v in bits(c)) for c in s.comps_x]
+    dout = [sum((s.rows[u] & s.x_set).bit_count() for u in bits(c)) for c in s.comps_y]
     return din, dout
 
 
@@ -382,6 +385,22 @@ def _check_condition(din: list[int], dout: list[int]) -> tuple[bool, int | None]
     return True, ones[0] if ones else None
 
 
+def _pairing_prologue(
+    d: Digraph, q_set: VertexSet, cert_q: GoodPairCert
+) -> tuple[tuple[int, ...], list[int], VertexSet, VertexSet]:
+    """Checks shared by the pairing rules: the good pair of D[Q], then
+    disjoint neighbourhoods.  Returns (D[Q]'s vertex map, in-rows, X, Y)."""
+    h, vmap = induced_subdigraph(d, q_set)
+    bad = verify_good_pair(h, cert_q)
+    if bad:
+        raise ValueError(f"certificate for D[Q] invalid: {bad}")
+    in_rows = _in_rows(d.n, d.out_adj)
+    x_set, y_set = _neighbourhoods(d.out_adj, in_rows, q_set)
+    if x_set & y_set:
+        raise ValueError("in- and out-neighbourhoods of Q overlap")
+    return vmap, in_rows, x_set, y_set
+
+
 def component_pairing(
     d: Digraph, q_set: VertexSet, cert_q: GoodPairCert
 ) -> GoodPairCert | ConditionNotMet:
@@ -394,41 +413,31 @@ def component_pairing(
     component on one side may make do with a single arc.  When the count
     fails on both sides the offending component is reported.
     """
-    n = d.n
     if q_set == 0 or q_set & ~d.full_mask:
         raise ValueError("Q must be a nonempty vertex set of the digraph")
-    h, vmap = induced_subdigraph(d, q_set)
-    bad = verify_good_pair(h, cert_q)
-    if bad:
-        raise ValueError(f"certificate for D[Q] invalid: {bad}")
+    vmap, in_rows, x_set, y_set = _pairing_prologue(d, q_set, cert_q)
     if q_set == d.full_mask:
         return cert_q
-    x_set, y_set = _neighbourhoods(d, q_set)
-    if x_set & y_set:
-        raise ValueError("in- and out-neighbourhoods of Q overlap")
     if (x_set | y_set) != d.full_mask & ~q_set:
         raise ValueError("neighbourhoods of Q must cover every external vertex")
 
-    rows = d.out_adj
-    in_rows = _in_rows(n, rows)
-    comps_x = _initial_comps(rows, in_rows, n, x_set) if x_set else []
-    comps_y = _terminal_comps(rows, n, y_set) if y_set else []
-    din, dout = _cross_degrees(rows, in_rows, comps_x, comps_y, x_set, y_set)
+    sides = _Sides.build(d.out_adj, in_rows, x_set, y_set)
+    comps_x, comps_y = sides.comps_x, sides.comps_y
+    din, dout = _cross_degrees(sides)
 
+    cert = None
     ok, deficient = _check_condition(din, dout)
     if ok:
-        start = comps_x[deficient] if deficient is not None else (comps_x[0] if comps_x else None)
-        cert = _assemble_pairing(d, q_set, cert_q, vmap, x_set, y_set, start)
-        if cert is not None:
-            return cert
+        cert = _assemble_pairing(sides, q_set, cert_q, vmap, deficient or 0)
     # dual orientation: allow the deficient component on the Y side
     ok2, deficient2 = _check_condition(dout, din)
-    if ok2:
-        rd = reverse(d)
-        start = comps_y[deficient2] if deficient2 is not None else (comps_y[0] if comps_y else None)
-        rcert = _assemble_pairing(rd, q_set, reverse_cert(cert_q), vmap, y_set, x_set, start)
-        if rcert is not None:
-            return reverse_cert(rcert)
+    if cert is None and ok2:
+        rcert = _assemble_pairing(
+            sides.reversed(), q_set, reverse_cert(cert_q), vmap, deficient2 or 0
+        )
+        cert = None if rcert is None else reverse_cert(rcert)
+    if cert is not None:
+        return _checked(d, cert, "component pairing")
     # report the first offending component
     zeros_x = [i for i, v in enumerate(din) if v == 0]
     if zeros_x:
@@ -452,32 +461,27 @@ def component_pairing(
 
 
 def _assemble_pairing(
-    d: Digraph,
+    s: _Sides,
     q_set: VertexSet,
     cert_q: GoodPairCert,
     vmap: tuple[int, ...],
-    x_set: VertexSet,
-    y_set: VertexSet,
-    start_comp: VertexSet | None,
+    start: int,
     skip_direct: VertexSet = 0,
 ) -> GoodPairCert | None:
-    """Condition-one assembly on d: deficient component (if any) inside X.
+    """Condition-one assembly: the deficient component (if any) is
+    ``s.comps_x[start]``.
 
     Vertices in ``skip_direct`` take part in the selection and forests but
-    get no direct arc to or from Q; the caller supplies their missing arc
-    and verifies the completed certificate.
+    get no direct arc to or from Q; the caller supplies their missing arc.
+    The caller verifies the certificate.
     """
-    n = d.n
-    rows = d.out_adj
-    in_rows = _in_rows(n, rows)
-    got = _select_with_artifacts(rows, n, x_set, y_set, start_comp)
-    if got is None:
+    art = _select_with_artifacts(s, start)
+    if art is None:
         return None
-    art, _, _ = got
 
     root_out, out_parent = _lift_branching(cert_q.out, vmap)
-    for y in bits(y_set & ~skip_direct):
-        q = in_rows[y] & q_set
+    for y in bits(s.y_set & ~skip_direct):
+        q = s.in_rows[y] & q_set
         if not q:
             return None
         out_parent[y] = ((q & -q).bit_length() - 1, y)
@@ -486,8 +490,8 @@ def _assemble_pairing(
     out_parent.update(art.t_x)
 
     root_in, in_parent = _lift_branching(cert_q.in_, vmap)
-    for x in bits(x_set & ~skip_direct):
-        q = rows[x] & q_set
+    for x in bits(s.x_set & ~skip_direct):
+        q = s.rows[x] & q_set
         if not q:
             return None
         in_parent[x] = (x, (q & -q).bit_length() - 1)
@@ -495,14 +499,9 @@ def _assemble_pairing(
         in_parent[u] = (u, v)
     in_parent.update(art.t_y)
 
-    cert = GoodPairCert(
-        n, Branching("out", root_out, out_parent), Branching("in", root_in, in_parent)
+    return GoodPairCert(
+        len(s.rows), Branching("out", root_out, out_parent), Branching("in", root_in, in_parent)
     )
-    if skip_direct == 0:
-        bad = verify_good_pair(d, cert)
-        if bad:  # pragma: no cover - the selection guarantees disjointness
-            raise AssertionError(f"component pairing produced invalid certificate: {bad}")
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -601,13 +600,7 @@ def pair_with_spare_vertex(
         raise ValueError(f"vertex {w} out of range")
     if q_set >> w & 1:
         raise ValueError("w must lie outside Q")
-    h, vmap = induced_subdigraph(d, q_set)
-    bad = verify_good_pair(h, cert_q)
-    if bad:
-        raise ValueError(f"certificate for D[Q] invalid: {bad}")
-    x_set, y_set = _neighbourhoods(d, q_set)
-    if x_set & y_set:
-        raise ValueError("in- and out-neighbourhoods of Q overlap")
+    vmap, in_rows, x_set, y_set = _pairing_prologue(d, q_set, cert_q)
     wbit = 1 << w
     if (x_set | y_set) & wbit:
         raise ValueError("w must lie outside the neighbourhoods of Q")
@@ -615,33 +608,33 @@ def pair_with_spare_vertex(
         raise ValueError("Q, X, Y and w must cover the digraph")
 
     rows = d.out_adj
-    in_rows = _in_rows(n, rows)
-
     if in_rows[w] & y_set:
-        return _spare_with_feed_arc(d, q_set, cert_q, vmap, x_set, y_set, w)
+        got = _spare_with_feed_arc(rows, in_rows, q_set, cert_q, vmap, x_set, y_set, w)
+        return _checked(d, got, "spare vertex rule")
     if rows[w] & x_set:
-        rres = _spare_with_feed_arc(
-            reverse(d), q_set, reverse_cert(cert_q), vmap, y_set, x_set, w
+        got = _spare_with_feed_arc(
+            in_rows, rows, q_set, reverse_cert(cert_q), vmap, y_set, x_set, w
         )
-        return reverse_cert(rres) if isinstance(rres, GoodPairCert) else rres
+        if isinstance(got, GoodPairCert):
+            got = reverse_cert(got)
+        return _checked(d, got, "spare vertex rule")
 
     # w is seen only by X and only sees Y
     if (in_rows[w] & x_set).bit_count() < 2:
         return ConditionNotMet("spare vertex needs two in-neighbours in X", wbit)
     if (rows[w] & y_set).bit_count() < 2:
         return ConditionNotMet("spare vertex needs two out-neighbours in Y", wbit)
-    comps_x = _initial_comps(rows, in_rows, n, x_set) if x_set else []
-    comps_y = _terminal_comps(rows, n, y_set) if y_set else []
-    din, dout = _cross_degrees(rows, in_rows, comps_x, comps_y, x_set, y_set)
+    sides = _Sides.build(rows, in_rows, x_set, y_set)
+    din, dout = _cross_degrees(sides)
     if any(v < 2 for v in din):
         return ConditionNotMet(
-            "component of D[X] short of entering arcs from Y", comps_x[din.index(min(din))]
+            "component of D[X] short of entering arcs from Y", sides.comps_x[din.index(min(din))]
         )
     if any(v < 2 for v in dout):
         return ConditionNotMet(
-            "component of D[Y] short of leaving arcs into X", comps_y[dout.index(min(dout))]
+            "component of D[Y] short of leaving arcs into X", sides.comps_y[dout.index(min(dout))]
         )
-    base = _assemble_pairing(d, q_set, cert_q, vmap, x_set, y_set, None, skip_direct=wbit)
+    base = _assemble_pairing(sides, q_set, cert_q, vmap, 0)
     if base is None:
         return ConditionNotMet("cross-arc selection failed", 0)
     win = in_rows[w] & x_set
@@ -655,14 +648,12 @@ def pair_with_spare_vertex(
         Branching("out", base.out.root, out_parent),
         Branching("in", base.in_.root, in_parent),
     )
-    bad = verify_good_pair(d, cert)
-    if bad:  # pragma: no cover
-        raise AssertionError(f"spare vertex attachment invalid: {bad}")
-    return cert
+    return _checked(d, cert, "spare vertex rule")
 
 
 def _spare_with_feed_arc(
-    d: Digraph,
+    rows: Sequence[int],
+    in_rows: Sequence[int],
     q_set: VertexSet,
     cert_q: GoodPairCert,
     vmap: tuple[int, ...],
@@ -674,21 +665,20 @@ def _spare_with_feed_arc(
 
     The tail's component may be left with a single leaving arc, so it
     plays the deficient role and is processed first.  The deleted arc
-    itself becomes w's parent in the out-branching.
+    itself becomes w's parent in the out-branching.  The caller verifies
+    the certificate.
     """
-    n = d.n
-    rows = d.out_adj
-    in_rows = _in_rows(n, rows)
-    y_prime = y_set | 1 << w
+    wbit = 1 << w
+    y_prime = y_set | wbit
     last_reason: ConditionNotMet | None = None
     for v in bits(in_rows[w] & y_set):
         stripped = list(rows)
-        stripped[v] &= ~(1 << w)
-        in_stripped = _in_rows(n, stripped)
-        comps_x = _initial_comps(stripped, in_stripped, n, x_set) if x_set else []
-        comps_y = _terminal_comps(stripped, n, y_prime)
-        din = [sum((in_stripped[t] & y_prime).bit_count() for t in bits(c)) for c in comps_x]
-        dout = [sum((stripped[u] & x_set).bit_count() for u in bits(c)) for c in comps_y]
+        stripped[v] &= ~wbit
+        in_stripped = list(in_rows)
+        in_stripped[w] &= ~(1 << v)
+        sides = _Sides.build(stripped, in_stripped, x_set, y_prime)
+        comps_x, comps_y = sides.comps_x, sides.comps_y
+        din, dout = _cross_degrees(sides)
         ok, deficient = _check_condition(dout, din)
         if not ok:
             bad_i = next((i for i, val in enumerate(din) if val < 2), None)
@@ -704,46 +694,27 @@ def _spare_with_feed_arc(
                 )
             continue
         if deficient is None:
-            v_comp = next((c for c in comps_y if c >> v & 1), None)
-            start = v_comp if v_comp is not None else comps_y[0]
+            start = next((j for j, c in enumerate(comps_y) if c >> v & 1), 0)
         else:
-            start = comps_y[deficient]
+            start = deficient
         # run the condition-one assembly on the reversed stripped digraph,
         # where the deficient side sits in X as required; w gets no direct
         # Q-arc there because the deleted arc e will feed it instead
-        stripped_d = Digraph(n, tuple(stripped))
-        rd = reverse(stripped_d)
         rcert = _assemble_pairing(
-            rd, q_set, reverse_cert(cert_q), vmap, y_prime, x_set, start,
-            skip_direct=1 << w,
+            sides.reversed(), q_set, reverse_cert(cert_q), vmap, start, skip_direct=wbit
         )
         if rcert is None:
-            last_reason = ConditionNotMet("cross-arc selection failed", start)
+            last_reason = ConditionNotMet("cross-arc selection failed", comps_y[start])
             continue
         base = reverse_cert(rcert)
         out_parent = dict(base.out.parent)
         out_parent[w] = (v, w)
-        cert = GoodPairCert(
-            n,
-            Branching("out", base.out.root, out_parent),
-            Branching("in", base.in_.root, dict(base.in_.parent)),
-        )
-        bad = verify_good_pair(d, cert)
-        if bad:  # pragma: no cover
-            raise AssertionError(f"spare vertex feed arc produced invalid certificate: {bad}")
-        return cert
-    return last_reason or ConditionNotMet("no usable arc from Y into the spare vertex", 1 << w)
+        return GoodPairCert(len(rows), Branching("out", base.out.root, out_parent), base.in_)
+    return last_reason or ConditionNotMet("no usable arc from Y into the spare vertex", wbit)
 
 
 # ---------------------------------------------------------------------------
-# small digraphs and Hamilton paths
-
-
-def small_good_pair(d: Digraph) -> SearchResult:
-    """Exhaustive decision for digraphs on at most 4 vertices."""
-    if d.n > 4:
-        raise ValueError("small_good_pair supports n <= 4")
-    return find_good_pair_exact(d)
+# Hamilton paths
 
 
 def longest_dipath(d: Digraph) -> Dipath:
@@ -824,9 +795,8 @@ def pair_from_hamilton(d: Digraph, p: Dipath) -> GoodPairCert | ConditionNotMet:
         raise ValueError("dipath must span the digraph")
     n = d.n
     verts = p.vertices
-    path_arcs = set(zip(verts, verts[1:]))
     stripped = list(d.out_adj)
-    for u, v in path_arcs:
+    for u, v in zip(verts, verts[1:]):
         stripped[u] &= ~(1 << v)
     comps = _scc_masks(n, stripped)
     if len(comps) != 2:
@@ -841,7 +811,9 @@ def pair_from_hamilton(d: Digraph, p: Dipath) -> GoodPairCert | ConditionNotMet:
         if stripped[u] & c0:
             return ConditionNotMet("stripped components are adjacent", c0)
 
-    rd = reverse(d)
+    # the reversal strips the reversed path: the same components, rows and
+    # in-rows trade places
+    in_stripped = _in_rows(n, stripped)
     rverts = verts[::-1]
     tried = []
     for q in (2, 3, n - 1, n):
@@ -849,33 +821,32 @@ def pair_from_hamilton(d: Digraph, p: Dipath) -> GoodPairCert | ConditionNotMet:
             continue
         tried.append(q)
         if q in (n - 1, n):
-            cert = _hamilton_high_case(d, verts, q)
+            cert = _hamilton_high_case(stripped, in_stripped, comps, verts, q)
         else:
-            rcert = _hamilton_high_case(rd, rverts, n + 2 - q)
+            rcert = _hamilton_high_case(in_stripped, stripped, comps, rverts, n + 2 - q)
             cert = reverse_cert(rcert) if rcert is not None else None
         if cert is not None:
-            check = verify_good_pair(d, cert)
-            if check:  # pragma: no cover
-                raise AssertionError(f"hamilton split produced invalid certificate: {check}")
-            return cert
+            return _checked(d, cert, "hamilton split")
     return ConditionNotMet("no splitting arc with index 2, 3, n-1 or n works", 0)
 
 
-def _hamilton_high_case(d: Digraph, verts: tuple[int, ...], q: int) -> GoodPairCert | None:
-    """q in {n-1, n}: reroute the q-th path arc, certify both components."""
-    n = d.n
-    stripped = list(d.out_adj)
-    for u, v in zip(verts, verts[1:]):
-        stripped[u] &= ~(1 << v)
-    comps = _scc_masks(n, stripped)
-    if len(comps) != 2:
-        return None
+def _hamilton_high_case(
+    stripped: Sequence[int],
+    in_stripped: Sequence[int],
+    comps: list[VertexSet],
+    verts: tuple[int, ...],
+    q: int,
+) -> GoodPairCert | None:
+    """q in {n-1, n}: reroute the q-th path arc, certify both components.
+
+    ``stripped`` / ``in_stripped`` are the rows without the path arcs and
+    ``comps`` their two strong components."""
+    n = len(stripped)
     a, b = verts[q - 2], verts[q - 1]
-    comp_b = comps[0] if comps[0] >> b & 1 else comps[1]
-    comp_a = comps[1] if comps[0] >> b & 1 else comps[0]
-    if comp_a >> b & 1 or not comp_a >> a & 1:
+    c0, c1 = comps
+    comp_b, comp_a = (c0, c1) if c0 >> b & 1 else (c1, c0)
+    if not comp_a >> a & 1:
         return None  # the q-th arc does not cross the components
-    in_stripped = _in_rows(n, stripped)
     feeds = in_stripped[b] & comp_b
     if not feeds:
         return None  # singleton component, nothing can reach b inside it
@@ -884,10 +855,9 @@ def _hamilton_high_case(d: Digraph, verts: tuple[int, ...], q: int) -> GoodPairC
     out_parent = {verts[i]: (verts[i - 1], verts[i]) for i in range(1, n)}
     out_parent[b] = (x, b)
 
-    rows2 = list(stripped)
-    rows2[x] &= ~(1 << b)
-    t2 = _in_forest([rows2[v] & comp_b for v in range(n)], comp_b, 1 << x)
-    t1 = _in_forest([stripped[v] & comp_a for v in range(n)], comp_a, 1 << a)
+    # the root x never takes a leaving arc, so x->b stays out of the in-forest
+    t2 = _in_forest(stripped, comp_b, 1 << x)
+    t1 = _in_forest(stripped, comp_a, 1 << a)
     if t2 is None or t1 is None:
         return None
     in_parent = dict(t2)
@@ -977,21 +947,20 @@ def reduce_and_lift(
             steps.append(TraceStep("absorb", q_set, f"attached vertex {candidate}"))
         if q_set == full:
             return SearchResult("found", cert, 0), ReductionTrace(steps)
-        x_set, y_set = _neighbourhoods(d, q_set)
-        rest = full & ~q_set
-        if not x_set & y_set:
-            leftover = rest & ~(x_set | y_set)
-            if leftover == 0:
-                got = component_pairing(d, q_set, cert)
-                if isinstance(got, GoodPairCert):
-                    steps.append(TraceStep("component-pairing", q_set, "X/Y partition closed"))
-                    return SearchResult("found", got, 0), ReductionTrace(steps)
-            elif leftover.bit_count() == 1:
-                w = (leftover & -leftover).bit_length() - 1
-                got = pair_with_spare_vertex(d, q_set, cert, w)
-                if isinstance(got, GoodPairCert):
-                    steps.append(TraceStep("spare-vertex", q_set, f"spare vertex {w}"))
-                    return SearchResult("found", got, 0), ReductionTrace(steps)
+        # X and Y are disjoint: a vertex in both would have been absorbed
+        x_set, y_set = _neighbourhoods(d.out_adj, in_rows, q_set)
+        leftover = full & ~(q_set | x_set | y_set)
+        if leftover == 0:
+            got = component_pairing(d, q_set, cert)
+            if isinstance(got, GoodPairCert):
+                steps.append(TraceStep("component-pairing", q_set, "X/Y partition closed"))
+                return SearchResult("found", got, 0), ReductionTrace(steps)
+        elif leftover.bit_count() == 1:
+            w = (leftover & -leftover).bit_length() - 1
+            got = pair_with_spare_vertex(d, q_set, cert, w)
+            if isinstance(got, GoodPairCert):
+                steps.append(TraceStep("spare-vertex", q_set, f"spare vertex {w}"))
+                return SearchResult("found", got, 0), ReductionTrace(steps)
 
     if n <= 12 and _is_oriented(d):
         p = hamilton_dipath(d)

@@ -4,11 +4,12 @@ Everything here is deliberately naive: subset enumeration for cuts (and
 for the minimum cut closest to a source, which pins down the witnesses of
 the flow routines), depth-first augmenting paths on an explicit arc set
 for arc minimization, transitive closure for strong components, a
-fraction-free determinant for counting branchings, a cross product of
-exhaustively enumerated branchings for the good-pair decision, and a scan
-over every small vertex subset for the seed of the reduction.  Nothing
-imports the algorithms under test beyond plain data types and the
-branching enumerator.
+fraction-free determinant for counting branchings, the initial and
+terminal components of an induced sub-digraph filtered from those closure
+components, a cross product of exhaustively enumerated branchings for the
+good-pair decision, and a scan over every small vertex subset for the
+seed of the reduction.  Nothing imports the algorithms under test beyond
+plain data types and the branching enumerator.
 """
 
 from __future__ import annotations
@@ -98,6 +99,35 @@ def closure_sccs(d: Digraph) -> set[int]:
                 comp |= 1 << v
         comps.add(comp)
     return comps
+
+
+def _induced_comps(d: Digraph, inside: int) -> list[int]:
+    """Strong components of D[inside] as host masks, by lowest member."""
+    rows = tuple(d.out_adj[u] & inside if inside >> u & 1 else 0 for u in range(d.n))
+    comps = [c for c in closure_sccs(Digraph(d.n, rows)) if c & inside]
+    comps.sort(key=lambda c: c & -c)
+    return comps
+
+
+def initial_comps_reference(d: Digraph, inside: int) -> list[int]:
+    """Components of D[inside] that no arc from the rest of the set enters."""
+    in_rows = [mask_of(u for u in range(d.n) if d.has_arc(u, v)) for v in range(d.n)]
+    out = []
+    for c in _induced_comps(d, inside):
+        external = inside & ~c
+        if all(not in_rows[v] & external for v in bits(c)):
+            out.append(c)
+    return out
+
+
+def terminal_comps_reference(d: Digraph, inside: int) -> list[int]:
+    """Components of D[inside] that no arc into the rest of the set leaves."""
+    out = []
+    for c in _induced_comps(d, inside):
+        external = inside & ~c
+        if all(not d.out_adj[v] & external for v in bits(c)):
+            out.append(c)
+    return out
 
 
 def _int_det(mat: list[list[int]]) -> int:

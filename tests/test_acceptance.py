@@ -259,7 +259,7 @@ def test_criterion_07_pairing_succeeds_under_hypotheses():
     for _ in range(1000):
         d, q_set, x_mask, y_mask = _cor1_instance(rng)
         assert arc_connectivity(d)[0] >= 2
-        assert _neighbourhoods(d, q_set) == (x_mask, y_mask)
+        assert _neighbourhoods(d.out_adj, _in_rows(d.n, d.out_adj), q_set) == (x_mask, y_mask)
         h, _ = induced_subdigraph(d, q_set)
         cert_q = find_good_pair_exact(h).cert
         got = component_pairing(d, q_set, cert_q)

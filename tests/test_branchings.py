@@ -143,6 +143,13 @@ class TestCertJson:
         with pytest.raises(ValueError):
             cert_from_json(text)
 
+    @pytest.mark.parametrize("parent", ["[]", '"0"', "3"])
+    def test_parent_not_an_object(self, parent):
+        text = json.dumps({"n": 2, "out": {"root": 0, "parent": json.loads(parent)},
+                           "in": {"root": 0, "parent": {}}})
+        with pytest.raises(ValueError, match="malformed certificate object"):
+            cert_from_json(text)
+
 
 class TestEnumerateBranchings:
     def test_matches_matrix_tree_counts(self):

@@ -140,6 +140,13 @@ class TestVerify:
         assert main(["verify", bi3_file, str(cf)]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_parent_not_an_object(self, bi3_file, tmp_path, capsys):
+        cf = tmp_path / "cert.json"
+        cf.write_text(json.dumps({"n": 3, "out": {"root": 0, "parent": []},
+                                  "in": {"root": 0, "parent": {}}}))
+        assert main(["verify", bi3_file, str(cf)]) == 3
+        assert "error:" in capsys.readouterr().err
+
 
 class TestHamilton:
     def test_path_found(self, tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Constructive rules: transfer, pairing, absorption, spare vertex,
 Hamilton split, and the reduction pipeline."""
 
+import collections
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,27 +19,39 @@ from goodpairs import (
     TRACE_RULES,
     TraceStep,
     absorb_external_vertices,
+    bits,
+    cert_to_json,
     component_pairing,
     derive_seed,
     digon_root_transfer,
-    enumerate_small,
     find_good_pair_exact,
     hamilton_dipath,
     induced_subdigraph,
     longest_dipath,
+    mask_of,
     pair_from_hamilton,
     pair_with_spare_vertex,
     random_2arc_strong,
     reduce_and_lift,
     reverse,
-    small_good_pair,
     verify_dipath,
     verify_good_pair,
 )
-from goodpairs.constructions import _seed_subdigraph, _select_with_artifacts
+from goodpairs.constructions import (
+    _end_comps,
+    _in_forest,
+    _seed_subdigraph,
+    _select_with_artifacts,
+    _Sides,
+)
 from goodpairs.digraph import _in_rows, from_arcs
 
-from oracles import rand_digraph, seed_subdigraph_reference
+from oracles import (
+    initial_comps_reference,
+    rand_digraph,
+    seed_subdigraph_reference,
+    terminal_comps_reference,
+)
 
 BI3 = Digraph(3, (0b110, 0b101, 0b011))
 C3 = Digraph(3, (0b010, 0b100, 0b001))
@@ -156,9 +172,9 @@ class TestComponentPairing:
 
     def test_selection_artifacts_disjoint(self):
         d = PAIRING_D
-        art, comps_x, comps_y = _select_with_artifacts(
-            d.out_adj, d.n, 0b001100, 0b110000, None
-        )
+        sides = _Sides.build(d.out_adj, _in_rows(d.n, d.out_adj), 0b001100, 0b110000)
+        art = _select_with_artifacts(sides, 0)
+        comps_x, comps_y = sides.comps_x, sides.comps_y
         assert set(art.p_x) & set(art.p_y) == set()
         assert len(art.p_x) == len(comps_x)
         assert len(art.p_y) == len(comps_y)
@@ -234,14 +250,43 @@ class TestSpareVertex:
             pair_with_spare_vertex(d, Q_SET, _digon_pair_cert(d, Q_SET), 6)
 
 
-class TestSmallGoodPair:
-    def test_matches_exact_on_all_triples(self):
-        for d in enumerate_small(3):
-            assert small_good_pair(d).status == find_good_pair_exact(d).status
+class TestEndComponents:
+    def test_matches_reference(self):
+        rng = random.Random(71)
+        for _ in range(10_000):
+            n = rng.randint(1, 12)
+            d = rand_digraph(rng, n, rng.random())
+            inside = rng.getrandbits(n)
+            expected = (initial_comps_reference(d, inside), terminal_comps_reference(d, inside))
+            assert _end_comps(d.out_adj, inside) == expected, (d, inside)
 
-    def test_size_guard(self):
-        with pytest.raises(ValueError):
-            small_good_pair(Digraph(5, (0,) * 5))
+    def test_in_forest_reaches_roots(self):
+        rng = random.Random(72)
+        for _ in range(2_000):
+            n = rng.randint(1, 10)
+            d = rand_digraph(rng, n, rng.random())
+            inside = rng.getrandbits(n)
+            roots = inside & rng.getrandbits(n)
+            forest = _in_forest(d.out_adj, inside, roots)
+            # every vertex of the set that reaches a root inside it
+            reach = roots
+            while True:
+                more = mask_of(v for v in bits(inside) if d.out_adj[v] & reach) | reach
+                if more == reach:
+                    break
+                reach = more
+            if reach != inside:
+                assert forest is None
+                continue
+            assert set(forest) == set(bits(inside & ~roots))
+            for v, (tail, head) in forest.items():
+                assert tail == v and d.has_arc(tail, head) and inside >> head & 1
+            for v in forest:  # parent arcs lead to a root without a cycle
+                seen = set()
+                while not roots >> v & 1:
+                    assert v not in seen
+                    seen.add(v)
+                    v = forest[v][1]
 
 
 class TestDipaths:
@@ -402,8 +447,65 @@ class TestReduceAndLift:
         res, _ = reduce_and_lift(Digraph(1, (0,)))
         assert res.status == "found"
 
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ('[1, 2]', 1),
+            ('"absorb"', 1),
+            ('{"subdigraph": "0x3", "note": ""}', 1),
+            ('{"rule": "absorb", "note": ""}', 1),
+            ('{"rule": "absorb", "subdigraph": "0x3"}', 1),
+            ('{"rule": "absorb", "subdigraph": 3, "note": ""}', 1),
+            ('{"rule": "absorb", "subdigraph": "0xz", "note": ""}', 1),
+            ('{"rule": "absorb", "subdigraph": "-0x3", "note": ""}', 1),
+            ('{"rule": 5, "subdigraph": "0x3", "note": ""}', 1),
+            ('{"rule": "absorb", "subdigraph": "0x3", "note": null}', 1),
+            ('{"rule": "absorb", "subdigraph": "0x3", "note": ""}\n\nnot json', 3),
+        ],
+    )
+    def test_trace_jsonl_malformed(self, text, lineno):
+        with pytest.raises(ValueError, match=f"malformed trace line {lineno}:"):
+            ReductionTrace.from_jsonl(text)
+
     def test_trace_step_fields(self):
         step = TraceStep("absorb", 0b101, "attached vertex 2")
         trace = ReductionTrace([step])
         line = trace.to_jsonl()
         assert '"rule": "absorb"' in line and '"0x5"' in line
+
+
+REDUCE_GOLDEN = json.loads((Path(__file__).parent / "data" / "reduce_golden.json").read_text())
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _reduce_line(kind, n, seed, index):
+    d = random_2arc_strong(GenModel(kind, n, REDUCE_GOLDEN["p"], derive_seed(seed, index)))
+    res, trace = reduce_and_lift(d)
+    cert = _sha(cert_to_json(res.cert)) if res.cert is not None else "-"
+    return f"{res.status} {trace.steps[-1].rule} {cert} {_sha(trace.to_jsonl())}"
+
+
+class TestReduceGolden:
+    """Status, closing rule, certificate bytes and trace of every instance,
+    recorded before the pairing rules moved onto strong_decomposition and
+    one forest builder: none of them may move."""
+
+    @pytest.mark.parametrize("kind", sorted(REDUCE_GOLDEN["digests"]))
+    def test_stream_pinned(self, kind):
+        closed_by = collections.Counter()
+        for n, digest in REDUCE_GOLDEN["digests"][kind].items():
+            lines = [
+                _reduce_line(kind, int(n), REDUCE_GOLDEN["seed"], 1000 * int(n) + i)
+                for i in range(REDUCE_GOLDEN["count"])
+            ]
+            closed_by.update(line.split()[1] for line in lines)
+            assert _sha("\n".join(lines)) == digest, (kind, n)
+        assert closed_by == REDUCE_GOLDEN["closed_by"][kind]
+
+    @pytest.mark.parametrize("row", REDUCE_GOLDEN["extra"])
+    def test_single_instance_pinned(self, row):
+        got = _reduce_line(row["kind"], row["n"], row["seed"], row["index"])
+        assert got == row["line"]
