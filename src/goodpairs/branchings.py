@@ -8,6 +8,18 @@ disjoint; the roots may differ.
 
 Certificates carry one parent arc per non-root vertex and are checked by
 independent linear-time verifiers that never share code with the builders.
+
+The exact search (``find_good_pair_exact``) prunes a partial out-branching
+with three tests: every unreached vertex keeps a usable in-arc, every
+vertex stays reachable from the tree through usable arcs, and the residual
+(host minus tree arcs) keeps one terminal strong component.  A node reruns
+only the test its last step could have failed.  A root needs none: it
+reaches every vertex, and roots are tried only when the host has one
+terminal component.  After an arc is included, the first two carry over
+and only the terminal test runs, reduced to whether the arc's tail still
+reaches a carried vertex that every vertex reached before.  After an arc
+is excluded, the residual is one the node already passed, and only the
+excluded arc's head is tested for a usable in-arc and for reach.
 """
 
 from __future__ import annotations
@@ -191,6 +203,23 @@ def _reach(rows: list[int], seen: VertexSet, full: VertexSet) -> VertexSet:
     return seen
 
 
+def _reaches(rows: list[int], seen: VertexSet, target: VertexSet) -> bool:
+    """Whether the set ``seen`` reaches some vertex of ``target`` along
+    ``rows``; stops at the first layer that meets it."""
+    frontier = seen
+    while not seen & target:
+        if not frontier:
+            return False
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~seen
+        seen |= frontier
+    return True
+
+
 def _single_terminal(
     rows: list[int], in_rows: list[int], full: VertexSet, t: int
 ) -> tuple[bool, int]:
@@ -260,17 +289,36 @@ def find_good_pair_exact(
     """Exhaustive search for a good pair, with optional root constraints.
 
     Out-branchings are grown depth-first one frontier arc at a time; the
-    lowest candidate arc is either included in the tree or excluded from
-    every tree of that subtree of the search, so no branching is visited
-    twice.  A partial tree is abandoned as soon as some unreached vertex
-    loses its last usable in-arc, some unreached vertex is no longer
-    reachable through usable arcs, or the residual digraph (host minus tree
-    arcs) stops having an in-branching.  The last test is a co-reach check
-    on bitmask rows: the residual keeps exactly one terminal strong
-    component iff every vertex reaches a vertex t of a terminal component.
-    The search keeps the residual's in-rows up to date and carries t from
-    node to node, descending from it to a new terminal vertex only when
-    some vertex no longer reaches it.  Budget exhaustion yields
+    lowest candidate arc (at the lowest tree vertex that has one) is either
+    included in the tree or excluded from every tree of that subtree of the
+    search, so no branching is visited twice.  A partial tree is abandoned
+    as soon as some unreached vertex loses its last usable in-arc, some
+    unreached vertex is no longer reachable through usable arcs, or the
+    residual digraph (host minus tree arcs) stops having an in-branching,
+    that is, stops having exactly one terminal strong component.
+
+    Each step reruns only the test that it could have made fail; the
+    others carry over from the state in which they last held:
+
+    - At a root r all three hold: r reaches every vertex, and roots are
+      tried only when the host has one terminal component.  Its lowest
+      vertex becomes the carried vertex t, which every vertex reaches.
+    - After including u->v, the first two follow: no usable in-arc was
+      lost, and a usable path through u->v can start at v, now in the
+      tree.  The residual lost u->v only.  Every vertex reached t before,
+      so every vertex still does iff u does; when u no longer reaches t,
+      ``_single_terminal`` descends from t.
+    - After excluding u->v, the residual is back where the node's terminal
+      test held, so that test follows.  Only v lost a usable in-arc: the
+      in-arc test looks at v alone, and the reach test holds iff v keeps
+      a usable in-arc from the tree or, failing that, is still reachable
+      through usable arcs.
+
+    t is replaced only by a test that passes, in a residual that the
+    residuals of the node's ancestors contain; so whenever a node resumes,
+    every vertex still reaches t in its residual, as the test after its
+    next include assumes.  The search tree, node count and certificate are
+    those of rerunning every test at every node.  Budget exhaustion yields
     "inconclusive", which is distinct from the definitive "none" produced
     by exhausting the whole search space.
     """
@@ -280,40 +328,30 @@ def find_good_pair_exact(
         raise ValueError(f"root_out {root_out} out of range")
     if root_in is not None and not 0 <= root_in < n:
         raise ValueError(f"root_in {root_in} out of range")
+    if node_budget < 1:
+        raise ValueError(f"node_budget must be at least 1, got {node_budget}")
     adj = list(d.out_adj)
     in_all = _in_rows(n, adj)
     roots = branching_roots(d, "out")
     if root_out is not None:
         roots &= 1 << root_out
-    if root_in is not None and not branching_roots(d, "in") >> root_in & 1:
+    sinks = branching_roots(d, "in")
+    if root_in is not None:
+        sinks &= 1 << root_in
+    if not sinks:
         roots = 0
     nodes = 0
     found: list[GoodPairCert] = []
 
     res = list(adj)          # host arcs minus current tree arcs
     res_in = list(in_all)    # in-rows of res
-    hint = 0                 # last vertex found in a terminal component of res
+    hint = (sinks & -sinks).bit_length() - 1  # a vertex every vertex reaches in res
     avail = list(adj)        # res minus arcs excluded from the future tree
     forb_in = [0] * n        # per head: tails whose arc was excluded
     out_parent: dict[int, tuple[int, int]] = {}
 
-    def prunable(tree: int) -> bool:
-        nonlocal hint
-        rest = full ^ tree
-        probe = rest
-        while probe:
-            low = probe & -probe
-            v = low.bit_length() - 1
-            probe ^= low
-            if not in_all[v] & ~forb_in[v]:
-                return True
-        if _reach(avail, tree, full) != full:
-            return True
-        single, hint = _single_terminal(res, res_in, full, hint)
-        return not single
-
     def extend(tree: int) -> bool:
-        nonlocal nodes
+        nonlocal nodes, hint
         if tree == full:
             done = _in_branching_completion(n, res, res_in, full, root_in, hint)
             if done is None:
@@ -330,39 +368,48 @@ def find_good_pair_exact(
             return True
         excluded: list[tuple[int, int]] = []
         try:
-            while not prunable(tree):
-                arc = None
+            while True:
                 probe = tree
                 while probe:
-                    low = probe & -probe
-                    u = low.bit_length() - 1
-                    probe ^= low
-                    cand = avail[u] & ~tree
+                    ubit = probe & -probe
+                    cand = avail[ubit.bit_length() - 1] & ~tree
                     if cand:
-                        v = (cand & -cand).bit_length() - 1
-                        if arc is None or (u, v) < arc:
-                            arc = (u, v)
-                if arc is None:
+                        break
+                    probe ^= ubit
+                else:
                     return False
                 nodes += 1
                 if nodes > node_budget:
                     raise _BudgetExceeded
-                u, v = arc
-                ubit, vbit = 1 << u, 1 << v
+                u = ubit.bit_length() - 1
+                vbit = cand & -cand
+                v = vbit.bit_length() - 1
                 res[u] &= ~vbit
                 res_in[v] &= ~ubit
                 avail[u] &= ~vbit
                 out_parent[v] = (u, v)
-                ok = extend(tree | vbit)
+                # include: only the terminal test can fail, and every vertex
+                # still reaches hint iff u does
+                ok = _reaches(res, ubit, 1 << hint)
+                if not ok:
+                    ok, t = _single_terminal(res, res_in, full, hint)
+                    if ok:
+                        hint = t
+                ok = ok and extend(tree | vbit)
                 res[u] |= vbit
                 res_in[v] |= ubit
                 if ok:
                     return True
                 del out_parent[v]
-                # exclude the arc from every remaining tree at this node
+                # exclude the arc from every remaining tree at this node;
+                # only v can fail the in-arc and reach tests
                 forb_in[v] |= ubit
                 excluded.append((u, v))
-            return False
+                usable = in_all[v] & ~forb_in[v]
+                if not usable:
+                    return False
+                if not usable & tree and not _reaches(avail, tree, vbit):
+                    return False
         finally:
             for eu, ev in excluded:
                 avail[eu] |= 1 << ev

@@ -197,16 +197,26 @@ def _in_forest(
 
 
 def _end_comps(
-    rows: Sequence[int], inside: VertexSet
+    rows: Sequence[int], *sides: VertexSet
 ) -> tuple[list[VertexSet], list[VertexSet]]:
-    """Initial and terminal strong components of the digraph induced on
-    ``inside``, as host masks ordered by lowest member."""
+    """Initial and terminal strong components of the digraphs induced on
+    the disjoint ``sides``, as host masks ordered by lowest member.
+
+    One decomposition serves every side: each row is masked to the side
+    of its tail, so no arc joins two sides and each component, with its
+    initial and terminal flags, is one of the induced digraph of its side.
+    """
     n = len(rows)
-    masked = tuple(rows[u] & inside if inside >> u & 1 else 0 for u in range(n))
-    dec = strong_decomposition(Digraph(n, masked))
+    masked = [0] * n
+    inside = 0
+    for side in sides:
+        inside |= side
+        for u in bits(side):
+            masked[u] = rows[u] & side
+    dec = strong_decomposition(Digraph(n, tuple(masked)))
 
     def ends(flags: tuple[bool, ...]) -> list[VertexSet]:
-        # vertices outside the set are isolated there: drop those singletons
+        # vertices outside every side are isolated there: drop those singletons
         comps = [c for c, flag in zip(dec.components, flags) if flag and c & inside]
         return sorted(comps, key=lambda c: c & -c)
 
@@ -232,8 +242,9 @@ class _Sides:
     def build(
         cls, rows: Sequence[int], in_rows: Sequence[int], x_set: VertexSet, y_set: VertexSet
     ) -> "_Sides":
-        comps_x = _end_comps(rows, x_set)[0]
-        comps_y = _end_comps(rows, y_set)[1]
+        initial, terminal = _end_comps(rows, x_set, y_set)
+        comps_x = [c for c in initial if c & x_set]
+        comps_y = [c for c in terminal if c & y_set]
         return cls(rows, in_rows, x_set, y_set, comps_x, comps_y)
 
     def reversed(self) -> "_Sides":
@@ -922,9 +933,12 @@ def reduce_and_lift(
     external vertices one at a time while possible, then close the gap
     with the component pairing or the spare-vertex rule.  Orientations
     additionally get the Hamilton-path split.  Whatever remains goes to
-    the exhaustive solver.  Never raises; the result status mirrors the
-    solver's ("found", "none", "inconclusive").
+    the exhaustive solver.  Raises ValueError for a node budget below 1
+    and otherwise never; the result status mirrors the solver's ("found",
+    "none", "inconclusive").
     """
+    if node_budget < 1:
+        raise ValueError(f"node_budget must be at least 1, got {node_budget}")
     steps: list[TraceStep] = []
     n = d.n
     full = d.full_mask

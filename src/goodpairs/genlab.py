@@ -316,8 +316,12 @@ def verify_theorem_sample(
     Instances cycle through ``kinds``; each gets its own derived seed, so
     the batch is reproducible arc for arc and independent of ``jobs``.
     Digraphs without a certificate land in the report (and on disk when
-    ``artifact_dir`` is given); with the theorems' hypotheses met, both
-    failure lists staying empty is the expected outcome.
+    ``artifact_dir`` is given).  For n <= 9 the theorem says every
+    2-arc-strong digraph has a good pair, so an empty ``failures`` list is
+    the expected outcome there.  n = 10 lies outside the theorem: a
+    2-arc-strong digraph on 10 vertices can lack a good pair (one is
+    pinned in ``tests/data/no_good_pair_n10.json``), so a failure at
+    n = 10 need not be a fault.
     """
     if not 5 <= n <= 10:
         raise ValueError("sweeps cover 5 <= n <= 10")

@@ -7,17 +7,29 @@ for arc minimization, transitive closure for strong components, a
 fraction-free determinant for counting branchings, the initial and
 terminal components of an induced sub-digraph filtered from those closure
 components, a cross product of exhaustively enumerated branchings for the
-good-pair decision, and a scan over every small vertex subset for the
-seed of the reduction.  Nothing imports the algorithms under test beyond
-plain data types and the branching enumerator.
+good-pair decision (and, for sparse digraphs beyond the enumerator's
+reach, every out-branching with an in-branching test on its complement),
+a scan over every small vertex subset for the seed of the reduction, and
+the exact search as it stood before its incremental pruning, with every
+pruning test rerun at every node.  Nothing imports the algorithms under
+test beyond plain data types and the branching enumerator.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterator
 
-from goodpairs import Digraph, bits, enumerate_branchings, mask_of
+from goodpairs import (
+    Branching,
+    Digraph,
+    GoodPairCert,
+    SearchResult,
+    bits,
+    enumerate_branchings,
+    mask_of,
+)
 
 
 def rand_digraph(rng: random.Random, n: int, p: float) -> Digraph:
@@ -182,6 +194,57 @@ def good_pair_exists_bruteforce(d: Digraph) -> bool:
     return False
 
 
+def out_branchings_bruteforce(d: Digraph) -> Iterator[frozenset[tuple[int, int]]]:
+    """Arc sets of every spanning out-branching, over every root: each
+    non-root vertex picks one in-neighbour, and the picks are kept when
+    every vertex follows them back to the root.  The product of the
+    in-degrees bounds the work, so this suits sparse digraphs of any n."""
+    n = d.n
+    tails = [[u for u in range(n) if d.has_arc(u, v)] for v in range(n)]
+    for root in range(n):
+        others = [v for v in range(n) if v != root]
+        for picks in itertools.product(*(tails[v] for v in others)):
+            parent = dict(zip(others, picks))
+            if all(_climbs_to(parent, v, root, n) for v in others):
+                yield frozenset((p, v) for v, p in parent.items())
+
+
+def _climbs_to(parent: dict[int, int], v: int, root: int, n: int) -> bool:
+    for _ in range(n):
+        if v == root:
+            return True
+        v = parent[v]
+    return v == root
+
+
+def has_in_branching(n: int, arcs: set[tuple[int, int]]) -> bool:
+    """Whether some vertex is reached from every vertex along ``arcs``,
+    that is, whether an in-branching rooted there spans the digraph."""
+    common = (1 << n) - 1
+    for s in range(n):
+        seen, stack = {s}, [s]
+        while stack:
+            u = stack.pop()
+            for a, b in arcs:
+                if a == u and b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        common &= mask_of(seen)
+    return common != 0
+
+
+def good_pair_by_out_branchings(d: Digraph) -> tuple[bool, int]:
+    """Whether some out-branching leaves an in-branching in its complement,
+    and how many out-branchings were enumerated to decide it."""
+    arcs = set(d.arcs())
+    count = 0
+    for tree in out_branchings_bruteforce(d):
+        count += 1
+        if has_in_branching(d.n, arcs - tree):
+            return True, count
+    return False, count
+
+
 def independent_set_size(d: Digraph) -> int:
     """Largest set with no arcs inside, by subset enumeration."""
     best = 0
@@ -313,3 +376,164 @@ def arc_minimize_reference(d: Digraph, seed: int) -> Digraph:
         if not _two_arc_disjoint_paths(rows, u, v):
             rows[u] |= 1 << v
     return Digraph(d.n, tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# the exact search with every pruning test at every node
+
+
+class _RefBudgetExceeded(Exception):
+    pass
+
+
+def _ref_reach(rows: list[int], seen: int, full: int) -> int:
+    frontier = seen
+    while frontier and seen != full:
+        step = 0
+        for u in bits(frontier):
+            step |= rows[u]
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
+
+
+def _ref_single_terminal(
+    rows: list[int], in_rows: list[int], full: int, t: int
+) -> tuple[bool, int]:
+    while True:
+        back = _ref_reach(in_rows, 1 << t, full)
+        if back == full:
+            return True, t
+        ahead = _ref_reach(rows, 1 << t, full) & ~back
+        if not ahead:
+            return False, t
+        t = (ahead & -ahead).bit_length() - 1
+
+
+def _ref_in_completion(n, res, res_in, full, root_in, hint):
+    if root_in is not None:
+        if _ref_reach(res_in, 1 << root_in, full) != full:
+            return None
+        t = root_in
+    else:
+        single, t = _ref_single_terminal(res, res_in, full, hint)
+        if not single:
+            return None
+        term = _ref_reach(res, 1 << t, full)
+        t = (term & -term).bit_length() - 1
+    parent = {}
+    settled = 1 << t
+    while settled != full:
+        for v in range(n):
+            if settled >> v & 1:
+                continue
+            hit = res[v] & settled
+            if hit:
+                parent[v] = (v, (hit & -hit).bit_length() - 1)
+                settled |= 1 << v
+                break
+        else:
+            return None
+    return t, parent
+
+
+def find_good_pair_exact_reference(
+    d: Digraph,
+    *,
+    root_out: int | None = None,
+    root_in: int | None = None,
+    node_budget: int = 250_000,
+) -> SearchResult:
+    """The exact search as it stood before its incremental pruning: the
+    same branching order, but all three pruning tests (a usable in-arc
+    for every unreached vertex, reach of every vertex through usable arcs,
+    one terminal component of the residual) rerun in full at every node.
+    Roots come from reach sets instead of a strong decomposition; the
+    certificate is not verified here."""
+    n = d.n
+    full = d.full_mask
+    adj = list(d.out_adj)
+    in_all = [0] * n
+    for u in range(n):
+        for v in bits(adj[u]):
+            in_all[v] |= 1 << u
+    roots = mask_of(r for r in range(n) if _ref_reach(adj, 1 << r, full) == full)
+    if root_out is not None:
+        roots &= 1 << root_out
+    if root_in is not None and _ref_reach(in_all, 1 << root_in, full) != full:
+        roots = 0
+    nodes = 0
+    found: list[GoodPairCert] = []
+    res = list(adj)
+    res_in = list(in_all)
+    hint = 0
+    avail = list(adj)
+    forb_in = [0] * n
+    out_parent: dict[int, tuple[int, int]] = {}
+
+    def prunable(tree: int) -> bool:
+        nonlocal hint
+        for v in bits(full ^ tree):
+            if not in_all[v] & ~forb_in[v]:
+                return True
+        if _ref_reach(avail, tree, full) != full:
+            return True
+        single, hint = _ref_single_terminal(res, res_in, full, hint)
+        return not single
+
+    def extend(tree: int) -> bool:
+        nonlocal nodes
+        if tree == full:
+            done = _ref_in_completion(n, res, res_in, full, root_in, hint)
+            if done is None:
+                return False
+            t, in_parent = done
+            root = next(iter(set(range(n)) - set(out_parent))) if n > 1 else 0
+            found.append(
+                GoodPairCert(
+                    n, Branching("out", root, dict(out_parent)), Branching("in", t, in_parent)
+                )
+            )
+            return True
+        excluded = []
+        try:
+            while not prunable(tree):
+                arc = None
+                for u in bits(tree):
+                    cand = avail[u] & ~tree
+                    if cand:
+                        v = (cand & -cand).bit_length() - 1
+                        if arc is None or (u, v) < arc:
+                            arc = (u, v)
+                if arc is None:
+                    return False
+                nodes += 1
+                if nodes > node_budget:
+                    raise _RefBudgetExceeded
+                u, v = arc
+                res[u] &= ~(1 << v)
+                res_in[v] &= ~(1 << u)
+                avail[u] &= ~(1 << v)
+                out_parent[v] = (u, v)
+                ok = extend(tree | 1 << v)
+                res[u] |= 1 << v
+                res_in[v] |= 1 << u
+                if ok:
+                    return True
+                del out_parent[v]
+                forb_in[v] |= 1 << u
+                excluded.append((u, v))
+            return False
+        finally:
+            for eu, ev in excluded:
+                avail[eu] |= 1 << ev
+                forb_in[ev] &= ~(1 << eu)
+
+    for r in bits(roots):
+        out_parent.clear()
+        try:
+            if extend(1 << r):
+                return SearchResult("found", found[-1], nodes)
+        except _RefBudgetExceeded:
+            return SearchResult("inconclusive", None, nodes)
+    return SearchResult("none", None, nodes)

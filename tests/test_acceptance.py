@@ -5,8 +5,10 @@ independent oracle or a frozen expected value, and asserts the stated
 tolerance (always exact).  Run with -v for one line per criterion.
 """
 
+import json
 import random
 import time
+from pathlib import Path
 
 from goodpairs import (
     ConditionNotMet,
@@ -27,6 +29,7 @@ from goodpairs import (
     max_arc_disjoint_paths,
     parse_digraph,
     random_2arc_strong,
+    reduce_and_lift,
     reverse,
     reverse_cert,
     serialize_digraph,
@@ -36,13 +39,14 @@ from goodpairs import (
     verify_theorem_sample,
 )
 from goodpairs.connectivity import CutWitness
-from goodpairs.constructions import _neighbourhoods
 from goodpairs.digraph import _in_rows, bits
 
 from oracles import (
     edmonds_feasible,
+    good_pair_by_out_branchings,
     good_pair_exists_bruteforce,
     in_cut,
+    independent_set_size,
     lambda_enum,
     rand_digraph,
     subset_min_cut,
@@ -259,7 +263,12 @@ def test_criterion_07_pairing_succeeds_under_hypotheses():
     for _ in range(1000):
         d, q_set, x_mask, y_mask = _cor1_instance(rng)
         assert arc_connectivity(d)[0] >= 2
-        assert _neighbourhoods(d.out_adj, _in_rows(d.n, d.out_adj), q_set) == (x_mask, y_mask)
+        in_adj = d.in_adj()
+        q_in = q_out = 0
+        for q in bits(q_set):
+            q_in |= in_adj[q]
+            q_out |= d.out_adj[q]
+        assert (q_in & ~q_set, q_out & ~q_set) == (x_mask, y_mask)
         h, _ = induced_subdigraph(d, q_set)
         cert_q = find_good_pair_exact(h).cert
         got = component_pairing(d, q_set, cert_q)
@@ -381,3 +390,27 @@ def test_criterion_12_text_format_round_trips():
             per_format[fmt] += 1
     print(f"[PASS] criterion 12: {per_format['edge-list']} edge-list and "
           f"{per_format['digraph6']} digraph6 round-trips are identities")
+
+
+def test_criterion_13_ten_vertex_digraph_without_good_pair():
+    fixture = json.loads((Path(__file__).parent / "data" / "no_good_pair_n10.json").read_text())
+    d = parse_digraph(fixture["digraph6"])
+    assert d == Digraph(10, tuple(fixture["out_rows"]))
+    assert arc_connectivity(d)[0] == lambda_enum(d) == fixture["arc_connectivity"]
+    assert independent_set_size(d) == fixture["independence_number"]
+    res = find_good_pair_exact(d)
+    assert (res.status, res.nodes) == ("none", fixture["search_nodes"])
+    res, trace = reduce_and_lift(d)
+    assert (res.status, res.nodes) == ("none", fixture["search_nodes"])
+    assert trace.steps[-1].rule == "exact-fallback"
+    rooted = 0
+    for root_out in range(d.n):
+        for root_in in range(d.n):
+            res = find_good_pair_exact(d, root_out=root_out, root_in=root_in)
+            assert res.status == "none", (root_out, root_in)
+            rooted += res.nodes
+    assert rooted == fixture["rooted_search_nodes"]
+    assert good_pair_by_out_branchings(d) == (False, fixture["out_branchings"])
+    print(f"[PASS] criterion 13: the n=10 digraph with lambda=2 and alpha=4 has "
+          f"no good pair: solver, pipeline, all 100 root pairs ({rooted} nodes) and "
+          f"{fixture['out_branchings']} enumerated out-branchings agree")

@@ -1,5 +1,6 @@
 """Branching verification, certificates, enumeration, exact search."""
 
+import collections
 import hashlib
 import json
 import random
@@ -11,21 +12,29 @@ from hypothesis import given, settings, strategies as st
 from goodpairs import (
     Branching,
     Digraph,
+    GenModel,
     GoodPairCert,
     branching_roots,
     cert_from_json,
     cert_to_json,
+    derive_seed,
     enumerate_branchings,
     find_good_pair_exact,
+    random_2arc_strong,
     reverse,
     reverse_cert,
     verify_branching,
     verify_good_pair,
 )
 from goodpairs.branchings import _single_terminal
-from goodpairs.digraph import _in_rows, _scc_masks, from_arcs, parse_digraph
+from goodpairs.digraph import _in_rows, _scc_masks, from_arcs, parse_digraph, serialize_digraph
 
-from oracles import count_out_branchings, good_pair_exists_bruteforce, rand_digraph
+from oracles import (
+    count_out_branchings,
+    find_good_pair_exact_reference,
+    good_pair_exists_bruteforce,
+    rand_digraph,
+)
 
 BI3 = Digraph(3, (0b110, 0b101, 0b011))
 C3 = Digraph(3, (0b010, 0b100, 0b001))
@@ -216,6 +225,11 @@ class TestExactSearch:
         with pytest.raises(ValueError):
             find_good_pair_exact(BI3, root_in=-1)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="node_budget"):
+            find_good_pair_exact(BI3, node_budget=budget)
+
     def test_budget_inconclusive(self):
         # a spanning tree needs 7 arc inclusions, so a budget of 1 must trip
         full = Digraph(8, tuple(0b11111111 ^ (1 << u) for u in range(8)))
@@ -273,6 +287,57 @@ class TestSingleTerminal:
             assert single == (_terminal_count(n, rows) == 1)
             terminal = [c for c in _scc_masks(n, rows) if c >> hint & 1][0]
             assert all(not rows[u] & ~terminal for u in range(n) if terminal >> u & 1)
+
+
+def _outcome(res):
+    return res.status, res.nodes, cert_to_json(res.cert) if res.cert else None
+
+
+class TestIncrementalPruning:
+    """The search, which reruns only the pruning test its last step could
+    have made fail, against the reference, which reruns all three at every
+    node: the same status, node count and certificate."""
+
+    def test_random_with_root_constraints(self):
+        rng = random.Random(606)
+        statuses = collections.Counter()
+        for _ in range(1500):
+            n = rng.randint(1, 10)
+            d = rand_digraph(rng, n, rng.uniform(0.15, 0.9))
+            kw = {}
+            if rng.random() < 0.5:
+                kw["root_out"] = rng.randrange(n)
+            if rng.random() < 0.5:
+                kw["root_in"] = rng.randrange(n)
+            got = _outcome(find_good_pair_exact(d, **kw))
+            assert got == _outcome(find_good_pair_exact_reference(d, **kw)), (d, kw)
+            statuses[got[0]] += 1
+        assert statuses["found"] and statuses["none"]
+
+    def test_arc_minimal(self):
+        for i in range(36):
+            n = 12 + i % 9
+            d = random_2arc_strong(GenModel("arc-minimal", n, 0.3, derive_seed(607, i)))
+            for kw in ({}, {"root_out": n - 1, "root_in": 0}):
+                got = _outcome(find_good_pair_exact(d, node_budget=20_000, **kw))
+                want = _outcome(find_good_pair_exact_reference(d, node_budget=20_000, **kw))
+                assert got == want, (serialize_digraph(d, "digraph6"), kw)
+
+    def test_budget_stops_at_the_same_node(self):
+        rng = random.Random(608)
+        stopped = 0
+        for _ in range(400):
+            n = rng.randint(5, 10)
+            d = rand_digraph(rng, n, rng.uniform(0.2, 0.6))
+            full = find_good_pair_exact(d).nodes
+            if full < 4:
+                continue
+            budget = rng.randint(1, full - 1)
+            got = _outcome(find_good_pair_exact(d, node_budget=budget))
+            assert got == _outcome(find_good_pair_exact_reference(d, node_budget=budget))
+            assert got[:2] == ("inconclusive", budget + 1)
+            stopped += 1
+        assert stopped > 100
 
 
 GOLDEN = Path(__file__).parent / "data" / "exact_search_golden.json"

@@ -239,6 +239,19 @@ class TestErrors:
             main(["frobnicate"])
         assert exc.value.code == 3
 
+    @pytest.mark.parametrize("verb", [["goodpair"], ["reduce"]])
+    @pytest.mark.parametrize("budget", ["0", "-5", "many"])
+    def test_bad_budget_exits_3(self, bi3_file, verb, budget, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(verb + [bi3_file, "--budget", budget])
+        assert exc.value.code == 3
+        assert "--budget" in capsys.readouterr().err
+
+    def test_bad_sweep_budget_exits_3(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--n", "5", "--count", "1", "--seed", "1", "--budget", "0"])
+        assert exc.value.code == 3
+
     def test_bad_gen_kind_exits_3(self):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--n", "6", "--seed", "1", "--kind", "nope"])

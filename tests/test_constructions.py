@@ -447,6 +447,11 @@ class TestReduceAndLift:
         res, _ = reduce_and_lift(Digraph(1, (0,)))
         assert res.status == "found"
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="node_budget"):
+            reduce_and_lift(C3, node_budget=budget)
+
     @pytest.mark.parametrize(
         "text, lineno",
         [
