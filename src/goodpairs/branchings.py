@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .digraph import Digraph, VertexSet, _in_rows, bits, strong_decomposition
+from .digraph import Digraph, VertexSet, _in_rows, _reach, _reaches, bits, strong_decomposition
 
 DEFAULT_NODE_BUDGET = 250_000
 
@@ -187,37 +187,6 @@ def cert_from_json(text: str) -> GoodPairCert:
 
 class _BudgetExceeded(Exception):
     pass
-
-
-def _reach(rows: list[int], seen: VertexSet, full: VertexSet) -> VertexSet:
-    """Vertices reachable from the set ``seen`` along ``rows``, seen included."""
-    frontier = seen
-    while frontier and seen != full:
-        step = 0
-        while frontier:
-            low = frontier & -frontier
-            step |= rows[low.bit_length() - 1]
-            frontier ^= low
-        frontier = step & ~seen
-        seen |= frontier
-    return seen
-
-
-def _reaches(rows: list[int], seen: VertexSet, target: VertexSet) -> bool:
-    """Whether the set ``seen`` reaches some vertex of ``target`` along
-    ``rows``; stops at the first layer that meets it."""
-    frontier = seen
-    while not seen & target:
-        if not frontier:
-            return False
-        step = 0
-        while frontier:
-            low = frontier & -frontier
-            step |= rows[low.bit_length() - 1]
-            frontier ^= low
-        frontier = step & ~seen
-        seen |= frontier
-    return True
 
 
 def _single_terminal(

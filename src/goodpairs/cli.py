@@ -39,14 +39,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _node_budget(text: str) -> int:
-    """argparse type of the --budget options: an integer of at least 1."""
+def _positive(text: str) -> int:
+    """argparse type of --budget and --jobs: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"node budget must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
@@ -278,12 +278,12 @@ def _build_parser() -> _Parser:
     p.add_argument("digraph")
     p.add_argument("--root-out", type=int, default=None, help="force the out-branching root")
     p.add_argument("--root-in", type=int, default=None, help="force the in-branching root")
-    p.add_argument("--budget", type=_node_budget, default=DEFAULT_NODE_BUDGET,
+    p.add_argument("--budget", type=_positive, default=DEFAULT_NODE_BUDGET,
                    help="search node budget before giving up")
 
     p = add("reduce", _cmd_reduce, "constructive pipeline with a reduction trace")
     p.add_argument("digraph")
-    p.add_argument("--budget", type=_node_budget, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_positive, default=DEFAULT_NODE_BUDGET)
 
     p = add("verify", _cmd_verify, "check a certificate against a digraph")
     p.add_argument("digraph")
@@ -306,8 +306,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--kinds", default="gnp-repair,arc-minimal",
                    help="comma-separated generator kinds to cycle through")
     p.add_argument("--p", type=float, default=0.3)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--budget", type=_node_budget, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--jobs", type=_positive, default=1)
+    p.add_argument("--budget", type=_positive, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--artifact-dir", default="./goodpair-failures",
                    help="where failing instances are written")
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .branchings import Branching, _reach
-from .digraph import Digraph, Dipath, VertexSet, _in_rows, bits
+from .branchings import Branching
+from .digraph import Digraph, Dipath, VertexSet, _in_rows, _reach, bits
 
 
 @dataclass(frozen=True)
@@ -118,41 +118,6 @@ def _max_flow(
     return value, fwd, bwd
 
 
-def _residual_reach(n: int, fwd: list[int], bwd: list[int], s: int) -> int:
-    reach = 1 << s
-    frontier = reach
-    while frontier:
-        step = 0
-        while frontier:
-            low = frontier & -frontier
-            step |= fwd[low.bit_length() - 1] | bwd[low.bit_length() - 1]
-            frontier ^= low
-        frontier = step & ~reach
-        reach |= frontier
-    return reach
-
-
-def _residual_coreach(n: int, fwd: list[int], bwd: list[int], t: int) -> int:
-    radj = [0] * n
-    for u in range(n):
-        av = fwd[u] | bwd[u]
-        while av:
-            low = av & -av
-            radj[low.bit_length() - 1] |= 1 << u
-            av ^= low
-    reach = 1 << t
-    frontier = reach
-    while frontier:
-        step = 0
-        while frontier:
-            low = frontier & -frontier
-            step |= radj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = step & ~reach
-        reach |= frontier
-    return reach
-
-
 def max_arc_disjoint_paths(d: Digraph, s: int, t: int) -> PathPacking:
     """Maximum set of pairwise arc-disjoint s-t dipaths (Menger via max-flow).
 
@@ -230,7 +195,8 @@ def arc_connectivity(d: Digraph, cap: int | None = None) -> tuple[int, CutWitnes
             value, fwd, bwd = _max_flow(n, rows, s, goal, cap=best)
             if best is None or value < best:
                 best = value
-                witness = CutWitness(_residual_reach(n, fwd, bwd, s), "out", value)
+                side = _reach([f | b for f, b in zip(fwd, bwd)], 1 << s, full)
+                witness = CutWitness(side, "out", value)
                 if value == 1:
                     return 1, witness
     return best, witness
@@ -256,7 +222,8 @@ def edmonds_branchings(d: Digraph, z: int, k: int) -> list[Branching] | CutWitne
             continue
         value, fwd, bwd = _max_flow(n, d.out_adj, z, t, cap=k)
         if value < k:
-            x = _residual_coreach(n, fwd, bwd, t)
+            residual = [f | b for f, b in zip(fwd, bwd)]
+            x = _reach(_in_rows(n, residual), 1 << t, d.full_mask)
             return CutWitness(x, "in", value)
 
     def feasible(rows: list[int], need: int) -> bool:

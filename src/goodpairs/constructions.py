@@ -35,7 +35,6 @@ from .digraph import (
     Dipath,
     VertexSet,
     _in_rows,
-    _scc_masks,
     bits,
     induced_subdigraph,
     mask_of,
@@ -809,18 +808,14 @@ def pair_from_hamilton(d: Digraph, p: Dipath) -> GoodPairCert | ConditionNotMet:
     stripped = list(d.out_adj)
     for u, v in zip(verts, verts[1:]):
         stripped[u] &= ~(1 << v)
-    comps = _scc_masks(n, stripped)
+    dec = strong_decomposition(Digraph(n, stripped))
+    comps = dec.components
     if len(comps) != 2:
         return ConditionNotMet(
             f"stripping the path leaves {len(comps)} strong components, need 2", 0
         )
-    c0, c1 = comps
-    for u in bits(c0):
-        if stripped[u] & c1:
-            return ConditionNotMet("stripped components are adjacent", c1)
-    for u in bits(c1):
-        if stripped[u] & c0:
-            return ConditionNotMet("stripped components are adjacent", c0)
+    if not dec.terminal[0]:  # topological order: an arc can only go 0 -> 1
+        return ConditionNotMet("stripped components are adjacent", comps[1])
 
     # the reversal strips the reversed path: the same components, rows and
     # in-rows trade places
@@ -844,7 +839,7 @@ def pair_from_hamilton(d: Digraph, p: Dipath) -> GoodPairCert | ConditionNotMet:
 def _hamilton_high_case(
     stripped: Sequence[int],
     in_stripped: Sequence[int],
-    comps: list[VertexSet],
+    comps: Sequence[VertexSet],
     verts: tuple[int, ...],
     q: int,
 ) -> GoodPairCert | None:

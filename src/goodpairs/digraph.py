@@ -5,9 +5,13 @@ bitmask (type alias ``VertexSet``); bit ``i`` set means vertex ``i`` is in
 the set.  With n capped at 62 every row and every vertex set fits in one
 machine word, so set algebra on neighbourhoods is a couple of int ops.
 
-A ``Digraph`` stores only out-adjacency; in-neighbourhoods are derived on
-demand.  Instances are immutable and hashable, safe to share between
-threads and to use as dict keys.
+A ``Digraph`` stores only out-adjacency as a tuple; in-neighbourhoods are
+derived on demand.  Instances are immutable and hashable, safe to share
+between threads and to use as dict keys.
+
+``_reach`` is the one traversal primitive: every "what reaches what"
+question in the package, strong components included, is a reach to a
+fixpoint along out-rows or in-rows (``_reaches`` stops at a target).
 
 Two text formats are supported:
 
@@ -22,7 +26,7 @@ Two text formats are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 62
 
@@ -58,6 +62,7 @@ class Digraph:
     label: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "out_adj", tuple(self.out_adj))
         if not 1 <= self.n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {self.n}")
         if len(self.out_adj) != self.n:
@@ -306,13 +311,48 @@ def induced_subdigraph(d: Digraph, x: VertexSet) -> tuple[Digraph, tuple[int, ..
     return Digraph(len(vmap), tuple(rows)), vmap
 
 
+def _reach(rows: Sequence[int], seen: VertexSet, full: VertexSet) -> VertexSet:
+    """Vertices reachable from the set ``seen`` along ``rows``, seen included."""
+    frontier = seen
+    while frontier and seen != full:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
+
+
+def _reaches(rows: Sequence[int], seen: VertexSet, target: VertexSet) -> bool:
+    """Whether the set ``seen`` reaches some vertex of ``target`` along
+    ``rows``; stops at the first layer that meets it."""
+    frontier = seen
+    while not seen & target:
+        if not frontier:
+            return False
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~seen
+        seen |= frontier
+    return True
+
+
 @dataclass(frozen=True)
 class StrongDecomposition:
     """Strong components of a digraph, condensation in topological order.
 
-    ``components[c]`` is the vertex mask of component c; the list is a
-    topological order of the condensation (arcs go from lower to higher
-    index never backwards).  ``comp_id[v]`` locates v's component.
+    ``components[c]`` is the vertex mask of component c, and ``comp_id[v]``
+    locates v's component.  Components come by falling reach size (the
+    number of vertices they reach), ties broken by lowest member.  That is
+    a topological order of the condensation, since a component reaches
+    strictly more vertices than any component it reaches: arcs go from
+    lower to higher index, never backwards, and components of equal reach
+    size are incomparable and ordered by lowest member.
     ``initial[c]`` / ``terminal[c]`` flag components with no incoming /
     no outgoing arcs from or to other components.
     """
@@ -329,74 +369,27 @@ class StrongDecomposition:
         return [c for c, flag in zip(self.components, self.terminal) if flag]
 
 
-def _scc_masks(n: int, adj: tuple[int, ...] | list[int]) -> list[VertexSet]:
-    """Strong component masks in reverse topological order (iterative Tarjan)."""
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[int] = []
-    counter = 0
-    for start in range(n):
-        if index[start] != -1:
-            continue
-        # each frame: (vertex, remaining-neighbour mask)
-        work = [(start, adj[start])]
-        index[start] = low[start] = counter
-        counter += 1
-        stack.append(start)
-        on_stack[start] = True
-        while work:
-            v, rem = work[-1]
-            if rem:
-                wbit = rem & -rem
-                w = wbit.bit_length() - 1
-                work[-1] = (v, rem ^ wbit)
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, adj[w]))
-                elif on_stack[w]:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                if low[v] == index[v]:
-                    comp = 0
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp |= 1 << w
-                        if w == v:
-                            break
-                    comps.append(comp)
-    return comps
-
-
 def strong_decomposition(d: Digraph) -> StrongDecomposition:
-    comps = _scc_masks(d.n, d.out_adj)
-    comps.reverse()  # Tarjan emits sinks first; reversed is topological
+    """The component of v is reach(v) & co-reach(v); it is terminal iff it
+    is its own reach, initial iff it is its own co-reach."""
+    full = d.full_mask
+    in_rows = _in_rows(d.n, d.out_adj)
+    found = []
+    left = full
+    while left:
+        vbit = left & -left  # the lowest member of its component
+        ahead = _reach(d.out_adj, vbit, full)
+        back = _reach(in_rows, vbit, full)
+        comp = ahead & back
+        found.append((-ahead.bit_count(), vbit, comp, back == comp, ahead == comp))
+        left &= ~comp
+    found.sort()
     comp_id = [0] * d.n
-    for c, comp in enumerate(comps):
+    for c, (_, _, comp, _, _) in enumerate(found):
         for v in bits(comp):
             comp_id[v] = c
-    k = len(comps)
-    initial = [True] * k
-    terminal = [True] * k
-    for u in range(d.n):
-        cu = comp_id[u]
-        out = d.out_adj[u] & ~comps[cu]
-        if out:
-            terminal[cu] = False
-            for v in bits(out):
-                initial[comp_id[v]] = False
-    return StrongDecomposition(tuple(comp_id), tuple(comps), tuple(initial), tuple(terminal))
+    _, _, comps, initial, terminal = zip(*found)
+    return StrongDecomposition(tuple(comp_id), comps, initial, terminal)
 
 
 def independence_number(d: Digraph) -> int:

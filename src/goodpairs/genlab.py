@@ -293,6 +293,9 @@ class VerificationReport:
         return path
 
 
+_SWEEP_CHUNK = 32  # instances per task sent to a worker process
+
+
 def _sweep_case(args: tuple[int, str, float, int, int]) -> tuple[str, str]:
     n, kind, p, seed, node_budget = args
     d = random_2arc_strong(GenModel(kind, n, p, seed))
@@ -314,7 +317,8 @@ def verify_theorem_sample(
     """Certify ``count`` seeded 2-arc-strong digraphs on n vertices.
 
     Instances cycle through ``kinds``; each gets its own derived seed, so
-    the batch is reproducible arc for arc and independent of ``jobs``.
+    the batch is reproducible arc for arc and independent of ``jobs``, the
+    number of worker processes (at most one per 32-instance chunk).
     Digraphs without a certificate land in the report (and on disk when
     ``artifact_dir`` is given).  For n <= 9 the theorem says every
     2-arc-strong digraph has a good pair, so an empty ``failures`` list is
@@ -329,13 +333,17 @@ def verify_theorem_sample(
         raise ValueError("count must be positive")
     if not kinds:
         raise ValueError("at least one generator kind is required")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     cases = [
         (n, kinds[i % len(kinds)], p, derive_seed(seed, i), node_budget)
         for i in range(count)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_sweep_case, cases, chunksize=32))
+    # a forking pool starts every worker at once: no more than there are chunks
+    workers = min(jobs, -(-count // _SWEEP_CHUNK))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            results = list(ex.map(_sweep_case, cases, chunksize=_SWEEP_CHUNK))
     else:
         results = [_sweep_case(c) for c in cases]
     report = VerificationReport(n, count, seed, tuple(kinds), node_budget)

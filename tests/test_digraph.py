@@ -38,6 +38,35 @@ def digraphs(max_n=8):
     ).map(lambda t: Digraph(t[0], tuple(row & ~(1 << u) for u, row in enumerate(t[1]))))
 
 
+@st.composite
+def sparse_digraphs(draw, max_n=12):
+    """Rows ANDed from two or three random masks: many strong components."""
+    n = draw(st.integers(1, max_n))
+    full = (1 << n) - 1
+    rows = []
+    for u in range(n):
+        row = full & ~(1 << u)
+        for _ in range(draw(st.integers(2, 3))):
+            row &= draw(st.integers(0, full))
+        rows.append(row)
+    return Digraph(n, tuple(rows))
+
+
+def _closure_reach(d):
+    """Reach sets by repeated row union to a fixpoint, no BFS."""
+    reach = [d.out_adj[u] | 1 << u for u in range(d.n)]
+    changed = True
+    while changed:
+        changed = False
+        for u in range(d.n):
+            grown = reach[u]
+            for v in bits(reach[u]):
+                grown |= reach[v]
+            if grown != reach[u]:
+                reach[u], changed = grown, True
+    return reach
+
+
 class TestDigraph:
     def test_basic_accessors(self):
         assert BI3.n == 3
@@ -59,6 +88,17 @@ class TestDigraph:
             Digraph(2, (0b100, 0))
         with pytest.raises(ValueError):
             Digraph(2, (0b01, 0))  # loop at 0
+
+    def test_list_rows_are_frozen(self):
+        rows = [0b10, 0b01]
+        d = Digraph(2, rows)
+        assert d == Digraph(2, (0b10, 0b01))
+        assert hash(d) == hash(Digraph(2, (0b10, 0b01)))
+        assert {d: 1}[Digraph(2, (0b10, 0b01))] == 1
+        rows[0] = 0b01  # a loop, had the list been kept
+        assert d.out_adj == (0b10, 0b01)
+        with pytest.raises(TypeError):
+            d.out_adj[0] = 0b01
 
     def test_from_arcs(self):
         assert from_arcs(3, [(0, 1), (1, 2), (2, 0)]) == C3
@@ -188,6 +228,24 @@ class TestOperations:
         # topological order: arcs never go to an earlier component
         for u, v in d.arcs():
             assert dec.comp_id[u] <= dec.comp_id[v]
+
+    @given(sparse_digraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_decomposition_flags_ids_and_order(self, d):
+        dec = strong_decomposition(d)
+        reach = _closure_reach(d)
+        comps = closure_sccs(d)
+        assert len(dec.comp_id) == d.n
+        for c, comp in enumerate(dec.components):
+            assert all(dec.comp_id[v] == c for v in bits(comp))
+            outside = d.full_mask & ~comp
+            enters = any(d.out_adj[u] & comp for u in bits(outside))
+            leaves = any(d.out_adj[u] & outside for u in bits(comp))
+            assert dec.initial[c] == (not enters)
+            assert dec.terminal[c] == (not leaves)
+        # falling reach size, ties by lowest member
+        size = {c: reach[(c & -c).bit_length() - 1].bit_count() for c in comps}
+        assert list(dec.components) == sorted(comps, key=lambda c: (-size[c], c & -c))
 
     def test_initial_terminal_flags(self):
         d = from_arcs(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)])

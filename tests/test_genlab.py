@@ -22,6 +22,7 @@ from goodpairs import (
     serialize_digraph,
     verify_theorem_sample,
 )
+from goodpairs import genlab
 from goodpairs.digraph import _in_rows, from_arcs
 
 from oracles import arc_minimize_reference, rand_digraph
@@ -217,8 +218,9 @@ class TestSweep:
         assert rep.failures == [] and rep.inconclusive == []
 
     def test_parallel_matches_serial(self):
-        serial = verify_theorem_sample(6, 30, 21, jobs=1)
-        parallel = verify_theorem_sample(6, 30, 21, jobs=2)
+        # 70 instances make three 32-instance chunks, so both workers start
+        serial = verify_theorem_sample(6, 70, 21, jobs=1)
+        parallel = verify_theorem_sample(6, 70, 21, jobs=2)
         assert serial.found == parallel.found
         assert serial.failures == parallel.failures
         assert serial.inconclusive == parallel.inconclusive
@@ -233,6 +235,35 @@ class TestSweep:
         target = tmp_path / "clean"
         verify_theorem_sample(5, 5, 2, artifact_dir=target)
         assert not target.exists()
+
+    def test_workers_capped_by_chunks(self, monkeypatch):
+        started = []
+
+        class Recording:
+            """Stands in for the process pool: records its size, maps in-process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(genlab, "ProcessPoolExecutor", Recording)
+        assert verify_theorem_sample(5, 70, 4, jobs=8).found == 70  # 3 chunks
+        assert verify_theorem_sample(5, 20, 4, jobs=8).found == 20  # 1 chunk, no pool
+        assert verify_theorem_sample(5, 70, 4, jobs=2).found == 70
+        assert started == [3, 2]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            verify_theorem_sample(5, 1, 0, jobs=jobs)
 
     def test_guards(self):
         with pytest.raises(ValueError, match="5 <= n <= 10"):
