@@ -175,31 +175,50 @@ def arc_connectivity(d: Digraph, cap: int | None = None) -> tuple[int, CutWitnes
         raise ValueError("arc connectivity needs at least 2 vertices")
     if cap is not None and cap < 1:
         raise ValueError("cap must be at least 1")
-    n = d.n
-    rows = d.out_adj
-    full = d.full_mask
+    lam, witness, _ = _scan_pairs(d.n, d.out_adj, cap, 0)
+    return lam, witness
+
+
+def _scan_pairs(
+    n: int, rows: list[int] | tuple[int, ...], cap: int | None, start: int
+) -> tuple[int, CutWitness | None, int]:
+    """``arc_connectivity``'s scan, from pair index ``start`` on.
+
+    Pair i is (0, t) for even i and (t, 0) for odd i, with t = i // 2 + 1.
+    The caller must know that every pair before ``start`` carries a flow
+    of at least ``cap``.  Besides ``(lambda, witness)`` the scan returns
+    the index of the first pair not proven to carry ``cap``: the first
+    whose flow fell below it, ``start`` when the digraph is not strong
+    (no flow runs then), and 2(n - 1) when every pair reaches it.
+    """
+    full = (1 << n) - 1
+    pairs = 2 * (n - 1)
     reach = _reach(rows, 1, full)
     coreach = _reach(_in_rows(n, rows), 1, full)
     if reach & coreach != full:
         for t in range(1, n):
             if not reach >> t & 1:
-                return 0, CutWitness(reach, "out", 0)
+                return 0, CutWitness(reach, "out", 0), start
             if not coreach >> t & 1:
-                return 0, CutWitness(_reach(rows, 1 << t, full), "out", 0)
+                return 0, CutWitness(_reach(rows, 1 << t, full), "out", 0), start
     if cap == 1:
-        return 1, None
+        return 1, None, pairs
     best = cap
     witness = None
-    for t in range(1, n):
-        for s, goal in ((0, t), (t, 0)):
-            value, fwd, bwd = _max_flow(n, rows, s, goal, cap=best)
-            if best is None or value < best:
-                best = value
-                side = _reach([f | b for f, b in zip(fwd, bwd)], 1 << s, full)
-                witness = CutWitness(side, "out", value)
-                if value == 1:
-                    return 1, witness
-    return best, witness
+    stop = pairs
+    for i in range(start, pairs):
+        t = i // 2 + 1
+        s, goal = (t, 0) if i & 1 else (0, t)
+        value, fwd, bwd = _max_flow(n, rows, s, goal, cap=best)
+        if best is None or value < best:
+            if witness is None:
+                stop = i
+            best = value
+            side = _reach([f | b for f, b in zip(fwd, bwd)], 1 << s, full)
+            witness = CutWitness(side, "out", value)
+            if value == 1:
+                return 1, witness, stop
+    return best, witness, stop
 
 
 def edmonds_branchings(d: Digraph, z: int, k: int) -> list[Branching] | CutWitness:

@@ -6,6 +6,12 @@ pass then strips every arc whose removal keeps the connectivity, which
 pushes instances toward the hard boundary of the property.  Exhaustive
 streams cover all small digraphs and all small tournaments.
 
+Each flow is proved once per draw.  Adding arcs never lowers a flow, so a
+pair the repair has proven to carry 2 stays proven after every later
+round; each round resumes the pair scan where the previous one stopped.
+The repair's result is 2-arc-strong by construction, so the arc-minimal
+draw strips arcs without proving lambda >= 2 again.
+
 ``verify_theorem_sample`` drives the constructive pipeline over a seeded
 batch and tallies the outcomes into a report; digraphs that end without a
 certificate are kept verbatim so a failure is always reproducible.
@@ -16,12 +22,11 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .branchings import DEFAULT_NODE_BUDGET
-from .connectivity import arc_connectivity
+from .connectivity import _scan_pairs, arc_connectivity
 from .constructions import reduce_and_lift
 from .digraph import MAX_VERTICES, Digraph, bits, serialize_digraph
 
@@ -71,14 +76,20 @@ class GenModel:
 def _repair_to_2_arc_strong(n: int, rows: list[int], oriented: bool) -> list[int] | None:
     """Add arcs across deficient cuts until every cut has two leaving arcs.
 
-    The lex-lowest missing arc over the reported cut is added each round.
-    In oriented mode arcs whose reversal is present are skipped; None is
-    returned when only digon-closing arcs remain (caller redraws).
+    Each round finds the first deficient pair in ``arc_connectivity``'s
+    order and adds the lex-lowest missing arc over its cut.  In oriented
+    mode arcs whose reversal is present are skipped; None is returned when
+    only digon-closing arcs remain (caller redraws).
+
+    Adding arcs never lowers a flow, so the pairs a round proved to carry
+    2 stay proven: the next round resumes at the first pair not yet
+    proven.  Its deficient pair, witness and added arc are those a scan
+    from pair 0 would find.
     """
     full = (1 << n) - 1
+    start = 0
     for _ in range(2 * n * n + 4):
-        d = Digraph(n, tuple(rows))
-        lam, witness = arc_connectivity(d, cap=2)
+        lam, witness, start = _scan_pairs(n, rows, 2, start)
         if lam >= 2:
             return rows
         x = witness.x_set
@@ -142,7 +153,7 @@ def random_2arc_strong(model: GenModel) -> Digraph:
             continue
         d = Digraph(n, tuple(rows))
         if model.kind == "arc-minimal":
-            d = arc_minimize(d, rng.getrandbits(63))
+            d = _strip_arcs(d, rng.getrandbits(63))
         return d
     raise RuntimeError(
         f"could not draw a 2-arc-strong {model.kind} digraph on {n} vertices"
@@ -157,12 +168,22 @@ def arc_minimize(d: Digraph, seed: int) -> Digraph:
     to its head survive its removal.  An arc whose removal would leave its
     tail with out-degree below 2 or its head with in-degree below 2 is
     kept without a flow; every other arc costs one flow capped at 2.
-    """
-    from .connectivity import _max_flow
 
+    The input is checked to be 2-arc-strong.  ``random_2arc_strong`` strips
+    the arcs of its arc-minimal draws without that check, since the repair
+    has just proved lambda >= 2 for them and a second proof would only
+    repeat its flows.
+    """
     lam, _ = arc_connectivity(d, cap=2)
     if lam < 2:
         raise ValueError("arc_minimize expects a 2-arc-strong digraph")
+    return _strip_arcs(d, seed)
+
+
+def _strip_arcs(d: Digraph, seed: int) -> Digraph:
+    """``arc_minimize``'s pass, on a digraph known to be 2-arc-strong."""
+    from .connectivity import _max_flow
+
     rng = random.Random(seed)
     arcs = list(d.arcs())
     rng.shuffle(arcs)
@@ -342,6 +363,8 @@ def verify_theorem_sample(
     # a forking pool starts every worker at once: no more than there are chunks
     workers = min(jobs, -(-count // _SWEEP_CHUNK))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_sweep_case, cases, chunksize=_SWEEP_CHUNK))
     else:

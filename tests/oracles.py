@@ -11,8 +11,11 @@ good-pair decision (and, for sparse digraphs beyond the enumerator's
 reach, every out-branching with an in-branching test on its complement),
 a scan over every small vertex subset for the seed of the reduction, and
 the exact search as it stood before its incremental pruning, with every
-pruning test rerun at every node.  Nothing imports the algorithms under
-test beyond plain data types and the branching enumerator.
+pruning test rerun at every node, and the generator's repair loop as it
+stood before it carried its proven pairs.  Nothing imports the algorithms
+under test beyond plain data types, the branching enumerator, and the
+repair's full ``arc_connectivity`` call per round (itself checked against
+subset enumeration).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from goodpairs import (
     Digraph,
     GoodPairCert,
     SearchResult,
+    arc_connectivity,
     bits,
     enumerate_branchings,
     mask_of,
@@ -376,6 +380,32 @@ def arc_minimize_reference(d: Digraph, seed: int) -> Digraph:
         if not _two_arc_disjoint_paths(rows, u, v):
             rows[u] |= 1 << v
     return Digraph(d.n, tuple(rows))
+
+
+def repair_reference(n: int, rows: list[int], oriented: bool) -> list[int] | None:
+    """The repair loop with one full ``arc_connectivity(d, cap=2)`` call per
+    round, every pair proved again from pair 0."""
+    full = (1 << n) - 1
+    for _ in range(2 * n * n + 4):
+        d = Digraph(n, tuple(rows))
+        lam, witness = arc_connectivity(d, cap=2)
+        if lam >= 2:
+            return rows
+        x = witness.x_set
+        added = False
+        for u in bits(x):
+            cand = full & ~x & ~rows[u] & ~(1 << u)
+            for v in bits(cand):
+                if oriented and rows[v] >> u & 1:
+                    continue
+                rows[u] |= 1 << v
+                added = True
+                break
+            if added:
+                break
+        if not added:
+            return None
+    raise AssertionError("repair loop failed to converge")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------

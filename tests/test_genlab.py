@@ -1,8 +1,12 @@
 """Generators, minimization, enumeration, canonicalization, and sweeps."""
 
+import concurrent.futures
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,10 +26,11 @@ from goodpairs import (
     serialize_digraph,
     verify_theorem_sample,
 )
-from goodpairs import genlab
+from goodpairs import connectivity, genlab
 from goodpairs.digraph import _in_rows, from_arcs
 
-from oracles import arc_minimize_reference, rand_digraph
+import oracles
+from oracles import arc_minimize_reference, rand_digraph, repair_reference
 
 GOLDEN = Path(__file__).parent / "data" / "generator_golden.json"
 
@@ -110,6 +115,88 @@ class TestRandom2ArcStrong:
             random_2arc_strong(GenModel("gnp-repair", 2, seed=0))
         with pytest.raises(ValueError, match="tournament"):
             random_2arc_strong(GenModel("tournament", 4, seed=0))
+
+
+def _start_rows(rng: random.Random, n: int, oriented: bool) -> list[int]:
+    """Rows as the generator draws them, at densities from empty (never
+    strong) to dense; oriented rows close no digon."""
+    p = rng.choice((0.0, 0.1, 0.2, 0.35, 0.6))
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if oriented:
+                if rng.random() < p:
+                    if rng.getrandbits(1):
+                        rows[u] |= 1 << v
+                    else:
+                        rows[v] |= 1 << u
+            else:
+                if rng.random() < p:
+                    rows[u] |= 1 << v
+                if rng.random() < p:
+                    rows[v] |= 1 << u
+    return rows
+
+
+class TestRepair:
+    def test_matches_per_round_reference(self):
+        rng = random.Random(2718)
+        non_strong = redrawn = 0
+        for i in range(2000):
+            n = rng.randint(3, 12)
+            oriented = bool(i & 1)
+            rows = _start_rows(rng, n, oriented)
+            non_strong += arc_connectivity(Digraph(n, tuple(rows)), cap=1)[0] == 0
+            got = genlab._repair_to_2_arc_strong(n, list(rows), oriented)
+            assert got == repair_reference(n, list(rows), oriented), (n, rows, oriented)
+            redrawn += got is None
+        assert non_strong > 500 and redrawn > 50
+
+    def test_each_pair_proved_once(self, monkeypatch):
+        """At most 2(n-1) flows, one per pair, plus one per round that finds
+        a deficient pair on a strong digraph (counted on the reference,
+        whose per-round arc_connectivity answers 1 exactly then)."""
+        flows = []
+        deficient_rounds = []
+        max_flow, full_scan = connectivity._max_flow, oracles.arc_connectivity
+
+        def counted_flow(*args, **kwargs):
+            flows.append(args[2:4])
+            return max_flow(*args, **kwargs)
+
+        def counted_scan(d, cap=None):
+            lam, witness = full_scan(d, cap)
+            deficient_rounds.append(lam == 1)
+            return lam, witness
+
+        monkeypatch.setattr(connectivity, "_max_flow", counted_flow)
+        monkeypatch.setattr(oracles, "arc_connectivity", counted_scan)
+        rng = random.Random(31)
+        for i in range(300):
+            n = rng.randint(3, 12)
+            oriented = bool(i & 1)
+            rows = _start_rows(rng, n, oriented)
+            repair_reference(n, list(rows), oriented)
+            flows.clear()
+            genlab._repair_to_2_arc_strong(n, list(rows), oriented)
+            assert len(flows) <= 2 * (n - 1) + sum(deficient_rounds), (n, rows, oriented)
+            deficient_rounds.clear()
+
+    def test_repair_draws_call_no_arc_connectivity(self, monkeypatch):
+        calls = []
+        full_scan = genlab.arc_connectivity
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return full_scan(*args, **kwargs)
+
+        monkeypatch.setattr(genlab, "arc_connectivity", counted)
+        for kind in ("gnp-repair", "oriented-gnp-repair", "arc-minimal"):
+            for i in range(40):
+                random_2arc_strong(GenModel(kind, 9, 0.3, derive_seed(1, i)))
+        assert calls == []
+        random_2arc_strong(GenModel("tournament", 9, seed=1))
+        assert calls  # the tournament's check passes through the counter
 
 
 class TestArcMinimize:
@@ -254,11 +341,26 @@ class TestSweep:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(genlab, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         assert verify_theorem_sample(5, 70, 4, jobs=8).found == 70  # 3 chunks
         assert verify_theorem_sample(5, 20, 4, jobs=8).found == 20  # 1 chunk, no pool
         assert verify_theorem_sample(5, 70, 4, jobs=2).found == 70
         assert started == [3, 2]
+
+    def test_import_starts_no_pool_machinery(self):
+        """The process pool is imported only when a sweep starts one."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = (
+            "import sys, goodpairs; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs):
