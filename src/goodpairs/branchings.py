@@ -212,14 +212,16 @@ def _single_terminal(
 
 
 def _in_branching_completion(
-    n: int, res: list[int], res_in: list[int], full: int, root_in: int | None, hint: int
+    res: list[int], res_in: list[int], full: int, root_in: int | None, hint: int
 ) -> tuple[int, dict[int, tuple[int, int]]] | None:
     """In-branching of the residual digraph, or None if none exists.
 
     The residual has one exactly when its strong decomposition has a single
     terminal component; the root must lie inside it, that is, every vertex
     must reach the root.  Without a prescribed root, the root is the lowest
-    vertex of that component.
+    vertex of that component.  The lowest unsettled vertex with an arc into
+    the settled set joins next, by its arc to the lowest settled vertex;
+    ``ready`` holds those vertices and grows by each joiner's in-row.
     """
     if root_in is not None:
         if _reach(res_in, 1 << root_in, full) != full:
@@ -233,18 +235,16 @@ def _in_branching_completion(
         t = (term & -term).bit_length() - 1
     parent: dict[int, tuple[int, int]] = {}
     settled = 1 << t
-    while settled != full:
-        for v in range(n):
-            if settled >> v & 1:
-                continue
-            hit = res[v] & settled
-            if hit:
-                w = (hit & -hit).bit_length() - 1
-                parent[v] = (v, w)
-                settled |= 1 << v
-                break
-        else:
-            return None  # unreachable when the terminal component is unique
+    ready = res_in[t] & ~settled
+    while ready:
+        vbit = ready & -ready
+        v = vbit.bit_length() - 1
+        hit = res[v] & settled
+        parent[v] = (v, (hit & -hit).bit_length() - 1)
+        settled |= vbit
+        ready = (ready | res_in[v]) & ~settled
+    if settled != full:
+        return None  # unreachable when the terminal component is unique
     return t, parent
 
 
@@ -322,7 +322,7 @@ def find_good_pair_exact(
     def extend(tree: int) -> bool:
         nonlocal nodes, hint
         if tree == full:
-            done = _in_branching_completion(n, res, res_in, full, root_in, hint)
+            done = _in_branching_completion(res, res_in, full, root_in, hint)
             if done is None:
                 return False
             t, in_parent = done

@@ -536,26 +536,36 @@ def absorb_external_vertices(
         raise ValueError("Q and X must be disjoint")
     if (q_set | x_set) & ~d.full_mask:
         raise ValueError("vertex sets mention vertices >= n")
-    hq, vmap_q = induced_subdigraph(d, q_set)
+    hq, _ = induced_subdigraph(d, q_set)
     bad = verify_good_pair(hq, cert_q)
     if bad:
         raise ValueError(f"certificate for D[Q] invalid: {bad}")
     if x_set == 0:
         return cert_q
+    return _absorb(d, q_set, cert_q, x_set, _in_rows(d.n, d.out_adj))
+
+
+def _absorb(
+    d: Digraph, q_set: VertexSet, cert_q: GoodPairCert, x_set: VertexSet, in_rows: Sequence[int]
+) -> GoodPairCert:
+    """``absorb_external_vertices`` on a certificate its caller has verified.
+
+    cert_q is a good pair of D[Q] numbered as ``induced_subdigraph``
+    numbers it, Q's members ascending; in_rows are the in-rows of d.  The
+    certificate built on D[Q | X] is verified here, once.
+    """
     target = q_set | x_set
     h, vmap = induced_subdigraph(d, target)
     index = {v: i for i, v in enumerate(vmap)}
-    in_rows = _in_rows(d.n, d.out_adj)
+    q_index = [index[v] for v in bits(q_set)]
 
-    root_out = index[vmap_q[cert_q.out.root]]
+    root_out = q_index[cert_q.out.root]
     out_parent = {
-        index[vmap_q[v]]: (index[vmap_q[a]], index[vmap_q[b]])
-        for v, (a, b) in cert_q.out.parent.items()
+        q_index[v]: (q_index[a], q_index[b]) for v, (a, b) in cert_q.out.parent.items()
     }
-    root_in = index[vmap_q[cert_q.in_.root]]
+    root_in = q_index[cert_q.in_.root]
     in_parent = {
-        index[vmap_q[v]]: (index[vmap_q[a]], index[vmap_q[b]])
-        for v, (a, b) in cert_q.in_.parent.items()
+        q_index[v]: (q_index[a], q_index[b]) for v, (a, b) in cert_q.in_.parent.items()
     }
 
     covered = q_set
@@ -951,7 +961,9 @@ def reduce_and_lift(
                     break
             if candidate is None:
                 break
-            cert = absorb_external_vertices(d, q_set, cert, 1 << candidate)
+            # cert is a good pair of D[Q]: the seed's by the digon or the
+            # search, every later one verified by _absorb when it was built
+            cert = _absorb(d, q_set, cert, 1 << candidate, in_rows)
             q_set |= 1 << candidate
             steps.append(TraceStep("absorb", q_set, f"attached vertex {candidate}"))
         if q_set == full:

@@ -37,6 +37,7 @@ from goodpairs import (
     verify_dipath,
     verify_good_pair,
 )
+from goodpairs import constructions
 from goodpairs.constructions import (
     _end_comps,
     _in_forest,
@@ -207,6 +208,32 @@ class TestAbsorption:
         cq = _digon_pair_cert(PAIRING_D, Q_SET)
         with pytest.raises(ValueError, match="disjoint"):
             absorb_external_vertices(PAIRING_D, Q_SET, cq, 0b000001)
+
+    @pytest.mark.parametrize("x_set", [0, 0b100])
+    def test_invalid_cert_rejected(self, x_set):
+        d = from_arcs(3, [(0, 1), (1, 0), (1, 2), (2, 0)])
+        cq = _digon_pair_cert(d, 0b011)
+        broken = GoodPairCert(2, cq.out, cq.out)
+        with pytest.raises(ValueError, match="certificate for D\\[Q\\] invalid"):
+            absorb_external_vertices(d, 0b011, broken, x_set)
+
+    def test_pipeline_verifies_each_step_once(self, monkeypatch):
+        # a tournament has no digon and every 4-vertex tournament has a good
+        # pair, so the seed scan induces one sub-digraph; absorb closes the
+        # rest one vertex per step
+        calls = collections.Counter()
+        for name in ("verify_good_pair", "induced_subdigraph"):
+            def counted(*args, _real=getattr(constructions, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(constructions, name, counted)
+        d = random_2arc_strong(GenModel("tournament", 20, 0.3, derive_seed(99, 0)))
+        res, trace = reduce_and_lift(d)
+        assert res.status == "found" and trace.steps[-1].rule == "absorb"
+        steps = sum(s.rule == "absorb" for s in trace.steps)
+        assert steps == 16
+        assert calls == {"verify_good_pair": steps, "induced_subdigraph": steps + 1}
 
 
 SPARE_BASE = PAIRING_ARCS  # Q={0,1}, X={2,3}, Y={4,5}, w=6
