@@ -79,38 +79,51 @@ def branching_roots(d: Digraph, kind: str) -> VertexSet:
 
 
 def verify_branching(d: Digraph, b: Branching) -> str | None:
-    """None if b is a valid spanning branching of d, else the first violation."""
+    """None if b is a valid spanning branching of d, else the first violation.
+
+    Linear in n: each parent arc is one row-bit test, and the walks along
+    parent pointers stop at a vertex already shown to reach the root, so
+    every vertex is walked through once.
+    """
+    n = d.n
     if b.kind not in ("out", "in"):
         return f"unknown kind {b.kind!r}"
-    if not 0 <= b.root < d.n:
+    if not 0 <= b.root < n:
         return f"root {b.root} out of range"
     if b.root in b.parent:
         return f"root {b.root} has a parent arc"
-    expected = set(range(d.n)) - {b.root}
+    expected = set(range(n)) - {b.root}
     got = set(b.parent)
     if got != expected:
         missing = expected - got
         if missing:
             return f"vertex {min(missing)} has no parent arc"
         return f"unexpected vertex {min(got - expected)} in parent map"
-    for v in sorted(b.parent):
+    rows = d.out_adj
+    out = b.kind == "out"
+    nxt = [b.root] * n  # the next vertex on the way to the root
+    for v in range(n):
+        if v == b.root:
+            continue
         a, h = b.parent[v]
-        if not (0 <= a < d.n and 0 <= h < d.n) or not d.has_arc(a, h):
+        if not (0 <= a < n and 0 <= h < n) or not rows[a] >> h & 1:
             return f"parent arc ({a}, {h}) of {v} is not an arc of the digraph"
-        if b.kind == "out" and h != v:
+        if out and h != v:
             return f"parent arc ({a}, {h}) of {v} must point at {v}"
-        if b.kind == "in" and a != v:
+        if not out and a != v:
             return f"parent arc ({a}, {h}) of {v} must start at {v}"
+        nxt[v] = a if out else h
     # every vertex must reach the root along parent pointers without repeats
-    for v in range(d.n):
+    settled = 1 << b.root
+    for v in range(n):
+        walk = 0
         cur = v
-        steps = 0
-        while cur != b.root:
-            arc = b.parent[cur]
-            cur = arc[0] if b.kind == "out" else arc[1]
-            steps += 1
-            if steps > d.n:
+        while not settled >> cur & 1:
+            if walk >> cur & 1:
                 return f"parent pointers from {v} never reach the root"
+            walk |= 1 << cur
+            cur = nxt[cur]
+        settled |= walk
     return None
 
 
@@ -384,19 +397,22 @@ def find_good_pair_exact(
                 avail[eu] |= 1 << ev
                 forb_in[ev] &= ~(1 << eu)
 
-    status = "none"
-    for r in bits(roots):
-        out_parent.clear()
-        try:
+    try:
+        for r in bits(roots):
+            out_parent.clear()
             if extend(1 << r):
                 cert = found[-1]
                 bad = verify_good_pair(d, cert)
                 if bad:  # pragma: no cover - guards the builder
                     raise AssertionError(f"solver emitted invalid certificate: {bad}")
                 return SearchResult("found", cert, nodes)
-        except _BudgetExceeded:
-            return SearchResult("inconclusive", None, nodes)
-    return SearchResult(status, None, nodes)
+    except _BudgetExceeded:
+        return SearchResult("inconclusive", None, nodes)
+    finally:
+        # extend calls itself through its own closure cell; emptying the
+        # cell lets reference counting free the closure and its state
+        del extend
+    return SearchResult("none", None, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,18 @@ same residual reach from the source (the minimum cut closest to the
 source) and the same residual co-reach to the sink (the one closest to
 the sink).  Only the particular paths of ``max_arc_disjoint_paths``
 depend on the search order.
+
+A flow capped at k is skipped when ``_short_paths`` already sees k
+arc-disjoint s-t paths of length at most 3: the arc s->t, the 2-paths
+s->w->t through distinct w, and for k = 2 also 3-paths s->w->x->t whose
+middle vertices w and x avoid those of the other path.  Such paths share
+no arc: an arc out of s is fixed by its head, an arc into t by its tail,
+and a middle arc w->x by both, so paths with distinct middle vertices
+use distinct arcs.  The test is sufficient only.  A skipped flow is one
+that would have returned its cap, and a flow at its cap changes no
+value, witness or scan index, so arc connectivity, the generator's
+repair and its arc stripping return what they returned with every flow
+run; only a flow ever answers "below k".
 """
 
 from __future__ import annotations
@@ -118,6 +130,45 @@ def _max_flow(
     return value, fwd, bwd
 
 
+def _short_paths(
+    rows: list[int] | tuple[int, ...], in_rows: list[int], s: int, t: int, k: int
+) -> bool:
+    """Whether k arc-disjoint s-t paths of length at most 3 are in sight.
+
+    The arc s->t and the 2-paths s->w->t, one per w in N+(s) & N-(t), are
+    pairwise arc-disjoint.  For k = 2, one of those plus a 3-path
+    s->w->x->t with w, x outside it, or else two 3-paths with distinct w
+    and distinct x, also suffice: with no arc s->t and no common
+    neighbour, the w's and x's are disjoint sets, and two such paths
+    exist iff the arcs from the w's to the x's are not all at one vertex
+    (Koenig).  True proves the s-t flow reaches k; False proves nothing.
+    """
+    out = rows[s]
+    into = in_rows[t]
+    mid = out & into
+    found = (out >> t & 1) + mid.bit_count()
+    if found >= k:
+        return True
+    if k != 2:
+        return False
+    heads = out & ~mid & ~(1 << t)
+    tails = into & ~mid & ~(1 << s)
+    users = 0
+    union = 0
+    while heads:
+        low = heads & -heads
+        hit = rows[low.bit_length() - 1] & tails
+        if hit:
+            if found:
+                return True
+            users += 1
+            union |= hit
+            if users > 1 and union & (union - 1):
+                return True
+        heads ^= low
+    return False
+
+
 def max_arc_disjoint_paths(d: Digraph, s: int, t: int) -> PathPacking:
     """Maximum set of pairwise arc-disjoint s-t dipaths (Menger via max-flow).
 
@@ -175,26 +226,36 @@ def arc_connectivity(d: Digraph, cap: int | None = None) -> tuple[int, CutWitnes
         raise ValueError("arc connectivity needs at least 2 vertices")
     if cap is not None and cap < 1:
         raise ValueError("cap must be at least 1")
-    lam, witness, _ = _scan_pairs(d.n, d.out_adj, cap, 0)
+    lam, witness, _ = _scan_pairs(d.n, d.out_adj, _in_rows(d.n, d.out_adj), cap, 0)
     return lam, witness
 
 
 def _scan_pairs(
-    n: int, rows: list[int] | tuple[int, ...], cap: int | None, start: int
+    n: int,
+    rows: list[int] | tuple[int, ...],
+    in_rows: list[int],
+    cap: int | None,
+    start: int,
 ) -> tuple[int, CutWitness | None, int]:
     """``arc_connectivity``'s scan, from pair index ``start`` on.
 
     Pair i is (0, t) for even i and (t, 0) for odd i, with t = i // 2 + 1.
-    The caller must know that every pair before ``start`` carries a flow
-    of at least ``cap``.  Besides ``(lambda, witness)`` the scan returns
-    the index of the first pair not proven to carry ``cap``: the first
-    whose flow fell below it, ``start`` when the digraph is not strong
-    (no flow runs then), and 2(n - 1) when every pair reaches it.
+    ``in_rows`` are the in-rows of ``rows``.  The caller must know that
+    every pair before ``start`` carries a flow of at least ``cap``.
+    Besides ``(lambda, witness)`` the scan returns the index of the first
+    pair not proven to carry ``cap``: the first whose flow fell below it,
+    ``start`` when the digraph is not strong (no flow runs then), and
+    2(n - 1) when every pair reaches it.
+
+    Each flow after the first runs capped at the least value seen so far,
+    and is skipped when ``_short_paths`` proves the pair reaches that cap:
+    the flow would have returned the cap, which changes neither the
+    value, the witness nor the index returned.
     """
     full = (1 << n) - 1
     pairs = 2 * (n - 1)
     reach = _reach(rows, 1, full)
-    coreach = _reach(_in_rows(n, rows), 1, full)
+    coreach = _reach(in_rows, 1, full)
     if reach & coreach != full:
         for t in range(1, n):
             if not reach >> t & 1:
@@ -209,6 +270,8 @@ def _scan_pairs(
     for i in range(start, pairs):
         t = i // 2 + 1
         s, goal = (t, 0) if i & 1 else (0, t)
+        if best is not None and _short_paths(rows, in_rows, s, goal, best):
+            continue
         value, fwd, bwd = _max_flow(n, rows, s, goal, cap=best)
         if best is None or value < best:
             if witness is None:

@@ -297,7 +297,7 @@ def induced_subdigraph(d: Digraph, x: VertexSet) -> tuple[Digraph, tuple[int, ..
         raise ValueError("induced subdigraph of the empty set")
     if x & ~d.full_mask:
         raise ValueError("vertex set mentions vertices >= n")
-    vmap = tuple(bits(x))
+    vmap = tuple([*bits(x)])  # exact length: a resized tuple lingers on a free list
     index = {v: i for i, v in enumerate(vmap)}
     rows = []
     for v in vmap:

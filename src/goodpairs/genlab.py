@@ -10,7 +10,10 @@ Each flow is proved once per draw.  Adding arcs never lowers a flow, so a
 pair the repair has proven to carry 2 stays proven after every later
 round; each round resumes the pair scan where the previous one stopped.
 The repair's result is 2-arc-strong by construction, so the arc-minimal
-draw strips arcs without proving lambda >= 2 again.
+draw strips arcs without proving lambda >= 2 again.  Most flows need not
+run at all: ``connectivity._short_paths`` sees two arc-disjoint paths of
+length at most 3 for most pairs, and a flow runs only where that test
+fails; an n = 20 tournament draw rarely needs one.
 
 ``verify_theorem_sample`` drives the constructive pipeline over a seeded
 batch and tallies the outcomes into a report; digraphs that end without a
@@ -26,9 +29,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .branchings import DEFAULT_NODE_BUDGET
-from .connectivity import _scan_pairs, arc_connectivity
+from .connectivity import _scan_pairs, _short_paths, arc_connectivity
 from .constructions import reduce_and_lift
-from .digraph import MAX_VERTICES, Digraph, bits, serialize_digraph
+from .digraph import MAX_VERTICES, Digraph, _in_rows, bits, serialize_digraph
 
 GEN_KINDS = ("gnp-repair", "oriented-gnp-repair", "tournament", "arc-minimal")
 
@@ -84,12 +87,14 @@ def _repair_to_2_arc_strong(n: int, rows: list[int], oriented: bool) -> list[int
     Adding arcs never lowers a flow, so the pairs a round proved to carry
     2 stay proven: the next round resumes at the first pair not yet
     proven.  Its deficient pair, witness and added arc are those a scan
-    from pair 0 would find.
+    from pair 0 would find.  The in-rows the scan reads are kept next to
+    the rows, one bit set per added arc.
     """
     full = (1 << n) - 1
+    in_rows = _in_rows(n, rows)
     start = 0
     for _ in range(2 * n * n + 4):
-        lam, witness, start = _scan_pairs(n, rows, 2, start)
+        lam, witness, start = _scan_pairs(n, rows, in_rows, 2, start)
         if lam >= 2:
             return rows
         x = witness.x_set
@@ -100,6 +105,7 @@ def _repair_to_2_arc_strong(n: int, rows: list[int], oriented: bool) -> list[int
                 if oriented and rows[v] >> u & 1:
                     continue
                 rows[u] |= 1 << v
+                in_rows[v] |= 1 << u
                 added = True
                 break
             if added:
@@ -167,7 +173,12 @@ def arc_minimize(d: Digraph, seed: int) -> Digraph:
     an arc is removable exactly when two arc-disjoint paths from its tail
     to its head survive its removal.  An arc whose removal would leave its
     tail with out-degree below 2 or its head with in-degree below 2 is
-    kept without a flow; every other arc costs one flow capped at 2.
+    kept without a flow.  An arc goes without a flow when, after its
+    removal, ``connectivity._short_paths`` sees two arc-disjoint paths
+    from its tail to its head of length at most 3 (a 2-path and a
+    3-path avoiding its middle vertex, say); such a flow would only have
+    confirmed the value 2, so the result is the same arc for arc.  Every
+    other arc costs one flow capped at 2.
 
     The input is checked to be 2-arc-strong.  ``random_2arc_strong`` strips
     the arcs of its arc-minimal draws without that check, since the repair
@@ -181,25 +192,28 @@ def arc_minimize(d: Digraph, seed: int) -> Digraph:
 
 
 def _strip_arcs(d: Digraph, seed: int) -> Digraph:
-    """``arc_minimize``'s pass, on a digraph known to be 2-arc-strong."""
+    """``arc_minimize``'s pass, on a digraph known to be 2-arc-strong.
+
+    The in-rows the short-path test reads follow the rows, one bit per
+    removed or restored arc; degrees are the rows' bit counts.
+    """
     from .connectivity import _max_flow
 
     rng = random.Random(seed)
     arcs = list(d.arcs())
     rng.shuffle(arcs)
     rows = list(d.out_adj)
-    out_deg = [row.bit_count() for row in rows]
-    in_deg = [row.bit_count() for row in d.in_adj()]
+    in_rows = _in_rows(d.n, rows)
     for u, v in arcs:
-        if out_deg[u] <= 2 or in_deg[v] <= 2:
+        if rows[u].bit_count() <= 2 or in_rows[v].bit_count() <= 2:
             continue
-        rows[u] &= ~(1 << v)
-        value, _, _ = _max_flow(d.n, rows, u, v, cap=2)
-        if value < 2:
+        rows[u] ^= 1 << v
+        in_rows[v] ^= 1 << u
+        if _short_paths(rows, in_rows, u, v, 2):
+            continue
+        if _max_flow(d.n, rows, u, v, cap=2)[0] < 2:
             rows[u] |= 1 << v
-        else:
-            out_deg[u] -= 1
-            in_deg[v] -= 1
+            in_rows[v] |= 1 << u
     return Digraph(d.n, tuple(rows))
 
 

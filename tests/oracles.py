@@ -11,11 +11,12 @@ good-pair decision (and, for sparse digraphs beyond the enumerator's
 reach, every out-branching with an in-branching test on its complement),
 a scan over every small vertex subset for the seed of the reduction, and
 the exact search as it stood before its incremental pruning, with every
-pruning test rerun at every node, and the generator's repair loop as it
-stood before it carried its proven pairs.  Nothing imports the algorithms
-under test beyond plain data types, the branching enumerator, and the
-repair's full ``arc_connectivity`` call per round (itself checked against
-subset enumeration).
+pruning test rerun at every node, the generator's repair loop as it
+stood before it carried its proven pairs, and a branching verifier that
+walks from every vertex all the way to the root.  Nothing imports the
+algorithms under test beyond plain data types, the branching enumerator,
+and the repair's full ``arc_connectivity`` call per round (itself
+checked against subset enumeration).
 """
 
 from __future__ import annotations
@@ -43,6 +44,42 @@ def rand_digraph(rng: random.Random, n: int, p: float) -> Digraph:
             if u != v and rng.random() < p:
                 rows[u] |= 1 << v
     return Digraph(n, tuple(rows))
+
+
+def verify_branching_reference(d: Digraph, b: Branching) -> str | None:
+    """``verify_branching`` with a full walk to the root from every vertex,
+    up to n steps each; same checks, order and messages."""
+    if b.kind not in ("out", "in"):
+        return f"unknown kind {b.kind!r}"
+    if not 0 <= b.root < d.n:
+        return f"root {b.root} out of range"
+    if b.root in b.parent:
+        return f"root {b.root} has a parent arc"
+    expected = set(range(d.n)) - {b.root}
+    got = set(b.parent)
+    if got != expected:
+        missing = expected - got
+        if missing:
+            return f"vertex {min(missing)} has no parent arc"
+        return f"unexpected vertex {min(got - expected)} in parent map"
+    for v in sorted(b.parent):
+        a, h = b.parent[v]
+        if not (0 <= a < d.n and 0 <= h < d.n) or not d.has_arc(a, h):
+            return f"parent arc ({a}, {h}) of {v} is not an arc of the digraph"
+        if b.kind == "out" and h != v:
+            return f"parent arc ({a}, {h}) of {v} must point at {v}"
+        if b.kind == "in" and a != v:
+            return f"parent arc ({a}, {h}) of {v} must start at {v}"
+    for v in range(d.n):
+        cur = v
+        steps = 0
+        while cur != b.root:
+            arc = b.parent[cur]
+            cur = arc[0] if b.kind == "out" else arc[1]
+            steps += 1
+            if steps > d.n:
+                return f"parent pointers from {v} never reach the root"
+    return None
 
 
 def out_cut(d: Digraph, x: int) -> int:

@@ -1,6 +1,7 @@
 """Branching verification, certificates, enumeration, exact search."""
 
 import collections
+import gc
 import hashlib
 import json
 import random
@@ -35,7 +36,10 @@ from oracles import (
     find_good_pair_exact_reference,
     good_pair_exists_bruteforce,
     rand_digraph,
+    verify_branching_reference,
 )
+
+N10 = Path(__file__).parent / "data" / "no_good_pair_n10.json"
 
 BI3 = Digraph(3, (0b110, 0b101, 0b011))
 C3 = Digraph(3, (0b010, 0b100, 0b001))
@@ -97,6 +101,29 @@ class TestVerifyBranching:
     def test_root_with_parent(self):
         b = Branching("out", 0, {0: (1, 0), 1: (0, 1), 2: (1, 2)})
         assert "root" in verify_branching(C3, b)
+
+    def test_matches_reference_on_corruptions(self):
+        """Same first violation as the quadratic reference, on seeded valid
+        branchings (random and path-shaped trees) and their corruptions."""
+        rng = random.Random(4242)
+        messages = ("out of range", "has a parent", "no parent", "unexpected",
+                    "not an arc", "must", "never reach")
+        seen = collections.Counter()
+        for i in range(3000):
+            n = rng.randint(1, 20)
+            kind = ("out", "in")[i & 1]
+            rows, b = _random_branching(rng, n, kind, path=i % 3 == 0)
+            d = Digraph(n, tuple(rows))
+            assert verify_branching(d, b) is None
+            assert verify_branching_reference(d, b) is None
+            for _ in range(rng.randint(1, 2)):
+                rows, b = _corrupt(rng, rows, b)
+            d = Digraph(n, tuple(rows))
+            got = verify_branching(d, b)
+            assert got == verify_branching_reference(d, b), (rows, b)
+            seen[next((m for m in messages if got and m in got), got)] += 1
+        assert set(seen) == {*messages, None}
+        assert min(seen.values()) > 50, seen
 
 
 class TestGoodPairVerification:
@@ -238,12 +265,84 @@ class TestExactSearch:
         assert res.status == "inconclusive"
         assert res.cert is None and res.nodes >= 1
 
+    def test_leaves_no_reference_cycle(self):
+        """A search frees its closure by reference counting alone, whether it
+        ends "found", "none" (the n = 10 fixture) or "inconclusive"."""
+        fixture = parse_digraph(json.loads(N10.read_text())["digraph6"])
+        found = [random_2arc_strong(GenModel("arc-minimal", 12, seed=derive_seed(7, i)))
+                 for i in range(20)]
+        gc.collect()
+        gc.disable()
+        try:
+            statuses = [find_good_pair_exact(d).status for d in found]
+            statuses.append(find_good_pair_exact(fixture).status)
+            statuses.append(find_good_pair_exact(fixture, node_budget=50).status)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert set(statuses[:-2]) == {"found"} and statuses[-2:] == ["none", "inconclusive"]
+
     def test_matches_bruteforce_on_triples(self):
         rng = random.Random(23)
         for _ in range(80):
             d = rand_digraph(rng, rng.randint(2, 4), rng.uniform(0.2, 1.0))
             res = find_good_pair_exact(d)
             assert (res.status == "found") == good_pair_exists_bruteforce(d)
+
+
+def _random_branching(rng, n, kind, path):
+    """Host rows plus a spanning branching of them: each vertex in a
+    shuffled order hangs from an earlier one (its predecessor when
+    ``path``), and extra arcs are added at a random density."""
+    order = list(range(n))
+    rng.shuffle(order)
+    rows = [0] * n
+    parent = {}
+    for i in range(1, n):
+        v = order[i]
+        p = order[i - 1] if path else order[rng.randrange(i)]
+        a, h = (p, v) if kind == "out" else (v, p)
+        parent[v] = (a, h)
+        rows[a] |= 1 << h
+    density = rng.choice((0.0, 0.1, 0.5))
+    for u in range(n):
+        for v in range(n):
+            if u != v and rng.random() < density:
+                rows[u] |= 1 << v
+    return rows, Branching(kind, order[0], parent)
+
+
+def _corrupt(rng, rows, b):
+    """One random defect: a wrong root, a missing or extra vertex, a
+    non-arc, a wrong direction, or a cycle of 2 or more parent pointers
+    whose arcs are added to the host, so that only the walk can see it."""
+    n = len(rows)
+    rows = list(rows)
+    root = b.root
+    parent = dict(b.parent)
+    others = [v for v in range(n) if v != root]
+    what = rng.choice(("root", "missing", "extra", "non-arc", "direction", "cycle", "cycle"))
+    if what == "root":
+        root = rng.choice([-1, n, *range(n)])
+    elif what == "missing" and parent:
+        del parent[rng.choice(sorted(parent))]
+    elif what == "extra":
+        parent[rng.choice((root, n))] = (0, 0)
+    elif what == "non-arc" and others:
+        v = rng.choice(others)
+        u = rng.choice((-1, n, *range(n)))
+        parent[v] = (u, v) if b.kind == "out" else (v, u)
+    elif what == "direction" and n > 2 and others:
+        v = rng.choice(others)
+        a, h = rng.sample([u for u in range(n) if u != v], 2)
+        parent[v] = (a, h)
+    elif what == "cycle" and len(others) > 1:
+        ring = rng.sample(others, rng.randint(2, len(others)))
+        for prev, v in zip(ring[-1:] + ring[:-1], ring):
+            a, h = (prev, v) if b.kind == "out" else (v, prev)
+            parent[v] = (a, h)
+            rows[a] |= 1 << h
+    return rows, Branching(b.kind, root, parent)
 
 
 def _terminal_comps(n, rows):

@@ -16,7 +16,8 @@ from goodpairs import (
     verify_branching,
     verify_dipath,
 )
-from goodpairs.digraph import from_arcs
+from goodpairs.connectivity import _max_flow, _short_paths
+from goodpairs.digraph import _in_rows, from_arcs
 
 from oracles import (
     arc_connectivity_reference,
@@ -187,6 +188,50 @@ class TestArcConnectivity:
     def test_rejects_bad_cap(self):
         with pytest.raises(ValueError, match="cap"):
             arc_connectivity(BI3, cap=0)
+
+
+class TestShortPaths:
+    def test_never_claims_more_than_the_flow(self):
+        """Sufficient only: every claim of k paths is backed by a flow of k,
+        on all ordered pairs of sparse and dense digraphs, k = 1..3."""
+        rng = random.Random(77)
+        claims = 0
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            d = rand_digraph(rng, n, rng.choice((0.1, 0.2, 0.3, 0.5, 0.8)))
+            rows, in_rows = d.out_adj, _in_rows(n, d.out_adj)
+            for s in range(n):
+                for t in range(n):
+                    if s == t:
+                        continue
+                    for k in (1, 2, 3):
+                        if _short_paths(rows, in_rows, s, t, k):
+                            claims += 1
+                            assert _max_flow(n, rows, s, t, cap=k)[0] == k, (d, s, t, k)
+        assert claims > 10_000
+
+    @pytest.mark.parametrize(
+        "arcs, k, claimed",
+        [
+            # the arc and the 2-paths through distinct middle vertices
+            ([(0, 1), (0, 2), (2, 1), (0, 3), (3, 1)], 3, True),
+            ([(0, 2), (2, 1), (0, 3), (3, 1)], 3, False),
+            # a 2-path plus a 3-path that avoids its middle vertex
+            ([(0, 2), (2, 1), (0, 3), (3, 4), (4, 1)], 2, True),
+            ([(0, 2), (2, 1), (0, 3), (3, 2)], 2, False),  # shares 2->1
+            # the arc plus a 3-path
+            ([(0, 1), (0, 3), (3, 4), (4, 1)], 2, True),
+            # two 3-paths with distinct first and distinct second vertices
+            ([(0, 2), (2, 4), (4, 1), (0, 3), (3, 5), (5, 1)], 2, True),
+            ([(0, 2), (2, 4), (4, 1), (0, 3), (3, 4)], 2, False),  # both via 4
+            ([(0, 2), (2, 4), (4, 1), (2, 5), (5, 1)], 2, False),  # both via 2
+        ],
+    )
+    def test_each_rule(self, arcs, k, claimed):
+        d = from_arcs(6, arcs)
+        rows, in_rows = d.out_adj, _in_rows(6, d.out_adj)
+        assert _short_paths(rows, in_rows, 0, 1, k) is claimed
+        assert _max_flow(6, rows, 0, 1, cap=k)[0] == (k if claimed else k - 1)
 
 
 class TestEdmonds:
