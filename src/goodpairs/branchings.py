@@ -10,16 +10,17 @@ Certificates carry one parent arc per non-root vertex and are checked by
 independent linear-time verifiers that never share code with the builders.
 
 The exact search (``find_good_pair_exact``) prunes a partial out-branching
-with three tests: every unreached vertex keeps a usable in-arc, every
-vertex stays reachable from the tree through usable arcs, and the residual
-(host minus tree arcs) keeps one terminal strong component.  A node reruns
-only the test its last step could have failed.  A root needs none: it
-reaches every vertex, and roots are tried only when the host has one
-terminal component.  After an arc is included, the first two carry over
-and only the terminal test runs, reduced to whether the arc's tail still
-reaches a carried vertex that every vertex reached before.  After an arc
-is excluded, the residual is one the node already passed, and only the
-excluded arc's head is tested for a usable in-arc and for reach.
+with two tests: every unreached vertex stays reachable from the tree
+through usable arcs, and the residual (host minus tree arcs) keeps one
+terminal strong component, T.  It runs as one loop over an explicit stack
+of frames, each holding a node's tree, its T, its mark in an undo log of
+excluded arcs, and the arc it has included for its child, so the search
+depth is not bounded by the interpreter's recursion limit.  A node reruns
+only the test its last step could have failed.  After an arc u->v is
+included, T survives iff u still reaches it when u lies outside T, and
+becomes u's reach when u lies inside.  After an arc is excluded, only the
+excluded arc's head is tested, by a walk backward over usable in-arcs that
+stops at the tree.
 """
 
 from __future__ import annotations
@@ -198,54 +199,37 @@ def cert_from_json(text: str) -> GoodPairCert:
 # exact search
 
 
-class _BudgetExceeded(Exception):
-    pass
+def _cut_terminal(res: list[int], u: int, term: VertexSet) -> VertexSet:
+    """The unique terminal strong component of ``res`` just after an arc out
+    of u was cleared from it, given ``term``, the unique one before; 0 when
+    there are now two or more.
 
-
-def _single_terminal(
-    rows: list[int], in_rows: list[int], full: VertexSet, t: int
-) -> tuple[bool, int]:
-    """Whether ``rows`` has exactly one terminal strong component.
-
-    Also returns a vertex of a terminal component, found by descending from
-    the hint ``t``: while some vertex reachable from t does not reach t, t
-    moves to the lowest such vertex.  The forward reach of t shrinks
-    strictly at each move, so the descent ends within n moves at a vertex
-    whose forward reach is its own (terminal) component.  There is exactly
-    one terminal component iff every vertex reaches that vertex.
+    No arc leaves ``term``.  If u lies outside it, ``term`` is still
+    strongly connected and terminal, and it stays the only one iff every
+    vertex still reaches it, which holds iff u does: a path to ``term``
+    that used the arc passes through u, and its part before u does not use
+    the arc.  Otherwise u's reach holds a second terminal component.  If u
+    lies inside, every vertex still reaches u, since a shortest path to u
+    takes no arc out of u.  The terminal component in u's reach is then
+    reached by every vertex, so it is the only one, and it contains u: it
+    is u's reach.  Only this case runs a full reach.
     """
-    while True:
-        back = _reach(in_rows, 1 << t, full)
-        if back == full:
-            return True, t
-        ahead = _reach(rows, 1 << t, full) & ~back
-        if not ahead:
-            return False, t
-        t = (ahead & -ahead).bit_length() - 1
+    ubit = 1 << u
+    if term & ubit:
+        return _reach(res, ubit, term)
+    return term if _reaches(res, ubit, term) else 0
 
 
-def _in_branching_completion(
-    res: list[int], res_in: list[int], full: int, root_in: int | None, hint: int
-) -> tuple[int, dict[int, tuple[int, int]]] | None:
-    """In-branching of the residual digraph, or None if none exists.
+def _in_branching(res: list[int], t: int) -> dict[int, tuple[int, int]]:
+    """Parent arcs of an in-branching of the residual rooted at t, a vertex
+    that every vertex reaches.
 
-    The residual has one exactly when its strong decomposition has a single
-    terminal component; the root must lie inside it, that is, every vertex
-    must reach the root.  Without a prescribed root, the root is the lowest
-    vertex of that component.  The lowest unsettled vertex with an arc into
-    the settled set joins next, by its arc to the lowest settled vertex;
-    ``ready`` holds those vertices and grows by each joiner's in-row.
+    The lowest unsettled vertex with an arc into the settled set joins next,
+    by its arc to the lowest settled vertex; ``ready`` holds those vertices
+    and grows by each joiner's in-row.  Every vertex reaches t, so every
+    vertex joins.
     """
-    if root_in is not None:
-        if _reach(res_in, 1 << root_in, full) != full:
-            return None
-        t = root_in
-    else:
-        single, t = _single_terminal(res, res_in, full, hint)
-        if not single:
-            return None
-        term = _reach(res, 1 << t, full)
-        t = (term & -term).bit_length() - 1
+    res_in = _in_rows(len(res), res)
     parent: dict[int, tuple[int, int]] = {}
     settled = 1 << t
     ready = res_in[t] & ~settled
@@ -256,9 +240,7 @@ def _in_branching_completion(
         parent[v] = (v, (hit & -hit).bit_length() - 1)
         settled |= vbit
         ready = (ready | res_in[v]) & ~settled
-    if settled != full:
-        return None  # unreachable when the terminal component is unique
-    return t, parent
+    return parent
 
 
 def find_good_pair_exact(
@@ -274,35 +256,49 @@ def find_good_pair_exact(
     lowest candidate arc (at the lowest tree vertex that has one) is either
     included in the tree or excluded from every tree of that subtree of the
     search, so no branching is visited twice.  A partial tree is abandoned
-    as soon as some unreached vertex loses its last usable in-arc, some
-    unreached vertex is no longer reachable through usable arcs, or the
+    as soon as some unreached vertex is no longer reachable from the tree
+    through usable arcs (neither tree arcs nor excluded ones), or the
     residual digraph (host minus tree arcs) stops having an in-branching,
     that is, stops having exactly one terminal strong component.
 
-    Each step reruns only the test that it could have made fail; the
-    others carry over from the state in which they last held:
+    The search is one loop over an explicit stack.  A frame holds a node's
+    tree, its terminal component T (the residual's unique one), the length
+    of the undo log of excluded arcs when the node was entered, and the arc
+    the node has included for the child being searched.  The node being
+    worked on keeps the same in local variables, plus its probe start: the
+    lowest tree vertex that may still have a candidate arc.  When a node
+    fails, its excluded arcs are restored from the log, and its parent
+    pops, restores the arc in the residual and excludes it.
 
-    - At a root r all three hold: r reaches every vertex, and roots are
-      tried only when the host has one terminal component.  Its lowest
-      vertex becomes the carried vertex t, which every vertex reaches.
-    - After including u->v, the first two follow: no usable in-arc was
-      lost, and a usable path through u->v can start at v, now in the
-      tree.  The residual lost u->v only.  Every vertex reached t before,
-      so every vertex still does iff u does; when u no longer reaches t,
-      ``_single_terminal`` descends from t.
-    - After excluding u->v, the residual is back where the node's terminal
-      test held, so that test follows.  Only v lost a usable in-arc: the
-      in-arc test looks at v alone, and the reach test holds iff v keeps
-      a usable in-arc from the tree or, failing that, is still reachable
-      through usable arcs.
+    Each step reruns only the test that it could have made fail:
 
-    t is replaced only by a test that passes, in a residual that the
-    residuals of the node's ancestors contain; so whenever a node resumes,
-    every vertex still reaches t in its residual, as the test after its
-    next include assumes.  The search tree, node count and certificate are
-    those of rerunning every test at every node.  Budget exhaustion yields
-    "inconclusive", which is distinct from the definitive "none" produced
-    by exhausting the whole search space.
+    - At a root r both hold: r reaches every vertex, and roots are tried
+      only when the host has one terminal component, which is T.
+    - After including u->v, the reach test still holds: a usable path
+      through u->v can start at v, now in the tree.  Only the terminal
+      test can fail, and ``_cut_terminal`` gives the child's T.  When u
+      lies outside T, T survives iff u still reaches it, which a reach
+      that stops at T's first vertex decides; when it does not, u's reach
+      holds a second terminal component and the node is pruned with no
+      further work.  When u lies inside T the test cannot fail, and one
+      full reach gives the new T.
+    - After excluding u->v, the residual is the node's own again, so its T
+      holds, and only v can have become unreachable.  A walk backward from
+      v over usable in-arcs that stops when it meets the tree decides
+      that.  It is the forward reach from the tree turned round: no tree
+      arc ends outside the tree, so the in-arcs of unreached vertices that
+      are not excluded are exactly their usable ones.
+
+    The probe is sound to start late: along a search path the tree only
+    grows and the usable arcs only shrink, so a tree vertex with no
+    candidate arc keeps none in every descendant and in every later
+    sibling.  A child's probe starts at min(u, v), and after an exclude
+    the node's probe restarts at u.  The search tree, node count and
+    certificate are those of rerunning every test at every node.  At a
+    leaf, the in-branching is rooted at ``root_in``, which must lie in T,
+    or else at T's lowest vertex; every vertex reaches it.  Budget
+    exhaustion yields "inconclusive", which is distinct from the
+    definitive "none" produced by exhausting the whole search space.
     """
     n = d.n
     full = d.full_mask
@@ -313,105 +309,79 @@ def find_good_pair_exact(
     if node_budget < 1:
         raise ValueError(f"node_budget must be at least 1, got {node_budget}")
     adj = list(d.out_adj)
-    in_all = _in_rows(n, adj)
-    roots = branching_roots(d, "out")
+    dec = strong_decomposition(d)
+    starts, ends = dec.initial_components(), dec.terminal_components()
+    roots = starts[0] if len(starts) == 1 else 0
     if root_out is not None:
         roots &= 1 << root_out
-    sinks = branching_roots(d, "in")
-    if root_in is not None:
-        sinks &= 1 << root_in
-    if not sinks:
+    host_term = ends[0] if len(ends) == 1 else 0
+    if not host_term or root_in is not None and not host_term >> root_in & 1:
         roots = 0
     nodes = 0
-    found: list[GoodPairCert] = []
 
-    res = list(adj)          # host arcs minus current tree arcs
-    res_in = list(in_all)    # in-rows of res
-    hint = (sinks & -sinks).bit_length() - 1  # a vertex every vertex reaches in res
-    avail = list(adj)        # res minus arcs excluded from the future tree
-    forb_in = [0] * n        # per head: tails whose arc was excluded
-    out_parent: dict[int, tuple[int, int]] = {}
-
-    def extend(tree: int) -> bool:
-        nonlocal nodes, hint
-        if tree == full:
-            done = _in_branching_completion(res, res_in, full, root_in, hint)
-            if done is None:
-                return False
-            t, in_parent = done
-            root = next(iter(set(range(n)) - set(out_parent))) if n > 1 else 0
-            found.append(
-                GoodPairCert(
-                    n,
-                    Branching("out", root, dict(out_parent)),
-                    Branching("in", t, in_parent),
-                )
-            )
-            return True
-        excluded: list[tuple[int, int]] = []
-        try:
-            while True:
-                probe = tree
+    res = list(adj)           # host arcs minus the tree's
+    avail = list(adj)         # res minus the excluded arcs
+    usable_in = _in_rows(n, adj)  # in-rows of the host minus the excluded arcs
+    log: list[tuple[int, int]] = []  # excluded arcs, restored when their node fails
+    stack: list[tuple[int, int, int, int, int]] = []  # (tree, T, log mark, u, v)
+    for r in bits(roots):
+        tree, term, mark, start = 1 << r, host_term, 0, r
+        while True:
+            cand = 0
+            if tree == full:
+                if root_in is None or term >> root_in & 1:
+                    t = (term & -term).bit_length() - 1 if root_in is None else root_in
+                    cert = GoodPairCert(
+                        n,
+                        Branching("out", r, {v: (u, v) for _, _, _, u, v in stack}),
+                        Branching("in", t, _in_branching(res, t)),
+                    )
+                    bad = verify_good_pair(d, cert)
+                    if bad:  # pragma: no cover - guards the builder
+                        raise AssertionError(f"solver emitted invalid certificate: {bad}")
+                    return SearchResult("found", cert, nodes)
+            else:
+                probe = tree >> start << start
                 while probe:
                     ubit = probe & -probe
-                    cand = avail[ubit.bit_length() - 1] & ~tree
+                    u = ubit.bit_length() - 1
+                    cand = avail[u] & ~tree
                     if cand:
                         break
                     probe ^= ubit
-                else:
-                    return False
+            if cand:
                 nodes += 1
                 if nodes > node_budget:
-                    raise _BudgetExceeded
-                u = ubit.bit_length() - 1
+                    return SearchResult("inconclusive", None, nodes)
                 vbit = cand & -cand
                 v = vbit.bit_length() - 1
-                res[u] &= ~vbit
-                res_in[v] &= ~ubit
-                avail[u] &= ~vbit
-                out_parent[v] = (u, v)
-                # include: only the terminal test can fail, and every vertex
-                # still reaches hint iff u does
-                ok = _reaches(res, ubit, 1 << hint)
-                if not ok:
-                    ok, t = _single_terminal(res, res_in, full, hint)
-                    if ok:
-                        hint = t
-                ok = ok and extend(tree | vbit)
+                res[u] ^= vbit
+                avail[u] ^= vbit
+                child = _cut_terminal(res, u, term)
+                if child:
+                    stack.append((tree, term, mark, u, v))
+                    tree |= vbit
+                    term = child
+                    mark = len(log)
+                    start = u if u < v else v
+                    continue
                 res[u] |= vbit
-                res_in[v] |= ubit
-                if ok:
-                    return True
-                del out_parent[v]
-                # exclude the arc from every remaining tree at this node;
-                # only v can fail the in-arc and reach tests
-                forb_in[v] |= ubit
-                excluded.append((u, v))
-                usable = in_all[v] & ~forb_in[v]
-                if not usable:
-                    return False
-                if not usable & tree and not _reaches(avail, tree, vbit):
-                    return False
-        finally:
-            for eu, ev in excluded:
-                avail[eu] |= 1 << ev
-                forb_in[ev] &= ~(1 << eu)
-
-    try:
-        for r in bits(roots):
-            out_parent.clear()
-            if extend(1 << r):
-                cert = found[-1]
-                bad = verify_good_pair(d, cert)
-                if bad:  # pragma: no cover - guards the builder
-                    raise AssertionError(f"solver emitted invalid certificate: {bad}")
-                return SearchResult("found", cert, nodes)
-    except _BudgetExceeded:
-        return SearchResult("inconclusive", None, nodes)
-    finally:
-        # extend calls itself through its own closure cell; emptying the
-        # cell lets reference counting free the closure and its state
-        del extend
+            else:
+                # the node fails: restore its exclusions, resume its parent
+                while len(log) > mark:
+                    eu, ev = log.pop()
+                    avail[eu] |= 1 << ev
+                    usable_in[ev] |= 1 << eu
+                if not stack:
+                    break
+                tree, term, mark, u, v = stack.pop()
+                ubit, vbit = 1 << u, 1 << v
+                res[u] |= vbit
+            # exclude u->v from every tree below this node; a start past
+            # every vertex fails the node when v is no longer reachable
+            usable_in[v] ^= ubit
+            log.append((u, v))
+            start = u if _reaches(usable_in, vbit, tree) else n
     return SearchResult("none", None, nodes)
 
 

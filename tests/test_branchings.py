@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,8 +28,9 @@ from goodpairs import (
     verify_branching,
     verify_good_pair,
 )
-from goodpairs.branchings import _single_terminal
-from goodpairs.digraph import _in_rows, from_arcs, parse_digraph, serialize_digraph
+from goodpairs import branchings
+from goodpairs.branchings import _cut_terminal
+from goodpairs.digraph import from_arcs, parse_digraph, serialize_digraph
 
 from oracles import (
     closure_sccs,
@@ -367,27 +369,29 @@ def digraphs_with_deletions(draw):
         rows.append(row)
     arcs = [(u, v) for u in range(n) for v in range(n) if rows[u] >> v & 1]
     doomed = draw(st.lists(st.sampled_from(arcs), max_size=len(arcs))) if arcs else []
-    return n, rows, doomed, draw(st.integers(0, n - 1))
+    return n, rows, doomed
+
+
+def _unique_terminal(n, rows):
+    terminal = _terminal_comps(n, rows)
+    return terminal[0] if len(terminal) == 1 else 0
 
 
 class TestSingleTerminal:
-    """The co-reach test of the exact search against the closure oracle."""
+    """The exact search's terminal-component update after each arc removal
+    against the closure oracle.  Removing arcs never lowers the number of
+    terminal components, so once it is 0 the update is not run again."""
 
     @given(digraphs_with_deletions())
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_scc_count(self, case):
-        n, rows, doomed, hint = case
-        full = (1 << n) - 1
-        in_rows = _in_rows(n, rows)
-        for step in range(len(doomed) + 1):
-            if step:
-                u, v = doomed[step - 1]
-                rows[u] &= ~(1 << v)
-                in_rows[v] &= ~(1 << u)
-            single, hint = _single_terminal(rows, in_rows, full, hint)
-            terminal = _terminal_comps(n, rows)
-            assert single == (len(terminal) == 1)
-            assert any(c >> hint & 1 for c in terminal)
+        n, rows, doomed = case
+        term = _unique_terminal(n, rows)
+        for u, v in doomed:
+            rows[u] &= ~(1 << v)
+            if term:
+                term = _cut_terminal(rows, u, term)
+            assert term == _unique_terminal(n, rows)
 
 
 def _outcome(res):
@@ -439,6 +443,72 @@ class TestIncrementalPruning:
             assert got[:2] == ("inconclusive", budget + 1)
             stopped += 1
         assert stopped > 100
+
+    def test_arc_minimal_large(self):
+        rng = random.Random(609)
+        statuses = collections.Counter()
+        for i in range(21):
+            n = 20 + i % 7
+            d = random_2arc_strong(GenModel("arc-minimal", n, 0.3, derive_seed(609, i)))
+            rooted = {"root_out": rng.randrange(n), "root_in": rng.randrange(n)}
+            for kw in ({}, rooted, {"node_budget": rng.randint(1, 5_000)}):
+                kw.setdefault("node_budget", 5_000)
+                got = _outcome(find_good_pair_exact(d, **kw))
+                want = _outcome(find_good_pair_exact_reference(d, **kw))
+                assert got == want, (serialize_digraph(d, "digraph6"), kw)
+                statuses[got[0]] += 1
+        assert statuses["found"] and statuses["inconclusive"]
+
+    def test_four_tournaments(self):
+        """All 64 labelled 4-tournaments, the seed searches of a digon-free
+        host, unrooted and at every pair of roots."""
+        pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        for pattern in range(64):
+            d = from_arcs(4, [(a, b) if pattern >> i & 1 else (b, a)
+                              for i, (a, b) in enumerate(pairs)])
+            for kw in [{}] + [{"root_out": r, "root_in": s} for r in range(4) for s in range(4)]:
+                got = _outcome(find_good_pair_exact(d, **kw))
+                assert got == _outcome(find_good_pair_exact_reference(d, **kw)), (pattern, kw)
+
+
+class TestSearchWork:
+    def test_full_reaches_per_node(self, monkeypatch):
+        """Every full reach of the search, a descent's included, goes through
+        the module name ``_reach``.  A reach that stops at the terminal
+        component decides an include whose tail lies outside it; only an
+        include inside it runs a full reach."""
+        calls = 0
+        reach = branchings._reach
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return reach(*args)
+
+        monkeypatch.setattr(branchings, "_reach", counted)
+        nodes = 0
+        for i in range(200):
+            d = random_2arc_strong(GenModel("arc-minimal", 20, 0.3, derive_seed(610, i)))
+            nodes += find_good_pair_exact(d).nodes
+        assert nodes > 10_000
+        assert calls <= 0.05 * nodes, (calls, nodes)
+
+    def test_no_recursion(self):
+        """The search keeps its path on a list, not on the interpreter stack:
+        a bidirected 62-cycle needs a path of 61 includes."""
+        d = from_arcs(62, [(v, (v + s) % 62) for v in range(62) for s in (1, -1)])
+        depth = 0
+        frame = sys._getframe()
+        while frame:
+            depth += 1
+            frame = frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            res = find_good_pair_exact(d)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (res.status, res.nodes) == ("found", 61)
 
 
 GOLDEN = Path(__file__).parent / "data" / "exact_search_golden.json"
