@@ -26,6 +26,7 @@ stops at the tree.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -172,25 +173,50 @@ def cert_to_json(cert: GoodPairCert) -> str:
     )
 
 
+# a parent key as str() writes an int: no plus sign, spaces, underscores or
+# leading zeros, so no two keys can name the same vertex
+_VERTEX_KEY = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:  # json gives bool for true/false, a subclass of int
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _branching_from_obj(kind: str, obj) -> Branching:
+    parent_obj = obj["parent"]
+    if not isinstance(parent_obj, dict):
+        raise ValueError(f"{kind} parent must be an object, got {parent_obj!r}")
+    parent = {}
+    for key, arc in parent_obj.items():
+        if not _VERTEX_KEY.fullmatch(key):
+            raise ValueError(f"{kind} parent key {key!r} is not a decimal integer")
+        if not isinstance(arc, list) or len(arc) != 2:
+            raise ValueError(f"{kind} parent arc of {key} must be a pair, got {arc!r}")
+        what = f"{kind} parent arc endpoint of {key}"
+        parent[int(key)] = (_json_int(arc[0], what), _json_int(arc[1], what))
+    return Branching(kind, _json_int(obj["root"], f"{kind} root"), parent)
+
+
 def cert_from_json(text: str) -> GoodPairCert:
+    """The certificate that ``cert_to_json`` wrote, read strictly.
+
+    n, both roots and every arc endpoint must be JSON integers (not
+    booleans, floats or strings), parent keys decimal integers and every
+    arc a list of two endpoints; nothing is coerced.  Anything else raises
+    ``ValueError("malformed certificate object: ...")``.  Whether the
+    certificate fits a digraph is ``verify_good_pair``'s question.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"certificate is not valid JSON: {exc}") from None
     try:
-        n = int(obj["n"])
-        out_obj, in_obj = obj["out"], obj["in"]
-        out = Branching(
-            "out",
-            int(out_obj["root"]),
-            {int(v): (int(a[0]), int(a[1])) for v, a in out_obj["parent"].items()},
-        )
-        in_ = Branching(
-            "in",
-            int(in_obj["root"]),
-            {int(v): (int(a[0]), int(a[1])) for v, a in in_obj["parent"].items()},
-        )
-    except (AttributeError, KeyError, TypeError, IndexError, ValueError) as exc:
+        n = _json_int(obj["n"], "n")
+        out = _branching_from_obj("out", obj["out"])
+        in_ = _branching_from_obj("in", obj["in"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed certificate object: {exc}") from None
     return GoodPairCert(n, out, in_)
 

@@ -3,13 +3,15 @@
 One verb per library entry point.  Digraphs are read from a file argument
 ("-" for stdin) in either supported text format, which is sniffed.  Exit
 codes: 0 success or certificate found, 1 a definitive negative answer,
-2 search gave up within its budget, 3 malformed input or arguments.
+2 search gave up within its budget, 3 malformed input or arguments, 141
+the reader of standard output closed it early (as after SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -29,6 +31,7 @@ EXIT_OK = 0
 EXIT_NONE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process the signal killed
 
 
 class _Parser(argparse.ArgumentParser):
@@ -326,6 +329,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader went away (`goodpairs enum --n 4 | head -1`): say nothing,
+        # and send what is still buffered to devnull so the interpreter's
+        # last flush of stdout cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

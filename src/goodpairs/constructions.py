@@ -551,13 +551,15 @@ def _absorb(
     """``absorb_external_vertices`` on a certificate its caller has verified.
 
     cert_q is a good pair of D[Q] numbered as ``induced_subdigraph``
-    numbers it, Q's members ascending; in_rows are the in-rows of d.  The
-    certificate built on D[Q | X] is verified here, once.
+    numbers it, Q's members ascending; in_rows are the in-rows of d.  A
+    vertex's index in D[Q | X] is its rank there, the number of members
+    below it: one pass over the vertex map renumbers cert_q, and each
+    attached arc's endpoints are ranked by a popcount.  The certificate
+    built on D[Q | X] is verified here, once.
     """
     target = q_set | x_set
     h, vmap = induced_subdigraph(d, target)
-    index = {v: i for i, v in enumerate(vmap)}
-    q_index = [index[v] for v in bits(q_set)]
+    q_index = [i for i, v in enumerate(vmap) if q_set >> v & 1]
 
     root_out = q_index[cert_q.out.root]
     out_parent = {
@@ -576,10 +578,9 @@ def _absorb(
             ins = in_rows[v] & covered
             outs = d.out_adj[v] & covered
             if ins and outs:
-                u = (ins & -ins).bit_length() - 1
-                w = (outs & -outs).bit_length() - 1
-                out_parent[index[v]] = (index[u], index[v])
-                in_parent[index[v]] = (index[v], index[w])
+                i = (target & ((1 << v) - 1)).bit_count()
+                out_parent[i] = ((target & ((ins & -ins) - 1)).bit_count(), i)
+                in_parent[i] = (i, (target & ((outs & -outs) - 1)).bit_count())
                 covered |= 1 << v
                 attached |= 1 << v
         if not attached:
@@ -898,34 +899,83 @@ def _digon_cert() -> GoodPairCert:
     )
 
 
-def _seed_subdigraph(d: Digraph) -> tuple[VertexSet, GoodPairCert, str] | None:
+# the six pairs of a 4-set in lexicographic order; bit i of a 4-tournament's
+# key is set when pair i points from its lower to its higher member
+_PAIRS4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _tournament4(key: int) -> Digraph:
+    """The labelled 4-tournament with the given key."""
+    rows = [0, 0, 0, 0]
+    for i, (a, b) in enumerate(_PAIRS4):
+        if key >> i & 1:
+            rows[a] |= 1 << b
+        else:
+            rows[b] |= 1 << a
+    return Digraph(4, tuple(rows))
+
+
+def _tournament4_certs() -> tuple[GoodPairCert, ...]:
+    """The exact search's good pair of each of the 64 labelled 4-tournaments,
+    indexed by key; every one of them has a good pair."""
+    certs = []
+    for key in range(64):
+        res = find_good_pair_exact(_tournament4(key))
+        if res.status != "found":  # pragma: no cover - all 64 have a good pair
+            raise AssertionError(f"4-tournament {key} has no good pair")
+        certs.append(res.cert)
+    return tuple(certs)
+
+
+_TOURNAMENT4_CERTS = _tournament4_certs()
+
+
+def _seed_subdigraph(
+    d: Digraph, in_rows: Sequence[int]
+) -> tuple[VertexSet, GoodPairCert, str] | None:
     """Smallest sub-digraph with a good pair: a digon, else 4 vertices.
 
     A good pair on k vertices uses 2(k - 1) distinct arcs.  Without a digon
     3 vertices carry at most 3 arcs, and 4 vertices carry 6 only when every
-    two of them are joined; so after the digon check the candidates are the
-    4-cliques of the underlying graph, tried in lexicographic order.
+    two of them are joined, that is when they induce a tournament.  All 64
+    labelled 4-tournaments have a good pair, so after the digon check the
+    seed is the lexicographically first 4-clique of the underlying graph,
+    its certificate looked up in ``_TOURNAMENT4_CERTS`` (numbered as
+    ``induced_subdigraph`` numbers D[Q]) and copied, so the caller owns it.
+    ``in_rows`` are the in-rows of d.
     """
     n = d.n
-    in_rows = _in_rows(n, d.out_adj)
+    rows = d.out_adj
     for u in range(n):
-        both = d.out_adj[u] & in_rows[u] & ~((1 << (u + 1)) - 1)
+        both = rows[u] & in_rows[u] & ~((1 << (u + 1)) - 1)
         if both:
             v = (both & -both).bit_length() - 1
             return (1 << u) | (1 << v), _digon_cert(), f"digon {u}-{v}"
-    joined = [d.out_adj[v] | in_rows[v] for v in range(n)]
+    joined = [rows[v] | in_rows[v] for v in range(n)]
     for a in range(n):
         above_a = joined[a] & ~((2 << a) - 1)
         for b in bits(above_a):
             above_b = above_a & joined[b] & ~((2 << b) - 1)
             for c in bits(above_b):
                 above_c = above_b & joined[c] & ~((2 << c) - 1)
-                for e in bits(above_c):
+                if above_c:
+                    e = (above_c & -above_c).bit_length() - 1
+                    key = (
+                        (rows[a] >> b & 1)
+                        | (rows[a] >> c & 1) << 1
+                        | (rows[a] >> e & 1) << 2
+                        | (rows[b] >> c & 1) << 3
+                        | (rows[b] >> e & 1) << 4
+                        | (rows[c] >> e & 1) << 5
+                    )
+                    cert = _TOURNAMENT4_CERTS[key]
+                    copy = GoodPairCert(
+                        4,
+                        Branching("out", cert.out.root, dict(cert.out.parent)),
+                        Branching("in", cert.in_.root, dict(cert.in_.parent)),
+                    )
                     mask = 1 << a | 1 << b | 1 << c | 1 << e
-                    h, _ = induced_subdigraph(d, mask)
-                    res = find_good_pair_exact(h)
-                    if res.status == "found":
-                        return mask, res.cert, f"4-vertex base with {h.m} arcs"
+                    return mask, copy, "4-vertex base with 6 arcs"
     return None
 
 
@@ -949,7 +999,7 @@ def reduce_and_lift(
     full = d.full_mask
     in_rows = _in_rows(n, d.out_adj)
 
-    seeded = _seed_subdigraph(d)
+    seeded = _seed_subdigraph(d, in_rows)
     if seeded is not None:
         q_set, cert, note = seeded
         steps.append(TraceStep("small-base", q_set, note))
@@ -962,7 +1012,7 @@ def reduce_and_lift(
             if candidate is None:
                 break
             # cert is a good pair of D[Q]: the seed's by the digon or the
-            # search, every later one verified by _absorb when it was built
+            # table, every later one verified by _absorb when it was built
             cert = _absorb(d, q_set, cert, 1 << candidate, in_rows)
             q_set |= 1 << candidate
             steps.append(TraceStep("absorb", q_set, f"attached vertex {candidate}"))

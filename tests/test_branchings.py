@@ -104,6 +104,33 @@ class TestVerifyBranching:
         b = Branching("out", 0, {0: (1, 0), 1: (0, 1), 2: (1, 2)})
         assert "root" in verify_branching(C3, b)
 
+    @pytest.mark.parametrize("kind", ["out", "in"])
+    def test_walk_is_linear_on_a_path(self, kind):
+        """Each vertex is walked through once: on a path-shaped branching a
+        walk that never marks vertices settled takes about n^2 / 2 steps."""
+        n = 62
+        d = from_arcs(n, [(v, v + s) for v in range(n) for s in (1, -1) if 0 <= v + s < n])
+        if kind == "out":
+            b = Branching("out", 0, {v: (v - 1, v) for v in range(1, n)})
+        else:
+            b = Branching("in", n - 1, {v: (v, v + 1) for v in range(n - 1)})
+        code = verify_branching.__code__
+        lines = 0
+
+        def local(frame, event, arg):
+            nonlocal lines
+            lines += event == "line"
+            return local
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+        try:
+            got = verify_branching(d, b)
+        finally:
+            sys.settrace(previous)
+        assert got is None
+        assert 0 < lines <= 25 * n, lines
+
     def test_matches_reference_on_corruptions(self):
         """Same first violation as the quadratic reference, on seeded valid
         branchings (random and path-shaped trees) and their corruptions."""
@@ -188,6 +215,72 @@ class TestCertJson:
                            "in": {"root": 0, "parent": {}}})
         with pytest.raises(ValueError, match="malformed certificate object"):
             cert_from_json(text)
+
+
+# the bidirected path 0-1-2 and a good pair of it, as cert_to_json writes it
+PATH3 = Digraph(3, (0b010, 0b101, 0b010))
+PATH3_CERT = {"n": 3, "out": {"root": 0, "parent": {"1": [0, 1], "2": [1, 2]}},
+              "in": {"root": 0, "parent": {"1": [1, 0], "2": [2, 1]}}}
+
+
+def _edited(path, value):
+    """PATH3_CERT as JSON text with the field at ``path`` set to ``value``."""
+    root = json.loads(json.dumps(PATH3_CERT))
+    obj = root
+    *keys, last = path
+    for k in keys:
+        obj = obj[k]
+    obj[last] = value
+    return json.dumps(root)
+
+
+class TestCertJsonStrict:
+    def test_untouched_certificate_parses_and_verifies(self):
+        assert verify_good_pair(PATH3, cert_from_json(json.dumps(PATH3_CERT))) is None
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("n",), "3"),
+            (("n",), 3.0),
+            (("n",), True),
+            (("out", "root"), 0.9),
+            (("out", "root"), False),
+            (("in", "root"), "0"),
+            (("out", "parent", "1"), [0, 1.7]),
+            (("in", "parent", "2"), [2, "1"]),
+            (("in", "parent", "2"), [2, True]),
+            (("out", "parent", "2"), [1, 2, 0]),
+            (("out", "parent", "2"), [1]),
+            (("out", "parent", "2"), "12"),
+            (("out", "parent", "2"), {"0": 1, "1": 2}),
+            (("out", "parent", "01"), [1, 2]),
+            (("out", "parent", " 1"), [1, 2]),
+            (("out", "parent", "+1"), [1, 2]),
+            (("out", "parent", "1.0"), [1, 2]),
+            (("out", "parent", "-0"), [1, 2]),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, path, value):
+        with pytest.raises(ValueError, match="malformed certificate object"):
+            cert_from_json(_edited(path, value))
+
+    def test_coercible_certificate_rejected(self):
+        # int() would turn every field back into the valid good pair above
+        obj = json.loads(json.dumps(PATH3_CERT))
+        obj["n"] = "3"
+        obj["out"]["root"] = 0.9
+        obj["out"]["parent"]["1"] = [0, 1.7]
+        obj["in"]["parent"]["2"] = [2, "1"]
+        with pytest.raises(ValueError, match="malformed certificate object"):
+            cert_from_json(json.dumps(obj))
+
+    def test_negative_vertex_parses_and_fails_verification(self):
+        # a well-formed certificate that names no vertex of the digraph is
+        # invalid, not malformed
+        cert = cert_from_json(_edited(("out", "parent", "-1"), [1, 2]))
+        assert -1 in cert.out.parent
+        assert verify_good_pair(PATH3, cert) is not None
 
 
 class TestEnumerateBranchings:

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +144,22 @@ class TestVerify:
         assert main(["verify", bi3_file, str(cf)]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_coercible_certificate_exits_3(self, tmp_path, capsys):
+        # on the bidirected path 0-1-2, int() would coerce these fields into
+        # a valid good pair
+        df = tmp_path / "path3.txt"
+        df.write_text("3\n0 1\n1 0\n1 2\n2 1\n")
+        cf = tmp_path / "cert.json"
+        cf.write_text(json.dumps({
+            "n": "3",
+            "out": {"root": 0.9, "parent": {"1": [0, 1.7], "2": [1, 2]}},
+            "in": {"root": 0, "parent": {"1": [1, 0], "2": [2, "1"]}},
+        }))
+        assert main(["verify", str(df), str(cf)]) == 3
+        captured = capsys.readouterr()
+        assert "malformed certificate object" in captured.err
+        assert "certificate valid" not in captured.out
+
     def test_parent_not_an_object(self, bi3_file, tmp_path, capsys):
         cf = tmp_path / "cert.json"
         cf.write_text(json.dumps({"n": 3, "out": {"root": 0, "parent": []},
@@ -258,6 +278,28 @@ class TestErrors:
             main(["sweep", "--n", "5", "--count", "1", "--seed", "1", "--jobs", jobs])
         assert exc.value.code == 3
         assert "--jobs" in capsys.readouterr().err
+
+    def test_closed_pipe_exits_141_silently(self):
+        # the output (2^21 tournaments) is far larger than a pipe buffer, so
+        # closing the read end after one line makes a later write fail
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "goodpairs.cli", "enum", "--n", "7", "--tournaments"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert first.startswith(b"&")
+        assert err == b""
+        assert code == 141
 
     def test_bad_gen_kind_exits_3(self):
         with pytest.raises(SystemExit) as exc:

@@ -39,11 +39,14 @@ from goodpairs import (
 )
 from goodpairs import constructions
 from goodpairs.constructions import (
+    _PAIRS4,
+    _TOURNAMENT4_CERTS,
     _end_comps,
     _in_forest,
     _seed_subdigraph,
     _select_with_artifacts,
     _Sides,
+    _tournament4,
 )
 from goodpairs.digraph import _in_rows, from_arcs
 
@@ -218,11 +221,11 @@ class TestAbsorption:
             absorb_external_vertices(d, 0b011, broken, x_set)
 
     def test_pipeline_verifies_each_step_once(self, monkeypatch):
-        # a tournament has no digon and every 4-vertex tournament has a good
-        # pair, so the seed scan induces one sub-digraph; absorb closes the
-        # rest one vertex per step
+        # a tournament has no digon, so the seed is its first 4-clique, whose
+        # good pair comes from the table with no search and no induced
+        # sub-digraph; absorb closes the rest one vertex per step
         calls = collections.Counter()
-        for name in ("verify_good_pair", "induced_subdigraph"):
+        for name in ("verify_good_pair", "induced_subdigraph", "find_good_pair_exact"):
             def counted(*args, _real=getattr(constructions, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
@@ -233,7 +236,8 @@ class TestAbsorption:
         assert res.status == "found" and trace.steps[-1].rule == "absorb"
         steps = sum(s.rule == "absorb" for s in trace.steps)
         assert steps == 16
-        assert calls == {"verify_good_pair": steps, "induced_subdigraph": steps + 1}
+        assert calls == {"verify_good_pair": steps, "induced_subdigraph": steps}
+        assert calls["find_good_pair_exact"] == 0
 
 
 SPARE_BASE = PAIRING_ARCS  # Q={0,1}, X={2,3}, Y={4,5}, w=6
@@ -406,7 +410,7 @@ def _has_digon(d):
 
 class TestSeedScan:
     def _check(self, d):
-        got = _seed_subdigraph(d)
+        got = _seed_subdigraph(d, _in_rows(d.n, d.out_adj))
         assert (None if got is None else (got[0], got[2])) == seed_subdigraph_reference(d)
         if got is not None:
             h, _ = induced_subdigraph(d, got[0])
@@ -418,6 +422,23 @@ class TestSeedScan:
         for n in range(5, 13):
             for i in range(4):
                 self._check(random_2arc_strong(GenModel(kind, n, 0.3, derive_seed(31, 100 * n + i))))
+
+    def test_tournament4_table_holds_the_exact_search_certificates(self):
+        for key, cert in enumerate(_TOURNAMENT4_CERTS):
+            h = _tournament4(key)
+            assert [h.has_arc(a, b) for a, b in _PAIRS4] == [bool(key >> i & 1) for i in range(6)]
+            assert cert_to_json(cert) == cert_to_json(find_good_pair_exact(h).cert)
+            assert verify_good_pair(h, cert) is None
+        assert len(_TOURNAMENT4_CERTS) == 64
+
+    def test_seed_certificate_is_a_copy(self):
+        # a caller may edit the seed's certificate without touching the table
+        d = _tournament4(0b101101)
+        _, cert, note = _seed_subdigraph(d, _in_rows(4, d.out_adj))
+        assert note == "4-vertex base with 6 arcs"
+        assert cert == _TOURNAMENT4_CERTS[0b101101]
+        cert.out.parent.clear()
+        assert len(_TOURNAMENT4_CERTS[0b101101].out.parent) == 3
 
     def test_matches_subset_scan_on_digon_free_arc_minimal(self):
         found = missed = 0
