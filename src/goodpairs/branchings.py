@@ -21,6 +21,12 @@ included, T survives iff u still reaches it when u lies outside T, and
 becomes u's reach when u lies inside.  After an arc is excluded, only the
 excluded arc's head is tested, by a walk backward over usable in-arcs that
 stops at the tree.
+
+The search reads the host's in-rows three times: for its strong
+decomposition, as the usable in-rows of the exclude test, and at the leaf,
+where the residual's in-rows are the host's minus the tree arcs.
+``find_good_pair_exact`` builds them; ``reduce_and_lift``, which holds
+them already, passes its own to ``_find_good_pair_exact``.
 """
 
 from __future__ import annotations
@@ -30,7 +36,16 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .digraph import Digraph, VertexSet, _in_rows, _reach, _reaches, bits, strong_decomposition
+from .digraph import (
+    Digraph,
+    VertexSet,
+    _in_rows,
+    _reach,
+    _reaches,
+    _strong_decomposition,
+    bits,
+    strong_decomposition,
+)
 
 DEFAULT_NODE_BUDGET = 250_000
 
@@ -174,8 +189,20 @@ def cert_to_json(cert: GoodPairCert) -> str:
 
 
 # a parent key as str() writes an int: no plus sign, spaces, underscores or
-# leading zeros, so no two keys can name the same vertex
+# leading zeros, so two keys name the same vertex only when they are equal
+# strings, which _unique_keys rejects
 _VERTEX_KEY = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; a key given twice raises ValueError
+    instead of the later value silently replacing the earlier one."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _json_int(value, what: str) -> int:
@@ -204,14 +231,17 @@ def cert_from_json(text: str) -> GoodPairCert:
 
     n, both roots and every arc endpoint must be JSON integers (not
     booleans, floats or strings), parent keys decimal integers and every
-    arc a list of two endpoints; nothing is coerced.  Anything else raises
+    arc a list of two endpoints; nothing is coerced, and no object may
+    name a key twice.  Anything else raises
     ``ValueError("malformed certificate object: ...")``.  Whether the
     certificate fits a digraph is ``verify_good_pair``'s question.
     """
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"certificate is not valid JSON: {exc}") from None
+    except ValueError as exc:  # from _unique_keys
+        raise ValueError(f"malformed certificate object: {exc}") from None
     try:
         n = _json_int(obj["n"], "n")
         out = _branching_from_obj("out", obj["out"])
@@ -246,16 +276,15 @@ def _cut_terminal(res: list[int], u: int, term: VertexSet) -> VertexSet:
     return term if _reaches(res, ubit, term) else 0
 
 
-def _in_branching(res: list[int], t: int) -> dict[int, tuple[int, int]]:
+def _in_branching(res: list[int], res_in: list[int], t: int) -> dict[int, tuple[int, int]]:
     """Parent arcs of an in-branching of the residual rooted at t, a vertex
-    that every vertex reaches.
+    that every vertex reaches; ``res_in`` are the residual's in-rows.
 
     The lowest unsettled vertex with an arc into the settled set joins next,
     by its arc to the lowest settled vertex; ``ready`` holds those vertices
     and grows by each joiner's in-row.  Every vertex reaches t, so every
     vertex joins.
     """
-    res_in = _in_rows(len(res), res)
     parent: dict[int, tuple[int, int]] = {}
     settled = 1 << t
     ready = res_in[t] & ~settled
@@ -327,15 +356,33 @@ def find_good_pair_exact(
     definitive "none" produced by exhausting the whole search space.
     """
     n = d.n
-    full = d.full_mask
     if root_out is not None and not 0 <= root_out < n:
         raise ValueError(f"root_out {root_out} out of range")
     if root_in is not None and not 0 <= root_in < n:
         raise ValueError(f"root_in {root_in} out of range")
     if node_budget < 1:
         raise ValueError(f"node_budget must be at least 1, got {node_budget}")
+    return _find_good_pair_exact(d, _in_rows(n, d.out_adj), root_out, root_in, node_budget)
+
+
+def _find_good_pair_exact(
+    d: Digraph,
+    in_rows: list[int],
+    root_out: int | None = None,
+    root_in: int | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> SearchResult:
+    """``find_good_pair_exact`` on checked arguments, given d's in-rows,
+    which it does not modify.
+
+    The roots and the host's terminal component come from a strong
+    decomposition over the carried rows, and the leaf's residual in-rows
+    are ``in_rows`` minus the tree arcs, so no in-rows are rebuilt.
+    """
+    n = d.n
+    full = d.full_mask
     adj = list(d.out_adj)
-    dec = strong_decomposition(d)
+    dec = _strong_decomposition(n, adj, in_rows)
     starts, ends = dec.initial_components(), dec.terminal_components()
     roots = starts[0] if len(starts) == 1 else 0
     if root_out is not None:
@@ -347,7 +394,7 @@ def find_good_pair_exact(
 
     res = list(adj)           # host arcs minus the tree's
     avail = list(adj)         # res minus the excluded arcs
-    usable_in = _in_rows(n, adj)  # in-rows of the host minus the excluded arcs
+    usable_in = list(in_rows)  # in-rows of the host minus the excluded arcs
     log: list[tuple[int, int]] = []  # excluded arcs, restored when their node fails
     stack: list[tuple[int, int, int, int, int]] = []  # (tree, T, log mark, u, v)
     for r in bits(roots):
@@ -357,10 +404,13 @@ def find_good_pair_exact(
             if tree == full:
                 if root_in is None or term >> root_in & 1:
                     t = (term & -term).bit_length() - 1 if root_in is None else root_in
+                    res_in = list(in_rows)
+                    for _, _, _, u, v in stack:
+                        res_in[v] ^= 1 << u
                     cert = GoodPairCert(
                         n,
                         Branching("out", r, {v: (u, v) for _, _, _, u, v in stack}),
-                        Branching("in", t, _in_branching(res, t)),
+                        Branching("in", t, _in_branching(res, res_in, t)),
                     )
                     bad = verify_good_pair(d, cert)
                     if bad:  # pragma: no cover - guards the builder

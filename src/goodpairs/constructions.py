@@ -13,6 +13,11 @@ same pattern or attach vertices directly.
 pair, grow it by absorption, close with pairing / spare vertex, fall back
 to a Hamilton-path split on orientations, and finally to exhaustive
 search.  Each applied rule appends one step to a replayable trace.
+
+``reduce_and_lift`` builds the host's in-rows once and hands them to every
+step: the seed scan, each absorb step, the pairing and spare-vertex steps
+and the exact fallback.  Each public rule checks its input (the good pair
+of D[Q] included) and then runs the same private step.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .branchings import (
     DEFAULT_NODE_BUDGET,
     GoodPairCert,
     SearchResult,
+    _find_good_pair_exact,
     find_good_pair_exact,
     reverse_cert,
     verify_good_pair,
@@ -35,10 +41,10 @@ from .digraph import (
     Dipath,
     VertexSet,
     _in_rows,
+    _strong_decomposition,
     bits,
     induced_subdigraph,
     mask_of,
-    strong_decomposition,
     verify_dipath,
 )
 
@@ -196,23 +202,27 @@ def _in_forest(
 
 
 def _end_comps(
-    rows: Sequence[int], *sides: VertexSet
+    rows: Sequence[int], in_rows: Sequence[int], *sides: VertexSet
 ) -> tuple[list[VertexSet], list[VertexSet]]:
     """Initial and terminal strong components of the digraphs induced on
-    the disjoint ``sides``, as host masks ordered by lowest member.
+    the disjoint ``sides``, as host masks ordered by lowest member;
+    ``in_rows`` are the in-rows of ``rows``.
 
-    One decomposition serves every side: each row is masked to the side
-    of its tail, so no arc joins two sides and each component, with its
-    initial and terminal flags, is one of the induced digraph of its side.
+    One decomposition serves every side: each row and each in-row is
+    masked to the side of its vertex, so no arc joins two sides and each
+    component, with its initial and terminal flags, is one of the induced
+    digraph of its side.
     """
     n = len(rows)
     masked = [0] * n
+    masked_in = [0] * n
     inside = 0
     for side in sides:
         inside |= side
         for u in bits(side):
             masked[u] = rows[u] & side
-    dec = strong_decomposition(Digraph(n, tuple(masked)))
+            masked_in[u] = in_rows[u] & side
+    dec = _strong_decomposition(n, masked, masked_in)
 
     def ends(flags: tuple[bool, ...]) -> list[VertexSet]:
         # vertices outside every side are isolated there: drop those singletons
@@ -241,7 +251,7 @@ class _Sides:
     def build(
         cls, rows: Sequence[int], in_rows: Sequence[int], x_set: VertexSet, y_set: VertexSet
     ) -> "_Sides":
-        initial, terminal = _end_comps(rows, x_set, y_set)
+        initial, terminal = _end_comps(rows, in_rows, x_set, y_set)
         comps_x = [c for c in initial if c & x_set]
         comps_y = [c for c in terminal if c & y_set]
         return cls(rows, in_rows, x_set, y_set, comps_x, comps_y)
@@ -397,10 +407,10 @@ def _check_condition(din: list[int], dout: list[int]) -> tuple[bool, int | None]
 
 def _pairing_prologue(
     d: Digraph, q_set: VertexSet, cert_q: GoodPairCert
-) -> tuple[tuple[int, ...], list[int], VertexSet, VertexSet]:
-    """Checks shared by the pairing rules: the good pair of D[Q], then
-    disjoint neighbourhoods.  Returns (D[Q]'s vertex map, in-rows, X, Y)."""
-    h, vmap = induced_subdigraph(d, q_set)
+) -> tuple[list[int], VertexSet, VertexSet]:
+    """Checks shared by the public pairing rules: the good pair of D[Q],
+    then disjoint neighbourhoods.  Returns (in-rows, X, Y)."""
+    h, _ = induced_subdigraph(d, q_set)
     bad = verify_good_pair(h, cert_q)
     if bad:
         raise ValueError(f"certificate for D[Q] invalid: {bad}")
@@ -408,7 +418,7 @@ def _pairing_prologue(
     x_set, y_set = _neighbourhoods(d.out_adj, in_rows, q_set)
     if x_set & y_set:
         raise ValueError("in- and out-neighbourhoods of Q overlap")
-    return vmap, in_rows, x_set, y_set
+    return in_rows, x_set, y_set
 
 
 def component_pairing(
@@ -425,12 +435,26 @@ def component_pairing(
     """
     if q_set == 0 or q_set & ~d.full_mask:
         raise ValueError("Q must be a nonempty vertex set of the digraph")
-    vmap, in_rows, x_set, y_set = _pairing_prologue(d, q_set, cert_q)
+    in_rows, x_set, y_set = _pairing_prologue(d, q_set, cert_q)
     if q_set == d.full_mask:
         return cert_q
     if (x_set | y_set) != d.full_mask & ~q_set:
         raise ValueError("neighbourhoods of Q must cover every external vertex")
+    return _component_pairing(d, in_rows, q_set, cert_q, x_set, y_set)
 
+
+def _component_pairing(
+    d: Digraph,
+    in_rows: Sequence[int],
+    q_set: VertexSet,
+    cert_q: GoodPairCert,
+    x_set: VertexSet,
+    y_set: VertexSet,
+) -> GoodPairCert | ConditionNotMet:
+    """``component_pairing`` on checked input: cert_q is a good pair of
+    D[Q], in_rows are d's in-rows, and X, Y are Q's disjoint in- and
+    out-neighbourhoods covering every vertex outside Q, a proper subset.
+    The certificate it builds is verified here, once."""
     sides = _Sides.build(d.out_adj, in_rows, x_set, y_set)
     comps_x, comps_y = sides.comps_x, sides.comps_y
     din, dout = _cross_degrees(sides)
@@ -438,13 +462,11 @@ def component_pairing(
     cert = None
     ok, deficient = _check_condition(din, dout)
     if ok:
-        cert = _assemble_pairing(sides, q_set, cert_q, vmap, deficient or 0)
+        cert = _assemble_pairing(sides, q_set, cert_q, deficient or 0)
     # dual orientation: allow the deficient component on the Y side
     ok2, deficient2 = _check_condition(dout, din)
     if cert is None and ok2:
-        rcert = _assemble_pairing(
-            sides.reversed(), q_set, reverse_cert(cert_q), vmap, deficient2 or 0
-        )
+        rcert = _assemble_pairing(sides.reversed(), q_set, reverse_cert(cert_q), deficient2 or 0)
         cert = None if rcert is None else reverse_cert(rcert)
     if cert is not None:
         return _checked(d, cert, "component pairing")
@@ -474,21 +496,22 @@ def _assemble_pairing(
     s: _Sides,
     q_set: VertexSet,
     cert_q: GoodPairCert,
-    vmap: tuple[int, ...],
     start: int,
     skip_direct: VertexSet = 0,
 ) -> GoodPairCert | None:
     """Condition-one assembly: the deficient component (if any) is
     ``s.comps_x[start]``.
 
-    Vertices in ``skip_direct`` take part in the selection and forests but
-    get no direct arc to or from Q; the caller supplies their missing arc.
-    The caller verifies the certificate.
+    cert_q is numbered as ``induced_subdigraph`` numbers D[Q], Q's members
+    ascending.  Vertices in ``skip_direct`` take part in the selection and
+    forests but get no direct arc to or from Q; the caller supplies their
+    missing arc.  The caller verifies the certificate.
     """
     art = _select_with_artifacts(s, start)
     if art is None:
         return None
 
+    vmap = tuple(bits(q_set))
     root_out, out_parent = _lift_branching(cert_q.out, vmap)
     for y in bits(s.y_set & ~skip_direct):
         q = s.in_rows[y] & q_set
@@ -621,21 +644,36 @@ def pair_with_spare_vertex(
         raise ValueError(f"vertex {w} out of range")
     if q_set >> w & 1:
         raise ValueError("w must lie outside Q")
-    vmap, in_rows, x_set, y_set = _pairing_prologue(d, q_set, cert_q)
+    in_rows, x_set, y_set = _pairing_prologue(d, q_set, cert_q)
     wbit = 1 << w
     if (x_set | y_set) & wbit:
         raise ValueError("w must lie outside the neighbourhoods of Q")
     if (q_set | x_set | y_set | wbit) != d.full_mask:
         raise ValueError("Q, X, Y and w must cover the digraph")
+    return _pair_with_spare_vertex(d, in_rows, q_set, cert_q, x_set, y_set, w)
 
+
+def _pair_with_spare_vertex(
+    d: Digraph,
+    in_rows: Sequence[int],
+    q_set: VertexSet,
+    cert_q: GoodPairCert,
+    x_set: VertexSet,
+    y_set: VertexSet,
+    w: int,
+) -> GoodPairCert | ConditionNotMet:
+    """``pair_with_spare_vertex`` on checked input: cert_q is a good pair
+    of D[Q], in_rows are d's in-rows, and Q, its disjoint in- and
+    out-neighbourhoods X and Y, and w partition the vertices.  The
+    certificate it builds is verified here, once."""
+    n = d.n
+    wbit = 1 << w
     rows = d.out_adj
     if in_rows[w] & y_set:
-        got = _spare_with_feed_arc(rows, in_rows, q_set, cert_q, vmap, x_set, y_set, w)
+        got = _spare_with_feed_arc(rows, in_rows, q_set, cert_q, x_set, y_set, w)
         return _checked(d, got, "spare vertex rule")
     if rows[w] & x_set:
-        got = _spare_with_feed_arc(
-            in_rows, rows, q_set, reverse_cert(cert_q), vmap, y_set, x_set, w
-        )
+        got = _spare_with_feed_arc(in_rows, rows, q_set, reverse_cert(cert_q), y_set, x_set, w)
         if isinstance(got, GoodPairCert):
             got = reverse_cert(got)
         return _checked(d, got, "spare vertex rule")
@@ -655,7 +693,7 @@ def pair_with_spare_vertex(
         return ConditionNotMet(
             "component of D[Y] short of leaving arcs into X", sides.comps_y[dout.index(min(dout))]
         )
-    base = _assemble_pairing(sides, q_set, cert_q, vmap, 0)
+    base = _assemble_pairing(sides, q_set, cert_q, 0)
     if base is None:
         return ConditionNotMet("cross-arc selection failed", 0)
     win = in_rows[w] & x_set
@@ -677,7 +715,6 @@ def _spare_with_feed_arc(
     in_rows: Sequence[int],
     q_set: VertexSet,
     cert_q: GoodPairCert,
-    vmap: tuple[int, ...],
     x_set: VertexSet,
     y_set: VertexSet,
     w: int,
@@ -722,7 +759,7 @@ def _spare_with_feed_arc(
         # where the deficient side sits in X as required; w gets no direct
         # Q-arc there because the deleted arc e will feed it instead
         rcert = _assemble_pairing(
-            sides.reversed(), q_set, reverse_cert(cert_q), vmap, start, skip_direct=wbit
+            sides.reversed(), q_set, reverse_cert(cert_q), start, skip_direct=wbit
         )
         if rcert is None:
             last_reason = ConditionNotMet("cross-arc selection failed", comps_y[start])
@@ -794,9 +831,9 @@ def hamilton_dipath(d: Digraph) -> Dipath | None:
     return p if len(p) == d.n else None
 
 
-def _is_oriented(d: Digraph) -> bool:
-    in_rows = _in_rows(d.n, d.out_adj)
-    return all(not (d.out_adj[u] & in_rows[u]) for u in range(d.n))
+def _is_oriented(rows: Sequence[int], in_rows: Sequence[int]) -> bool:
+    """Whether the digraph with these rows and in-rows has no digon."""
+    return not any(row & in_row for row, in_row in zip(rows, in_rows))
 
 
 def pair_from_hamilton(d: Digraph, p: Dipath) -> GoodPairCert | ConditionNotMet:
@@ -807,19 +844,21 @@ def pair_from_hamilton(d: Digraph, p: Dipath) -> GoodPairCert | ConditionNotMet:
     (1-based) must cross the components.  The high cases are built
     directly, the low cases on the reversal.
     """
-    if not _is_oriented(d):
+    n = d.n
+    in_stripped = _in_rows(n, d.out_adj)  # d's, until the path arcs are stripped
+    if not _is_oriented(d.out_adj, in_stripped):
         raise ValueError("digraph must be an orientation (no digons)")
     bad = verify_dipath(d, p)
     if bad:
         raise ValueError(f"invalid dipath: {bad}")
-    if len(p) != d.n or p.closed:
+    if len(p) != n or p.closed:
         raise ValueError("dipath must span the digraph")
-    n = d.n
     verts = p.vertices
     stripped = list(d.out_adj)
     for u, v in zip(verts, verts[1:]):
         stripped[u] &= ~(1 << v)
-    dec = strong_decomposition(Digraph(n, stripped))
+        in_stripped[v] &= ~(1 << u)
+    dec = _strong_decomposition(n, stripped, in_stripped)
     comps = dec.components
     if len(comps) != 2:
         return ConditionNotMet(
@@ -830,7 +869,6 @@ def pair_from_hamilton(d: Digraph, p: Dipath) -> GoodPairCert | ConditionNotMet:
 
     # the reversal strips the reversed path: the same components, rows and
     # in-rows trade places
-    in_stripped = _in_rows(n, stripped)
     rverts = verts[::-1]
     tried = []
     for q in (2, 3, n - 1, n):
@@ -1022,18 +1060,18 @@ def reduce_and_lift(
         x_set, y_set = _neighbourhoods(d.out_adj, in_rows, q_set)
         leftover = full & ~(q_set | x_set | y_set)
         if leftover == 0:
-            got = component_pairing(d, q_set, cert)
+            got = _component_pairing(d, in_rows, q_set, cert, x_set, y_set)
             if isinstance(got, GoodPairCert):
                 steps.append(TraceStep("component-pairing", q_set, "X/Y partition closed"))
                 return SearchResult("found", got, 0), ReductionTrace(steps)
         elif leftover.bit_count() == 1:
             w = (leftover & -leftover).bit_length() - 1
-            got = pair_with_spare_vertex(d, q_set, cert, w)
+            got = _pair_with_spare_vertex(d, in_rows, q_set, cert, x_set, y_set, w)
             if isinstance(got, GoodPairCert):
                 steps.append(TraceStep("spare-vertex", q_set, f"spare vertex {w}"))
                 return SearchResult("found", got, 0), ReductionTrace(steps)
 
-    if n <= 12 and _is_oriented(d):
+    if n <= 12 and _is_oriented(d.out_adj, in_rows):
         p = hamilton_dipath(d)
         if p is not None:
             got = pair_from_hamilton(d, p)
@@ -1041,6 +1079,6 @@ def reduce_and_lift(
                 steps.append(TraceStep("hamilton", full, "spanning dipath split"))
                 return SearchResult("found", got, 0), ReductionTrace(steps)
 
-    res = find_good_pair_exact(d, node_budget=node_budget)
+    res = _find_good_pair_exact(d, in_rows, node_budget=node_budget)
     steps.append(TraceStep("exact-fallback", full, res.status))
     return res, ReductionTrace(steps)

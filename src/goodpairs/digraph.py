@@ -6,8 +6,9 @@ the set.  With n capped at 62 every row and every vertex set fits in one
 machine word, so set algebra on neighbourhoods is a couple of int ops.
 
 A ``Digraph`` stores only out-adjacency as a tuple; in-neighbourhoods are
-derived on demand.  Instances are immutable and hashable, safe to share
-between threads and to use as dict keys.
+derived on demand by ``_in_rows``.  The generator and the pipeline build
+them at most once per digraph and pass them on.  Instances are immutable
+and hashable, safe to share between threads and to use as dict keys.
 
 ``_reach`` is the one traversal primitive: every "what reaches what"
 question in the package, strong components included, is a reach to a
@@ -372,19 +373,26 @@ class StrongDecomposition:
 def strong_decomposition(d: Digraph) -> StrongDecomposition:
     """The component of v is reach(v) & co-reach(v); it is terminal iff it
     is its own reach, initial iff it is its own co-reach."""
-    full = d.full_mask
-    in_rows = _in_rows(d.n, d.out_adj)
+    return _strong_decomposition(d.n, d.out_adj, _in_rows(d.n, d.out_adj))
+
+
+def _strong_decomposition(
+    n: int, rows: Sequence[int], in_rows: Sequence[int]
+) -> StrongDecomposition:
+    """``strong_decomposition`` of the digraph with these out-rows, given
+    its in-rows, which callers that already hold them pass on."""
+    full = (1 << n) - 1
     found = []
     left = full
     while left:
         vbit = left & -left  # the lowest member of its component
-        ahead = _reach(d.out_adj, vbit, full)
+        ahead = _reach(rows, vbit, full)
         back = _reach(in_rows, vbit, full)
         comp = ahead & back
         found.append((-ahead.bit_count(), vbit, comp, back == comp, ahead == comp))
         left &= ~comp
     found.sort()
-    comp_id = [0] * d.n
+    comp_id = [0] * n
     for c, (_, _, comp, _, _) in enumerate(found):
         for v in bits(comp):
             comp_id[v] = c

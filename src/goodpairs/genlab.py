@@ -15,6 +15,14 @@ run at all: ``connectivity._short_paths`` sees two arc-disjoint paths of
 length at most 3 for most pairs, and a flow runs only where that test
 fails; an n = 20 tournament draw rarely needs one.
 
+The pair scan and the short-path test read in-rows next to the rows, and
+each draw builds them at most once.  A tournament's in-row of v is the
+complement of its out-row among the other vertices, so a tournament draw
+builds none by scanning arcs.  A repaired draw builds them once from its
+random rows; the repair then keeps them in step, one bit per added arc,
+and hands them to the arc stripping of an arc-minimal draw, which keeps
+them in step in turn.
+
 ``verify_theorem_sample`` drives the constructive pipeline over a seeded
 batch and tallies the outcomes into a report; digraphs that end without a
 certificate are kept verbatim so a failure is always reproducible.
@@ -76,7 +84,9 @@ class GenModel:
             raise ValueError("p must lie in [0, 1]")
 
 
-def _repair_to_2_arc_strong(n: int, rows: list[int], oriented: bool) -> list[int] | None:
+def _repair_to_2_arc_strong(
+    n: int, rows: list[int], oriented: bool
+) -> tuple[list[int], list[int]] | None:
     """Add arcs across deficient cuts until every cut has two leaving arcs.
 
     Each round finds the first deficient pair in ``arc_connectivity``'s
@@ -88,7 +98,8 @@ def _repair_to_2_arc_strong(n: int, rows: list[int], oriented: bool) -> list[int
     2 stay proven: the next round resumes at the first pair not yet
     proven.  Its deficient pair, witness and added arc are those a scan
     from pair 0 would find.  The in-rows the scan reads are kept next to
-    the rows, one bit set per added arc.
+    the rows, one bit set per added arc, and returned with them:
+    ``(rows, in_rows)``, rows modified in place.
     """
     full = (1 << n) - 1
     in_rows = _in_rows(n, rows)
@@ -96,7 +107,7 @@ def _repair_to_2_arc_strong(n: int, rows: list[int], oriented: bool) -> list[int
     for _ in range(2 * n * n + 4):
         lam, witness, start = _scan_pairs(n, rows, in_rows, 2, start)
         if lam >= 2:
-            return rows
+            return rows, in_rows
         x = witness.x_set
         added = False
         for u in bits(x):
@@ -123,44 +134,47 @@ def random_2arc_strong(model: GenModel) -> Digraph:
     and tournaments redraw until the connectivity holds.
     """
     n = model.n
+    kind, p = model.kind, model.p
     if n < 3:
         raise ValueError("no digraph on fewer than 3 vertices is 2-arc-strong")
-    if model.kind == "tournament" and n < 5:
+    if kind == "tournament" and n < 5:
         raise ValueError("no tournament on fewer than 5 vertices is 2-arc-strong")
+    full = (1 << n) - 1
     for attempt in range(1000):
         rng = random.Random(derive_seed(model.seed, attempt) if attempt else model.seed)
+        draw, bit = rng.random, rng.getrandbits
         rows = [0] * n
-        if model.kind in ("gnp-repair", "arc-minimal"):
+        if kind in ("gnp-repair", "arc-minimal"):
             for u in range(n):
                 for v in range(n):
-                    if u != v and rng.random() < model.p:
+                    if u != v and draw() < p:
                         rows[u] |= 1 << v
-            rows = _repair_to_2_arc_strong(n, rows, oriented=False)
-        elif model.kind == "oriented-gnp-repair":
+            repaired = _repair_to_2_arc_strong(n, rows, oriented=False)
+        elif kind == "oriented-gnp-repair":
             for u in range(n):
                 for v in range(u + 1, n):
-                    if rng.random() < model.p:
-                        if rng.getrandbits(1):
+                    if draw() < p:
+                        if bit(1):
                             rows[u] |= 1 << v
                         else:
                             rows[v] |= 1 << u
-            rows = _repair_to_2_arc_strong(n, rows, oriented=True)
+            repaired = _repair_to_2_arc_strong(n, rows, oriented=True)
         else:  # tournament
             for u in range(n):
                 for v in range(u + 1, n):
-                    if rng.getrandbits(1):
+                    if bit(1):
                         rows[u] |= 1 << v
                     else:
                         rows[v] |= 1 << u
-            d = Digraph(n, tuple(rows))
-            if arc_connectivity(d, cap=2)[0] < 2:
-                rows = None
-        if rows is None:
+            # each other vertex is an in- or an out-neighbour of v, not both
+            in_rows = [full ^ (1 << v) ^ row for v, row in enumerate(rows)]
+            repaired = (rows, in_rows) if _scan_pairs(n, rows, in_rows, 2, 0)[0] >= 2 else None
+        if repaired is None:
             continue
-        d = Digraph(n, tuple(rows))
-        if model.kind == "arc-minimal":
-            d = _strip_arcs(d, rng.getrandbits(63))
-        return d
+        rows, in_rows = repaired
+        if kind == "arc-minimal":
+            _strip_arcs(n, rows, in_rows, bit(63))
+        return Digraph(n, tuple(rows))
     raise RuntimeError(
         f"could not draw a 2-arc-strong {model.kind} digraph on {n} vertices"
     )  # pragma: no cover
@@ -188,22 +202,24 @@ def arc_minimize(d: Digraph, seed: int) -> Digraph:
     lam, _ = arc_connectivity(d, cap=2)
     if lam < 2:
         raise ValueError("arc_minimize expects a 2-arc-strong digraph")
-    return _strip_arcs(d, seed)
+    rows = list(d.out_adj)
+    _strip_arcs(d.n, rows, _in_rows(d.n, rows), seed)
+    return Digraph(d.n, tuple(rows))
 
 
-def _strip_arcs(d: Digraph, seed: int) -> Digraph:
-    """``arc_minimize``'s pass, on a digraph known to be 2-arc-strong.
+def _strip_arcs(n: int, rows: list[int], in_rows: list[int], seed: int) -> None:
+    """``arc_minimize``'s pass, in place, on the rows and in-rows of a
+    digraph known to be 2-arc-strong.
 
+    The arcs are listed from the rows in (tail, head) order and shuffled.
     The in-rows the short-path test reads follow the rows, one bit per
     removed or restored arc; degrees are the rows' bit counts.
     """
     from .connectivity import _max_flow
 
     rng = random.Random(seed)
-    arcs = list(d.arcs())
+    arcs = [(u, v) for u in range(n) for v in bits(rows[u])]
     rng.shuffle(arcs)
-    rows = list(d.out_adj)
-    in_rows = _in_rows(d.n, rows)
     for u, v in arcs:
         if rows[u].bit_count() <= 2 or in_rows[v].bit_count() <= 2:
             continue
@@ -211,10 +227,9 @@ def _strip_arcs(d: Digraph, seed: int) -> Digraph:
         in_rows[v] ^= 1 << u
         if _short_paths(rows, in_rows, u, v, 2):
             continue
-        if _max_flow(d.n, rows, u, v, cap=2)[0] < 2:
+        if _max_flow(n, rows, u, v, cap=2)[0] < 2:
             rows[u] |= 1 << v
             in_rows[v] |= 1 << u
-    return Digraph(d.n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

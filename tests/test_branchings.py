@@ -29,8 +29,15 @@ from goodpairs import (
     verify_good_pair,
 )
 from goodpairs import branchings
-from goodpairs.branchings import _cut_terminal
-from goodpairs.digraph import from_arcs, parse_digraph, serialize_digraph
+from goodpairs.branchings import _cut_terminal, _find_good_pair_exact
+from goodpairs.digraph import (
+    _in_rows,
+    _strong_decomposition,
+    from_arcs,
+    parse_digraph,
+    serialize_digraph,
+    strong_decomposition,
+)
 
 from oracles import (
     closure_sccs,
@@ -274,6 +281,19 @@ class TestCertJsonStrict:
         obj["in"]["parent"]["2"] = [2, "1"]
         with pytest.raises(ValueError, match="malformed certificate object"):
             cert_from_json(json.dumps(obj))
+
+    def test_repeated_parent_key_rejected(self):
+        # the last "1" alone gives the valid good pair above; the first names
+        # a non-arc, and keeping either one silently would hide the other
+        text = ('{"n": 3, "out": {"root": 0, "parent": {"1": [9, 9], "1": [0, 1], "2": [1, 2]}}, '
+                '"in": {"root": 0, "parent": {"1": [1, 0], "2": [2, 1]}}}')
+        with pytest.raises(ValueError, match="malformed certificate object: repeated key '1'"):
+            cert_from_json(text)
+
+    def test_repeated_top_level_key_rejected(self):
+        text = json.dumps(PATH3_CERT)[:-1] + ', "n": 3}'
+        with pytest.raises(ValueError, match="malformed certificate object: repeated key 'n'"):
+            cert_from_json(text)
 
     def test_negative_vertex_parses_and_fails_verification(self):
         # a well-formed certificate that names no vertex of the digraph is
@@ -562,6 +582,48 @@ class TestIncrementalPruning:
             for kw in [{}] + [{"root_out": r, "root_in": s} for r in range(4) for s in range(4)]:
                 got = _outcome(find_good_pair_exact(d, **kw))
                 assert got == _outcome(find_good_pair_exact_reference(d, **kw)), (pattern, kw)
+
+
+@st.composite
+def rooted_digraphs(draw):
+    """A digraph on 1..9 vertices, rows the AND of 1..3 random masks, with
+    each root constraint present or absent."""
+    n = draw(st.integers(1, 9))
+    full = (1 << n) - 1
+    sparsity = draw(st.integers(1, 3))
+    rows = []
+    for u in range(n):
+        row = full & ~(1 << u)
+        for _ in range(sparsity):
+            row &= draw(st.integers(0, full))
+        rows.append(row)
+    kw = {
+        "root_out": draw(st.none() | st.integers(0, n - 1)),
+        "root_in": draw(st.none() | st.integers(0, n - 1)),
+    }
+    return Digraph(n, tuple(rows)), kw
+
+
+class TestCarriedInRows:
+    """The exact search's private entry, which takes the host's in-rows,
+    against the public one and against the reference."""
+
+    @given(rooted_digraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_entry_matches_public_and_reference(self, case):
+        d, kw = case
+        in_rows = _in_rows(d.n, d.out_adj)
+        got = _outcome(_find_good_pair_exact(d, in_rows, node_budget=5_000, **kw))
+        assert in_rows == _in_rows(d.n, d.out_adj)  # read, never written
+        assert got == _outcome(find_good_pair_exact(d, node_budget=5_000, **kw))
+        assert got == _outcome(find_good_pair_exact_reference(d, node_budget=5_000, **kw))
+
+    @given(rooted_digraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_carried_decomposition_matches(self, case):
+        d, _ = case
+        carried = _strong_decomposition(d.n, d.out_adj, _in_rows(d.n, d.out_adj))
+        assert carried == strong_decomposition(d)
 
 
 class TestSearchWork:

@@ -160,6 +160,19 @@ class TestVerify:
         assert "malformed certificate object" in captured.err
         assert "certificate valid" not in captured.out
 
+    def test_repeated_parent_key_exits_3(self, tmp_path, capsys):
+        # json.loads alone keeps the last "1", which makes a valid good pair
+        # of the bidirected path 0-1-2
+        df = tmp_path / "path3.txt"
+        df.write_text("3\n0 1\n1 0\n1 2\n2 1\n")
+        cf = tmp_path / "cert.json"
+        cf.write_text('{"n": 3, "out": {"root": 0, "parent": {"1": [9, 9], "1": [0, 1], '
+                      '"2": [1, 2]}}, "in": {"root": 0, "parent": {"1": [1, 0], "2": [2, 1]}}}')
+        assert main(["verify", str(df), str(cf)]) == 3
+        captured = capsys.readouterr()
+        assert "malformed certificate object: repeated key '1'" in captured.err
+        assert "certificate valid" not in captured.out
+
     def test_parent_not_an_object(self, bi3_file, tmp_path, capsys):
         cf = tmp_path / "cert.json"
         cf.write_text(json.dumps({"n": 3, "out": {"root": 0, "parent": []},

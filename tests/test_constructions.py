@@ -37,7 +37,7 @@ from goodpairs import (
     verify_dipath,
     verify_good_pair,
 )
-from goodpairs import constructions
+from goodpairs import branchings, connectivity, constructions, digraph
 from goodpairs.constructions import (
     _PAIRS4,
     _TOURNAMENT4_CERTS,
@@ -240,6 +240,56 @@ class TestAbsorption:
         assert calls["find_good_pair_exact"] == 0
 
 
+def _counted(monkeypatch, name, modules):
+    """The calls made to ``name`` through any of ``modules``, recorded in
+    the returned list from now on."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+IN_ROWS_USERS = (digraph, connectivity, branchings, constructions)
+
+
+class TestPipelineCarriesInRows:
+    def test_fallback_builds_in_rows_once(self, monkeypatch):
+        """The seed scan, every absorb step and the exact fallback take the
+        in-rows that reduce_and_lift built."""
+        calls = _counted(monkeypatch, "_in_rows", IN_ROWS_USERS)
+        for i in range(5):
+            d = random_2arc_strong(GenModel("arc-minimal", 20, 0.3, derive_seed(1, i)))
+            calls.clear()
+            res, trace = reduce_and_lift(d)
+            assert (res.status, trace.steps[-1].rule) == ("found", "exact-fallback")
+            assert len(calls) == 1, i
+
+    def test_pairing_closes_verify_once(self, monkeypatch):
+        """First 300 arc-minimal n = 9 draws of seed 5005: a pairing or
+        spare-vertex close verifies only the certificate it builds, one call
+        beyond the absorb steps' own, and builds no in-rows of its own."""
+        verified = _counted(monkeypatch, "verify_good_pair", (constructions,))
+        built = _counted(monkeypatch, "_in_rows", IN_ROWS_USERS)
+        closes = collections.Counter()
+        for i in range(300):
+            d = random_2arc_strong(GenModel("arc-minimal", 9, 0.3, derive_seed(5005, i)))
+            verified.clear()
+            built.clear()
+            _, trace = reduce_and_lift(d)
+            rule = trace.steps[-1].rule
+            if rule in ("component-pairing", "spare-vertex"):
+                absorbs = sum(s.rule == "absorb" for s in trace.steps)
+                assert (len(verified), len(built)) == (absorbs + 1, 1), (i, rule)
+                closes[rule] += 1
+        assert closes == {"component-pairing": 31, "spare-vertex": 40}
+
+
 SPARE_BASE = PAIRING_ARCS  # Q={0,1}, X={2,3}, Y={4,5}, w=6
 
 
@@ -289,7 +339,8 @@ class TestEndComponents:
             d = rand_digraph(rng, n, rng.random())
             inside = rng.getrandbits(n)
             expected = (initial_comps_reference(d, inside), terminal_comps_reference(d, inside))
-            assert _end_comps(d.out_adj, inside) == expected, (d, inside)
+            got = _end_comps(d.out_adj, _in_rows(d.n, d.out_adj), inside)
+            assert got == expected, (d, inside)
 
     def test_in_forest_reaches_roots(self):
         rng = random.Random(72)

@@ -26,7 +26,7 @@ from goodpairs import (
     serialize_digraph,
     verify_theorem_sample,
 )
-from goodpairs import connectivity, genlab
+from goodpairs import connectivity, digraph, genlab
 from goodpairs.digraph import _in_rows, from_arcs
 
 import oracles
@@ -148,6 +148,9 @@ class TestRepair:
             rows = _start_rows(rng, n, oriented)
             non_strong += arc_connectivity(Digraph(n, tuple(rows)), cap=1)[0] == 0
             got = genlab._repair_to_2_arc_strong(n, list(rows), oriented)
+            if got is not None:
+                got, in_rows = got
+                assert in_rows == _in_rows(n, got), (n, rows, oriented)
             assert got == repair_reference(n, list(rows), oriented), (n, rows, oriented)
             redrawn += got is None
         assert non_strong > 500 and redrawn > 50
@@ -208,12 +211,33 @@ class TestRepair:
             return full_scan(*args, **kwargs)
 
         monkeypatch.setattr(genlab, "arc_connectivity", counted)
-        for kind in ("gnp-repair", "oriented-gnp-repair", "arc-minimal"):
+        for kind in GEN_KINDS:  # a tournament's check runs the pair scan directly too
             for i in range(40):
                 random_2arc_strong(GenModel(kind, 9, 0.3, derive_seed(1, i)))
         assert calls == []
-        random_2arc_strong(GenModel("tournament", 9, seed=1))
-        assert calls  # the tournament's check passes through the counter
+        arc_minimize(random_2arc_strong(GenModel("tournament", 9, seed=1)), 1)
+        assert calls  # arc_minimize's check passes through the counter
+
+    @pytest.mark.parametrize(
+        "kind, n, built", [("tournament", 20, 0), ("gnp-repair", 9, 1), ("arc-minimal", 20, 1)]
+    )
+    def test_in_rows_built_once_per_draw(self, monkeypatch, kind, n, built):
+        """A tournament's in-rows are the complements of its rows, so its
+        draw scans no arcs for them; a repaired draw builds them once, and
+        the repair and the arc stripping keep them in step."""
+        calls = []
+        in_rows = digraph._in_rows
+
+        def counted(*args):
+            calls.append(args[0])
+            return in_rows(*args)
+
+        for module in (digraph, connectivity, genlab):
+            monkeypatch.setattr(module, "_in_rows", counted)
+        for i in range(30):
+            calls.clear()
+            random_2arc_strong(GenModel(kind, n, 0.3, derive_seed(13, i)))
+            assert len(calls) == built, (kind, i)
 
 
 class TestArcMinimize:
