@@ -5,14 +5,15 @@ component pairing: given a sub-digraph Q that already has a good pair and a
 partition of the remaining vertices into the in-neighbourhood X and the
 out-neighbourhood Y of Q, two disjoint cross-arc systems are selected
 alternately between the initial strong components of D[X] and the terminal
-strong components of D[Y]; forests inside X and Y finish the job.  All the
-other rules (absorption, spare vertex, Hamilton-path split) reduce to the
-same pattern or attach vertices directly.
+strong components of D[Y]; forests inside X and Y finish the job.
+Absorption attaches vertices directly and the spare-vertex rule reduces to
+the same pattern.  The Hamilton-path split of an orientation is a
+stand-alone rule: the pipeline does not run it.
 
 ``reduce_and_lift`` chains the rules: seed a small sub-digraph with a good
-pair, grow it by absorption, close with pairing / spare vertex, fall back
-to a Hamilton-path split on orientations, and finally to exhaustive
-search.  Each applied rule appends one step to a replayable trace.
+pair, grow it by absorption, close with pairing / spare vertex, and fall
+back to exhaustive search.  Each applied rule appends one step to a
+replayable trace.
 
 ``reduce_and_lift`` builds the host's in-rows once and hands them to every
 step: the seed scan, each absorb step, the pairing and spare-vertex steps
@@ -23,6 +24,7 @@ of D[Q] included) and then runs the same private step.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,6 +34,7 @@ from .branchings import (
     GoodPairCert,
     SearchResult,
     _find_good_pair_exact,
+    _unique_keys,
     find_good_pair_exact,
     reverse_cert,
     verify_good_pair,
@@ -53,9 +56,11 @@ TRACE_RULES = (
     "component-pairing",
     "spare-vertex",
     "small-base",
-    "hamilton",
     "exact-fallback",
 )
+
+# a vertex set as hex() writes it: no sign, spaces, underscores or capitals
+_HEX_MASK = re.compile(r"0x[0-9a-f]+")
 
 
 @dataclass(frozen=True)
@@ -82,12 +87,14 @@ class ReductionTrace:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                step = TraceStep(obj["rule"], int(obj["subdigraph"], 16), obj["note"])
+                obj = json.loads(line, object_pairs_hook=_unique_keys)
+                sub = obj["subdigraph"]
+                if not _HEX_MASK.fullmatch(sub):
+                    raise ValueError(f"subdigraph {sub!r} is not written by hex()")
+                step = TraceStep(obj["rule"], int(sub, 16), obj["note"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed trace line {lineno}: {exc!r}") from None
-            fields_ok = isinstance(step.rule, str) and isinstance(step.note, str)
-            if not fields_ok or step.subdigraph < 0:
+            if not (isinstance(step.rule, str) and isinstance(step.note, str)):
                 raise ValueError(f"malformed trace line {lineno}: {line.strip()}")
             steps.append(step)
         return cls(steps)
@@ -99,24 +106,6 @@ class ConditionNotMet:
 
     reason: str
     component: VertexSet = 0
-
-
-@dataclass(frozen=True)
-class PairingArtifacts:
-    """Cross-arc selections of a component pairing, for inspection and tests.
-
-    p_x holds one arc from Y into each initial strong component of D[X];
-    p_y one arc from each terminal strong component of D[Y] into X.  The
-    two tuples never share an arc.  t_x / t_y are the forest parent arcs
-    inside X / inside Y hanging off the p_x heads / p_y tails.
-    """
-
-    x_set: VertexSet
-    y_set: VertexSet
-    p_x: tuple[tuple[int, int], ...]
-    p_y: tuple[tuple[int, int], ...]
-    t_x: dict[int, tuple[int, int]]
-    t_y: dict[int, tuple[int, int]]
 
 
 def _checked(d: Digraph, got, rule: str):
@@ -201,37 +190,6 @@ def _in_forest(
 # component pairing
 
 
-def _end_comps(
-    rows: Sequence[int], in_rows: Sequence[int], *sides: VertexSet
-) -> tuple[list[VertexSet], list[VertexSet]]:
-    """Initial and terminal strong components of the digraphs induced on
-    the disjoint ``sides``, as host masks ordered by lowest member;
-    ``in_rows`` are the in-rows of ``rows``.
-
-    One decomposition serves every side: each row and each in-row is
-    masked to the side of its vertex, so no arc joins two sides and each
-    component, with its initial and terminal flags, is one of the induced
-    digraph of its side.
-    """
-    n = len(rows)
-    masked = [0] * n
-    masked_in = [0] * n
-    inside = 0
-    for side in sides:
-        inside |= side
-        for u in bits(side):
-            masked[u] = rows[u] & side
-            masked_in[u] = in_rows[u] & side
-    dec = _strong_decomposition(n, masked, masked_in)
-
-    def ends(flags: tuple[bool, ...]) -> list[VertexSet]:
-        # vertices outside every side are isolated there: drop those singletons
-        comps = [c for c, flag in zip(dec.components, flags) if flag and c & inside]
-        return sorted(comps, key=lambda c: c & -c)
-
-    return ends(dec.initial), ends(dec.terminal)
-
-
 @dataclass(frozen=True)
 class _Sides:
     """The X / Y partition of a pairing on explicit rows.
@@ -251,10 +209,25 @@ class _Sides:
     def build(
         cls, rows: Sequence[int], in_rows: Sequence[int], x_set: VertexSet, y_set: VertexSet
     ) -> "_Sides":
-        initial, terminal = _end_comps(rows, in_rows, x_set, y_set)
-        comps_x = [c for c in initial if c & x_set]
-        comps_y = [c for c in terminal if c & y_set]
-        return cls(rows, in_rows, x_set, y_set, comps_x, comps_y)
+        """One decomposition serves both sides: each row and each in-row is
+        masked to the side of its vertex, so no arc joins X and Y and each
+        component, with its initial and terminal flags, is one of D[X] or
+        of D[Y].  Components are ordered by lowest member; the vertices
+        outside X and Y are isolated singletons, dropped by the side test."""
+        n = len(rows)
+        masked = [0] * n
+        masked_in = [0] * n
+        for side in (x_set, y_set):
+            for u in bits(side):
+                masked[u] = rows[u] & side
+                masked_in[u] = in_rows[u] & side
+        dec = _strong_decomposition(n, masked, masked_in)
+
+        def ends(flags: tuple[bool, ...], side: VertexSet) -> list[VertexSet]:
+            comps = [c for c, flag in zip(dec.components, flags) if flag and c & side]
+            return sorted(comps, key=lambda c: c & -c)
+
+        return cls(rows, in_rows, x_set, y_set, ends(dec.initial, x_set), ends(dec.terminal, y_set))
 
     def reversed(self) -> "_Sides":
         """The same partition in the reversed digraph, where X and Y trade
@@ -369,19 +342,6 @@ def _neighbourhoods(
         x |= in_rows[q]
         y |= rows[q]
     return x & ~q_set, y & ~q_set
-
-
-def _select_with_artifacts(s: _Sides, start: int) -> PairingArtifacts | None:
-    """Run the alternating selection plus forests on the partition."""
-    sel = _alternating_selection(s, start)
-    if sel is None:
-        return None
-    p_x, p_y = sel
-    t_x = _out_forest(s.in_rows, s.x_set, mask_of(v for _, v in p_x))
-    t_y = _in_forest(s.rows, s.y_set, mask_of(u for u, _ in p_y))
-    if t_x is None or t_y is None:
-        return None
-    return PairingArtifacts(s.x_set, s.y_set, tuple(p_x), tuple(p_y), t_x, t_y)
 
 
 def _cross_degrees(s: _Sides) -> tuple[list[int], list[int]]:
@@ -507,8 +467,14 @@ def _assemble_pairing(
     forests but get no direct arc to or from Q; the caller supplies their
     missing arc.  The caller verifies the certificate.
     """
-    art = _select_with_artifacts(s, start)
-    if art is None:
+    sel = _alternating_selection(s, start)
+    if sel is None:
+        return None
+    p_x, p_y = sel
+    # forests inside X / Y hanging off the p_x heads / the p_y tails
+    t_x = _out_forest(s.in_rows, s.x_set, mask_of(v for _, v in p_x))
+    t_y = _in_forest(s.rows, s.y_set, mask_of(u for u, _ in p_y))
+    if t_x is None or t_y is None:
         return None
 
     vmap = tuple(bits(q_set))
@@ -518,9 +484,9 @@ def _assemble_pairing(
         if not q:
             return None
         out_parent[y] = ((q & -q).bit_length() - 1, y)
-    for u, v in art.p_x:
+    for u, v in p_x:
         out_parent[v] = (u, v)
-    out_parent.update(art.t_x)
+    out_parent.update(t_x)
 
     root_in, in_parent = _lift_branching(cert_q.in_, vmap)
     for x in bits(s.x_set & ~skip_direct):
@@ -528,9 +494,9 @@ def _assemble_pairing(
         if not q:
             return None
         in_parent[x] = (x, (q & -q).bit_length() - 1)
-    for u, v in art.p_y:
+    for u, v in p_y:
         in_parent[u] = (u, v)
-    in_parent.update(art.t_y)
+    in_parent.update(t_y)
 
     return GoodPairCert(
         len(s.rows), Branching("out", root_out, out_parent), Branching("in", root_in, in_parent)
@@ -831,11 +797,6 @@ def hamilton_dipath(d: Digraph) -> Dipath | None:
     return p if len(p) == d.n else None
 
 
-def _is_oriented(rows: Sequence[int], in_rows: Sequence[int]) -> bool:
-    """Whether the digraph with these rows and in-rows has no digon."""
-    return not any(row & in_row for row, in_row in zip(rows, in_rows))
-
-
 def pair_from_hamilton(d: Digraph, p: Dipath) -> GoodPairCert | ConditionNotMet:
     """Good pair of an orientation split along a spanning dipath.
 
@@ -846,7 +807,7 @@ def pair_from_hamilton(d: Digraph, p: Dipath) -> GoodPairCert | ConditionNotMet:
     """
     n = d.n
     in_stripped = _in_rows(n, d.out_adj)  # d's, until the path arcs are stripped
-    if not _is_oriented(d.out_adj, in_stripped):
+    if any(row & in_row for row, in_row in zip(d.out_adj, in_stripped)):
         raise ValueError("digraph must be an orientation (no digons)")
     bad = verify_dipath(d, p)
     if bad:
@@ -1024,9 +985,8 @@ def reduce_and_lift(
 
     Pipeline: seed a small sub-digraph that has a good pair, absorb
     external vertices one at a time while possible, then close the gap
-    with the component pairing or the spare-vertex rule.  Orientations
-    additionally get the Hamilton-path split.  Whatever remains goes to
-    the exhaustive solver.  Raises ValueError for a node budget below 1
+    with the component pairing or the spare-vertex rule.  Whatever remains
+    goes to the exhaustive solver.  Raises ValueError for a node budget below 1
     and otherwise never; the result status mirrors the solver's ("found",
     "none", "inconclusive").
     """
@@ -1069,14 +1029,6 @@ def reduce_and_lift(
             got = _pair_with_spare_vertex(d, in_rows, q_set, cert, x_set, y_set, w)
             if isinstance(got, GoodPairCert):
                 steps.append(TraceStep("spare-vertex", q_set, f"spare vertex {w}"))
-                return SearchResult("found", got, 0), ReductionTrace(steps)
-
-    if n <= 12 and _is_oriented(d.out_adj, in_rows):
-        p = hamilton_dipath(d)
-        if p is not None:
-            got = pair_from_hamilton(d, p)
-            if isinstance(got, GoodPairCert):
-                steps.append(TraceStep("hamilton", full, "spanning dipath split"))
                 return SearchResult("found", got, 0), ReductionTrace(steps)
 
     res = _find_good_pair_exact(d, in_rows, node_budget=node_budget)

@@ -137,8 +137,10 @@ def random_2arc_strong(model: GenModel) -> Digraph:
     kind, p = model.kind, model.p
     if n < 3:
         raise ValueError("no digraph on fewer than 3 vertices is 2-arc-strong")
-    if kind == "tournament" and n < 5:
-        raise ValueError("no tournament on fewer than 5 vertices is 2-arc-strong")
+    # without digons, two in- and two out-neighbours per vertex need n - 1 >= 4
+    if kind in ("oriented-gnp-repair", "tournament") and n < 5:
+        noun = "tournament" if kind == "tournament" else "oriented digraph"
+        raise ValueError(f"no {noun} on fewer than 5 vertices is 2-arc-strong")
     full = (1 << n) - 1
     for attempt in range(1000):
         rng = random.Random(derive_seed(model.seed, attempt) if attempt else model.seed)

@@ -213,6 +213,13 @@ class TestGen:
         assert data["kind"] == "tournament" and data["n"] == 6
         assert data["arcs"] == 15
 
+    def test_small_oriented_exits_3(self, capsys):
+        # no answer to give: the request itself is impossible
+        assert main(["gen", "--kind", "oriented-gnp-repair", "--n", "4", "--seed", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "oriented digraph on fewer than 5 vertices" in captured.err
+
     def test_output_feeds_back_in(self, tmp_path, capsys):
         assert main(["gen", "--n", "6", "--seed", "9",
                      "--format", "digraph6"]) == 0

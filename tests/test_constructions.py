@@ -31,6 +31,7 @@ from goodpairs import (
     mask_of,
     pair_from_hamilton,
     pair_with_spare_vertex,
+    parse_digraph,
     random_2arc_strong,
     reduce_and_lift,
     reverse,
@@ -41,10 +42,9 @@ from goodpairs import branchings, connectivity, constructions, digraph
 from goodpairs.constructions import (
     _PAIRS4,
     _TOURNAMENT4_CERTS,
-    _end_comps,
+    _alternating_selection,
     _in_forest,
     _seed_subdigraph,
-    _select_with_artifacts,
     _Sides,
     _tournament4,
 )
@@ -177,12 +177,12 @@ class TestComponentPairing:
     def test_selection_artifacts_disjoint(self):
         d = PAIRING_D
         sides = _Sides.build(d.out_adj, _in_rows(d.n, d.out_adj), 0b001100, 0b110000)
-        art = _select_with_artifacts(sides, 0)
+        p_x, p_y = _alternating_selection(sides, 0)
         comps_x, comps_y = sides.comps_x, sides.comps_y
-        assert set(art.p_x) & set(art.p_y) == set()
-        assert len(art.p_x) == len(comps_x)
-        assert len(art.p_y) == len(comps_y)
-        heads = {v for _, v in art.p_x}
+        assert set(p_x) & set(p_y) == set()
+        assert len(p_x) == len(comps_x)
+        assert len(p_y) == len(comps_y)
+        heads = {v for _, v in p_x}
         assert all(len([h for h in heads if c >> h & 1]) == 1 for c in comps_x)
 
 
@@ -337,10 +337,11 @@ class TestEndComponents:
         for _ in range(10_000):
             n = rng.randint(1, 12)
             d = rand_digraph(rng, n, rng.random())
-            inside = rng.getrandbits(n)
-            expected = (initial_comps_reference(d, inside), terminal_comps_reference(d, inside))
-            got = _end_comps(d.out_adj, _in_rows(d.n, d.out_adj), inside)
-            assert got == expected, (d, inside)
+            x_set = rng.getrandbits(n)
+            y_set = rng.getrandbits(n) & ~x_set
+            sides = _Sides.build(d.out_adj, _in_rows(d.n, d.out_adj), x_set, y_set)
+            assert sides.comps_x == initial_comps_reference(d, x_set), (d, x_set, y_set)
+            assert sides.comps_y == terminal_comps_reference(d, y_set), (d, x_set, y_set)
 
     def test_in_forest_reaches_roots(self):
         rng = random.Random(72)
@@ -415,6 +416,10 @@ HAM9_ARCS = [(i, i + 1) for i in range(8)] + [
 HAM9 = from_arcs(9, HAM9_ARCS)
 HAM9_PATH = Dipath(tuple(range(9)))
 
+# arc-minimal n = 10, seed 6006, index 10188: an orientation that the
+# pipeline once closed by the Hamilton split and now by the exact fallback
+HAM_SPLIT_D6 = "&IE?gGG?o__D@D?gOS?"
+
 
 class TestHamiltonSplit:
     def test_low_index_case(self):
@@ -452,6 +457,14 @@ class TestHamiltonSplit:
     def test_invalid_path_rejected(self):
         with pytest.raises(ValueError, match="dipath"):
             pair_from_hamilton(HAM7, Dipath((6, 5, 4, 3, 2, 1, 0)))
+
+    def test_pinned_certificate_bytes(self):
+        d = parse_digraph(HAM_SPLIT_D6)
+        cert = pair_from_hamilton(d, hamilton_dipath(d))
+        assert verify_good_pair(d, cert) is None
+        assert _sha(cert_to_json(cert)) == (
+            "1a1ab609c28c9ced507d9173abd7474cdaaec17354a8eee5dee310d8cff05555"
+        )
 
 
 def _has_digon(d):
@@ -542,6 +555,21 @@ class TestReduceAndLift:
             assert res.status == "found"
             assert verify_good_pair(d, res.cert) is None
 
+    def test_never_runs_the_hamilton_split(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pipeline ran the Hamilton code")
+
+        for name in ("hamilton_dipath", "pair_from_hamilton", "longest_dipath"):
+            monkeypatch.setattr(constructions, name, refuse)
+        draws = [parse_digraph(HAM_SPLIT_D6)] + [
+            random_2arc_strong(GenModel("arc-minimal", 9 + i % 4, 0.3, derive_seed(5005, i)))
+            for i in range(300)
+        ]
+        for d in draws:
+            res, _ = reduce_and_lift(d)
+            assert res.status == "found"
+            assert verify_good_pair(d, res.cert) is None
+
     def test_trivial_single_vertex(self):
         res, _ = reduce_and_lift(Digraph(1, (0,)))
         assert res.status == "found"
@@ -565,11 +593,24 @@ class TestReduceAndLift:
             ('{"rule": 5, "subdigraph": "0x3", "note": ""}', 1),
             ('{"rule": "absorb", "subdigraph": "0x3", "note": null}', 1),
             ('{"rule": "absorb", "subdigraph": "0x3", "note": ""}\n\nnot json', 3),
+            ('{"rule": "absorb", "subdigraph": "0X3", "note": "", "rule": "x"}', 1),
+            ('{"rule": "absorb", "subdigraph": "0x3", "note": "", "rule": "x"}', 1),
+            ('{"rule": "absorb", "subdigraph": "0X3", "note": ""}', 1),
+            ('{"rule": "absorb", "subdigraph": " 0x_3 ", "note": ""}', 1),
+            ('{"rule": "absorb", "subdigraph": "3", "note": ""}', 1),
+            ('{"rule": "absorb", "subdigraph": "0x", "note": ""}', 1),
         ],
     )
     def test_trace_jsonl_malformed(self, text, lineno):
         with pytest.raises(ValueError, match=f"malformed trace line {lineno}:"):
             ReductionTrace.from_jsonl(text)
+
+    def test_trace_jsonl_keeps_unknown_rules(self):
+        # traces written before the pipeline dropped the Hamilton split load
+        text = '{"rule": "hamilton", "subdigraph": "0x3ff", "note": "spanning dipath split"}'
+        trace = ReductionTrace.from_jsonl(text)
+        assert trace.steps == [TraceStep("hamilton", 0x3FF, "spanning dipath split")]
+        assert trace.to_jsonl() == text
 
     def test_trace_step_fields(self):
         step = TraceStep("absorb", 0b101, "attached vertex 2")

@@ -116,6 +116,12 @@ class TestRandom2ArcStrong:
         with pytest.raises(ValueError, match="tournament"):
             random_2arc_strong(GenModel("tournament", 4, seed=0))
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_small_oriented_rejected_up_front(self, n):
+        # an oriented digraph with lambda >= 2 has n - 1 >= 4: no redraw can help
+        with pytest.raises(ValueError, match="oriented digraph on fewer than 5"):
+            random_2arc_strong(GenModel("oriented-gnp-repair", n, seed=1))
+
 
 def _start_rows(rng: random.Random, n: int, oriented: bool) -> list[int]:
     """Rows as the generator draws them, at densities from empty (never
