@@ -17,8 +17,12 @@ replayable trace.
 
 ``reduce_and_lift`` builds the host's in-rows once and hands them to every
 step: the seed scan, each absorb step, the pairing and spare-vertex steps
-and the exact fallback.  Each public rule checks its input (the good pair
-of D[Q] included) and then runs the same private step.
+and the exact fallback.  It induces D[Q] once, at the first absorb step
+after the seed; each absorb step grows D[Q] by the new vertex's row and
+renumbers the certificate instead of inducing D[Q + v] from the host
+again, and still verifies the good pair it builds.  Each public rule
+checks its input (the good pair of D[Q] included) and then runs the same
+private step.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .branchings import (
     Branching,
@@ -515,9 +519,9 @@ def absorb_external_vertices(
     A vertex joins once it has an in-neighbour and an out-neighbour among
     the already covered vertices: the in-arc extends the out-branching,
     the out-arc the in-branching, and neither can collide with existing
-    arcs because the new vertex was untouched so far.  Vertices are
-    attached lowest-first with rescans, so a vertex whose neighbours only
-    appear after others joined is still absorbed.
+    arcs because the new vertex was untouched so far.  Each step attaches
+    the lowest vertex that can join, as the pipeline does, so a vertex
+    whose neighbours only appear after others joined is still absorbed.
     """
     if q_set == 0:
         raise ValueError("Q must be nonempty")
@@ -525,67 +529,112 @@ def absorb_external_vertices(
         raise ValueError("Q and X must be disjoint")
     if (q_set | x_set) & ~d.full_mask:
         raise ValueError("vertex sets mention vertices >= n")
-    hq, _ = induced_subdigraph(d, q_set)
-    bad = verify_good_pair(hq, cert_q)
+    h, _ = induced_subdigraph(d, q_set)
+    bad = verify_good_pair(h, cert_q)
     if bad:
         raise ValueError(f"certificate for D[Q] invalid: {bad}")
     if x_set == 0:
         return cert_q
-    return _absorb(d, q_set, cert_q, x_set, _in_rows(d.n, d.out_adj))
+    target = q_set | x_set
+    in_rows = _in_rows(d.n, d.out_adj)
+    for _, q_set, _, cert_q in _absorb_steps(d, in_rows, q_set, h, cert_q, x_set):
+        pass
+    if q_set != target:
+        stuck = target & ~q_set
+        raise ValueError(
+            f"vertex {(stuck & -stuck).bit_length() - 1} cannot be absorbed: it lacks an "
+            "in- or out-neighbour among the covered vertices"
+        )
+    return cert_q
+
+
+def _absorb_steps(
+    d: Digraph,
+    in_rows: Sequence[int],
+    q_set: VertexSet,
+    h: Digraph | None,
+    cert_q: GoodPairCert,
+    rest: VertexSet,
+) -> Iterator[tuple[int, VertexSet, Digraph, GoodPairCert]]:
+    """Absorb members of ``rest`` one at a time, the lowest one with an
+    in- and an out-neighbour in Q first, until none is left that can join.
+
+    cert_q is a good pair of D[Q] as ``induced_subdigraph`` numbers it, and
+    h is that D[Q], or None to induce it at the first step, so a Q that
+    absorbs nothing is never induced; in_rows are d's in-rows.  Each step
+    yields the vertex v it attached and the grown Q, D[Q] and certificate.
+    """
+    rows = d.out_adj
+    while rest:
+        for v in bits(rest):
+            if in_rows[v] & q_set and rows[v] & q_set:
+                break
+        else:
+            return
+        if h is None:
+            h, _ = induced_subdigraph(d, q_set)
+        h, cert_q = _absorb(d, in_rows, q_set, h, cert_q, v)
+        q_set |= 1 << v
+        rest &= ~(1 << v)
+        yield v, q_set, h, cert_q
 
 
 def _absorb(
-    d: Digraph, q_set: VertexSet, cert_q: GoodPairCert, x_set: VertexSet, in_rows: Sequence[int]
-) -> GoodPairCert:
-    """``absorb_external_vertices`` on a certificate its caller has verified.
+    d: Digraph,
+    in_rows: Sequence[int],
+    q_set: VertexSet,
+    h: Digraph,
+    cert_q: GoodPairCert,
+    v: int,
+) -> tuple[Digraph, GoodPairCert]:
+    """Attach v to a good pair of D[Q]: returns D[Q + v] and its good pair,
+    both numbered as ``induced_subdigraph`` numbers them.
 
-    cert_q is a good pair of D[Q] numbered as ``induced_subdigraph``
-    numbers it, Q's members ascending; in_rows are the in-rows of d.  A
-    vertex's index in D[Q | X] is its rank there, the number of members
-    below it: one pass over the vertex map renumbers cert_q, and each
-    attached arc's endpoints are ranked by a popcount.  The certificate
-    built on D[Q | X] is verified here, once.
+    h is D[Q] in that numbering and cert_q a good pair of h, verified by
+    the caller; in_rows are d's in-rows, and v has an in- and an
+    out-neighbour in Q.  D[Q + v] is h grown by one row: v's rank r is
+    the number of members of Q below v, so every index from r up moves up
+    one, in the rows and in the certificate alike; bit r joins the rows of
+    v's in-neighbours and v's own row goes in at r.  v's lowest in- and
+    out-neighbours give its parent arc in the out-branching and its
+    leaving arc in the in-branching.  The new certificate is verified
+    here, once.
     """
-    target = q_set | x_set
-    h, vmap = induced_subdigraph(d, target)
-    q_index = [i for i, v in enumerate(vmap) if q_set >> v & 1]
+    target = q_set | 1 << v
+    r = (q_set & ((1 << v) - 1)).bit_count()
+    rbit = 1 << r
+    low = rbit - 1
+    grown = [(row & low) | (row >> r << (r + 1)) for row in h.out_adj]
+    row_v = 0
+    outs = d.out_adj[v] & q_set
+    while outs:
+        low_u = outs & -outs
+        row_v |= 1 << (target & (low_u - 1)).bit_count()
+        outs ^= low_u
+    grown.insert(r, row_v)
+    ins = in_rows[v] & q_set
+    parent_in = (target & ((ins & -ins) - 1)).bit_count()
+    while ins:
+        low_u = ins & -ins
+        grown[(target & (low_u - 1)).bit_count()] |= rbit
+        ins ^= low_u
+    h = Digraph(h.n + 1, tuple(grown))
 
-    root_out = q_index[cert_q.out.root]
-    out_parent = {
-        q_index[v]: (q_index[a], q_index[b]) for v, (a, b) in cert_q.out.parent.items()
-    }
-    root_in = q_index[cert_q.in_.root]
-    in_parent = {
-        q_index[v]: (q_index[a], q_index[b]) for v, (a, b) in cert_q.in_.parent.items()
-    }
-
-    covered = q_set
-    rest = x_set
-    while rest:
-        attached = 0
-        for v in bits(rest):
-            ins = in_rows[v] & covered
-            outs = d.out_adj[v] & covered
-            if ins and outs:
-                i = (target & ((1 << v) - 1)).bit_count()
-                out_parent[i] = ((target & ((ins & -ins) - 1)).bit_count(), i)
-                in_parent[i] = (i, (target & ((outs & -outs) - 1)).bit_count())
-                covered |= 1 << v
-                attached |= 1 << v
-        if not attached:
-            stuck = (rest & -rest).bit_length() - 1
-            raise ValueError(
-                f"vertex {stuck} cannot be absorbed: it lacks an in- or out-neighbour "
-                "among the covered vertices"
-            )
-        rest &= ~attached
+    up = list(range(h.n))
+    del up[r]
+    out_parent = {up[x]: (up[a], up[b]) for x, (a, b) in cert_q.out.parent.items()}
+    out_parent[r] = (parent_in, r)
+    in_parent = {up[x]: (up[a], up[b]) for x, (a, b) in cert_q.in_.parent.items()}
+    in_parent[r] = (r, (row_v & -row_v).bit_length() - 1)
     cert = GoodPairCert(
-        h.n, Branching("out", root_out, out_parent), Branching("in", root_in, in_parent)
+        h.n,
+        Branching("out", up[cert_q.out.root], out_parent),
+        Branching("in", up[cert_q.in_.root], in_parent),
     )
     bad = verify_good_pair(h, cert)
     if bad:  # pragma: no cover - attachment cannot collide
         raise AssertionError(f"absorption produced invalid certificate: {bad}")
-    return cert
+    return h, cert
 
 
 # ---------------------------------------------------------------------------
@@ -989,6 +1038,11 @@ def reduce_and_lift(
     goes to the exhaustive solver.  Raises ValueError for a node budget below 1
     and otherwise never; the result status mirrors the solver's ("found",
     "none", "inconclusive").
+
+    The host's in-rows are built once, and D[Q] is induced once, when the
+    first vertex is absorbed after the seed; every absorb step grows D[Q]
+    by one row and verifies its certificate, so each certificate the
+    pipeline builds is verified once.
     """
     if node_budget < 1:
         raise ValueError(f"node_budget must be at least 1, got {node_budget}")
@@ -1001,19 +1055,10 @@ def reduce_and_lift(
     if seeded is not None:
         q_set, cert, note = seeded
         steps.append(TraceStep("small-base", q_set, note))
-        while q_set != full:
-            candidate = None
-            for v in bits(full & ~q_set):
-                if in_rows[v] & q_set and d.out_adj[v] & q_set:
-                    candidate = v
-                    break
-            if candidate is None:
-                break
-            # cert is a good pair of D[Q]: the seed's by the digon or the
-            # table, every later one verified by _absorb when it was built
-            cert = _absorb(d, q_set, cert, 1 << candidate, in_rows)
-            q_set |= 1 << candidate
-            steps.append(TraceStep("absorb", q_set, f"attached vertex {candidate}"))
+        # cert is a good pair of D[Q], by the digon or the table; each
+        # absorb step grows D[Q] by one row and verifies the pair it builds
+        for v, q_set, _, cert in _absorb_steps(d, in_rows, q_set, None, cert, full & ~q_set):
+            steps.append(TraceStep("absorb", q_set, f"attached vertex {v}"))
         if q_set == full:
             return SearchResult("found", cert, 0), ReductionTrace(steps)
         # X and Y are disjoint: a vertex in both would have been absorbed

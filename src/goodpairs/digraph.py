@@ -18,14 +18,21 @@ Two text formats are supported:
 
 * edge-list: line 1 is the vertex count ``n`` in decimal; every following
   nonempty line is ``u v`` with ``0 <= u, v < n`` and ``u != v``, one arc
-  per line, LF-terminated.
+  per line, LF-terminated.  Numbers are ASCII digits ``[0-9]+``, separated
+  by spaces or tabs; a line may end in CR.
 * digraph6: optional ``>>digraph6<<`` header, mandatory ``&`` prefix, one
   byte ``n + 63``, then the row-major n*n adjacency matrix packed into
-  6-bit groups, each group + 63 as printable ASCII.
+  6-bit groups, each group + 63 as printable ASCII; the padding bits of
+  the last group are zero.
+
+Both parsers accept one spelling per digraph, up to blank lines and the
+blanks around tokens: ``int`` alone would also take ``_``, signs and
+other scripts' digits, and nonzero padding would go unread.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -37,6 +44,19 @@ VertexSet = int
 
 class ParseError(ValueError):
     """Malformed digraph text; the message names the offending line."""
+
+
+# an edge-list number: ASCII digits only, so "0_1", "+1" and "١" are malformed
+_DECIMAL = re.compile(r"[0-9]+")
+# blanks an edge-list line may carry around its tokens (CR for CRLF
+# files), and the spaces or tabs between its two tokens
+_BLANKS = " \t\r"
+_SEPARATOR = re.compile(r"[ \t]+")
+
+
+def _first_line(text: str) -> int:
+    """The 1-based number of the line holding the first non-blank character."""
+    return text[: len(text) - len(text.lstrip())].count("\n") + 1
 
 
 def bits(mask: VertexSet) -> Iterator[int]:
@@ -191,34 +211,34 @@ def sniff_format(text: str) -> str:
     first = stripped[0]
     if first in "&>":
         return "digraph6"
-    if first.isdigit():
+    if first in "0123456789":
         return "edge-list"
-    raise ParseError(f"cannot determine format from leading character {first!r}")
+    raise ParseError(
+        f"line {_first_line(text)}: cannot determine format from leading character {first!r}"
+    )
 
 
 def _parse_edge_list(text: str) -> Digraph:
     lines = text.split("\n")
-    if not lines or not lines[0].strip():
+    head = lines[0].strip(_BLANKS)
+    if not head:
         raise ParseError("line 1: expected vertex count")
-    head = lines[0].strip()
-    try:
-        n = int(head)
-    except ValueError:
-        raise ParseError(f"line 1: expected vertex count, got {head!r}") from None
+    if not _DECIMAL.fullmatch(head):
+        raise ParseError(f"line 1: expected vertex count, got {head!r}")
+    n = int(head)
     if not 1 <= n <= MAX_VERTICES:
         raise ParseError(f"line 1: vertex count must be in 1..{MAX_VERTICES}, got {n}")
     rows = [0] * n
     for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
+        line = raw.strip(_BLANKS)
         if not line:
             continue
-        parts = line.split()
+        parts = _SEPARATOR.split(line)
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: expected integers, got {raw!r}") from None
+        if not (_DECIMAL.fullmatch(parts[0]) and _DECIMAL.fullmatch(parts[1])):
+            raise ParseError(f"line {lineno}: expected integers, got {raw!r}")
+        u, v = int(parts[0]), int(parts[1])
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"line {lineno}: vertex out of range 0..{n - 1}")
         if u == v:
@@ -231,34 +251,38 @@ _D6_HEADER = ">>digraph6<<"
 
 
 def _parse_digraph6(text: str) -> Digraph:
+    where = f"line {_first_line(text)}: digraph6"
     s = text.strip()
     if s.startswith(_D6_HEADER):
         s = s[len(_D6_HEADER):]
     if not s.startswith("&"):
-        raise ParseError("digraph6: missing '&' prefix")
+        raise ParseError(f"{where}: missing '&' prefix")
     s = s[1:]
     if not s:
-        raise ParseError("digraph6: missing vertex count byte")
+        raise ParseError(f"{where}: missing vertex count byte")
     n = ord(s[0]) - 63
     if not 1 <= n <= MAX_VERTICES:
-        raise ParseError(f"digraph6: vertex count {n} out of range 1..{MAX_VERTICES}")
+        raise ParseError(f"{where}: vertex count {n} out of range 1..{MAX_VERTICES}")
     body = s[1:]
     need = (n * n + 5) // 6
     if len(body) != need:
-        raise ParseError(f"digraph6: expected {need} data bytes, got {len(body)}")
+        raise ParseError(f"{where}: expected {need} data bytes, got {len(body)}")
     bits_acc = 0
     for ch in body:
         code = ord(ch) - 63
         if not 0 <= code < 64:
-            raise ParseError(f"digraph6: invalid data byte {ch!r}")
+            raise ParseError(f"{where}: invalid data byte {ch!r}")
         bits_acc = bits_acc << 6 | code
-    bits_acc >>= 6 * need - n * n  # drop the zero padding
+    pad = 6 * need - n * n
+    if bits_acc & ((1 << pad) - 1):
+        raise ParseError(f"{where}: nonzero padding bits in the last data byte {body[-1]!r}")
+    bits_acc >>= pad
     rows = [0] * n
     for u in range(n):
         for v in range(n):
             if bits_acc >> (n * n - 1 - (u * n + v)) & 1:
                 if u == v:
-                    raise ParseError(f"digraph6: loop arc at vertex {u}")
+                    raise ParseError(f"{where}: loop arc at vertex {u}")
                 rows[u] |= 1 << v
     return Digraph(n, tuple(rows))
 

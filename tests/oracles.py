@@ -12,11 +12,13 @@ reach, every out-branching with an in-branching test on its complement),
 a scan over every small vertex subset for the seed of the reduction, and
 the exact search as it stood before its incremental pruning, with every
 pruning test rerun at every node, the generator's repair loop as it
-stood before it carried its proven pairs, and a branching verifier that
-walks from every vertex all the way to the root.  Nothing imports the
-algorithms under test beyond plain data types, the branching enumerator,
-and the repair's full ``arc_connectivity`` call per round (itself
-checked against subset enumeration).
+stood before it carried its proven pairs, the absorb step as it stood
+before it grew D[Q] by one row (it re-induces D[Q + X] from the host),
+and a branching verifier that walks from every vertex all the way to the
+root.  Nothing imports the algorithms under test beyond plain data types,
+the branching enumerator, the repair's full ``arc_connectivity`` call per
+round (itself checked against subset enumeration), and the absorb
+reference's ``induced_subdigraph`` and ``verify_good_pair``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ from goodpairs import (
     arc_connectivity,
     bits,
     enumerate_branchings,
+    induced_subdigraph,
     mask_of,
+    verify_good_pair,
 )
 
 
@@ -604,3 +608,51 @@ def find_good_pair_exact_reference(
         except _RefBudgetExceeded:
             return SearchResult("inconclusive", None, nodes)
     return SearchResult("none", None, nodes)
+
+
+def absorb_reference(
+    d: Digraph, q_set: int, cert_q: GoodPairCert, x_set: int, in_rows: list[int]
+) -> GoodPairCert:
+    """Attach the vertices of ``x_set`` to a good pair of D[Q] by
+    re-inducing D[Q + X] from the host and re-indexing cert_q through its
+    vertex map: lowest-first passes with rescans, each vertex attached by
+    its lowest in- and out-neighbour among the covered vertices.  Both
+    certificates are numbered as ``induced_subdigraph`` numbers D[Q] and
+    D[Q + X]; in_rows are d's in-rows."""
+    target = q_set | x_set
+    h, vmap = induced_subdigraph(d, target)
+    q_index = [i for i, v in enumerate(vmap) if q_set >> v & 1]
+
+    root_out = q_index[cert_q.out.root]
+    out_parent = {
+        q_index[v]: (q_index[a], q_index[b]) for v, (a, b) in cert_q.out.parent.items()
+    }
+    root_in = q_index[cert_q.in_.root]
+    in_parent = {
+        q_index[v]: (q_index[a], q_index[b]) for v, (a, b) in cert_q.in_.parent.items()
+    }
+
+    covered = q_set
+    rest = x_set
+    while rest:
+        attached = 0
+        for v in bits(rest):
+            ins = in_rows[v] & covered
+            outs = d.out_adj[v] & covered
+            if ins and outs:
+                i = (target & ((1 << v) - 1)).bit_count()
+                out_parent[i] = ((target & ((ins & -ins) - 1)).bit_count(), i)
+                in_parent[i] = (i, (target & ((outs & -outs) - 1)).bit_count())
+                covered |= 1 << v
+                attached |= 1 << v
+        if not attached:
+            stuck = (rest & -rest).bit_length() - 1
+            raise ValueError(f"vertex {stuck} cannot be absorbed")
+        rest &= ~attached
+    cert = GoodPairCert(
+        h.n, Branching("out", root_out, out_parent), Branching("in", root_in, in_parent)
+    )
+    bad = verify_good_pair(h, cert)
+    if bad:
+        raise AssertionError(f"absorption produced invalid certificate: {bad}")
+    return cert

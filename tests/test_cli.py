@@ -269,6 +269,21 @@ class TestErrors:
         assert main(["lambda", str(f)]) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,fragment",
+        [
+            ("3\n0 0_1\n1 0\n1 2\n2 1\n", "line 2"),
+            ("3\n0 \u0661\n1 0\n1 2\n2 1\n", "line 2"),
+            ("\u0663\n0 1\n1 0\n1 2\n2 1\n", "line 1"),
+            ("&AX\n", "line 1: digraph6: nonzero padding"),
+        ],
+    )
+    def test_second_spelling_exits_3(self, text, fragment, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["lambda", "-"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and fragment in err
+
     def test_usage_error_exits_3(self):
         with pytest.raises(SystemExit) as exc:
             main(["goodpair"])  # missing the digraph argument

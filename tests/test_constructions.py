@@ -8,6 +8,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from goodpairs import (
     ConditionNotMet,
@@ -42,6 +43,7 @@ from goodpairs import branchings, connectivity, constructions, digraph
 from goodpairs.constructions import (
     _PAIRS4,
     _TOURNAMENT4_CERTS,
+    _absorb,
     _alternating_selection,
     _in_forest,
     _seed_subdigraph,
@@ -51,6 +53,7 @@ from goodpairs.constructions import (
 from goodpairs.digraph import _in_rows, from_arcs
 
 from oracles import (
+    absorb_reference,
     initial_comps_reference,
     rand_digraph,
     seed_subdigraph_reference,
@@ -220,10 +223,24 @@ class TestAbsorption:
         with pytest.raises(ValueError, match="certificate for D\\[Q\\] invalid"):
             absorb_external_vertices(d, 0b011, broken, x_set)
 
+    def test_attaches_in_pipeline_order(self):
+        """Each step attaches the lowest vertex that can join.  Here Q = {2}
+        and X = {0, 1, 3}: 1 joins first, then 0 (through 1) and then 3,
+        whose lowest covered neighbour is 0 by then.  Lowest-first passes
+        with rescans attach 3 before 0, through 1; both pairs are good."""
+        d = parse_digraph("&C]so")
+        cq = find_good_pair_exact(induced_subdigraph(d, 0b0100)[0]).cert
+        cert = absorb_external_vertices(d, 0b0100, cq, 0b1011)
+        assert verify_good_pair(d, cert) is None
+        assert (cert.out.parent[3], cert.in_.parent[3]) == ((0, 3), (3, 0))
+        passes = absorb_reference(d, 0b0100, cq, 0b1011, _in_rows(d.n, d.out_adj))
+        assert verify_good_pair(d, passes) is None
+        assert (passes.out.parent[3], passes.in_.parent[3]) == ((1, 3), (3, 1))
+
     def test_pipeline_verifies_each_step_once(self, monkeypatch):
         # a tournament has no digon, so the seed is its first 4-clique, whose
-        # good pair comes from the table with no search and no induced
-        # sub-digraph; absorb closes the rest one vertex per step
+        # good pair comes from the table with no search; D[Q] is induced
+        # once, at the first absorb step, and each step grows it by one row
         calls = collections.Counter()
         for name in ("verify_good_pair", "induced_subdigraph", "find_good_pair_exact"):
             def counted(*args, _real=getattr(constructions, name), _name=name):
@@ -236,8 +253,53 @@ class TestAbsorption:
         assert res.status == "found" and trace.steps[-1].rule == "absorb"
         steps = sum(s.rule == "absorb" for s in trace.steps)
         assert steps == 16
-        assert calls == {"verify_good_pair": steps, "induced_subdigraph": steps}
+        assert calls == {"verify_good_pair": steps, "induced_subdigraph": 1}
         assert calls["find_good_pair_exact"] == 0
+
+    def test_pipeline_without_absorb_step_induces_nothing(self, monkeypatch):
+        """A digon seed that absorbs nothing goes to the exact fallback
+        without inducing D[Q]."""
+        calls = _counted(monkeypatch, "induced_subdigraph", (constructions,))
+        d = random_2arc_strong(GenModel("arc-minimal", 20, 0.3, derive_seed(7, 1)))
+        res, trace = reduce_and_lift(d)
+        assert res.status == "found"
+        assert [s.rule for s in trace.steps] == ["small-base", "exact-fallback"]
+        assert calls == []
+
+
+@st.composite
+def absorb_cases(draw, max_n=9):
+    """A digraph with each arc present with probability 3/4, a nonempty
+    proper vertex set Q, and the vertices outside Q with an in- and an
+    out-neighbour in Q."""
+    n = draw(st.integers(2, max_n))
+    full = (1 << n) - 1
+    rows = tuple(
+        (draw(st.integers(0, full)) | draw(st.integers(0, full))) & ~(1 << u) for u in range(n)
+    )
+    d = Digraph(n, rows)
+    q_set = draw(st.integers(1, full - 1))
+    in_rows = _in_rows(n, rows)
+    attachable = [v for v in bits(full & ~q_set) if in_rows[v] & q_set and rows[v] & q_set]
+    return d, in_rows, q_set, attachable
+
+
+class TestAbsorbStep:
+    @given(absorb_cases(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_grows_induced_rows_and_matches_reference(self, case, data):
+        """One step on a random Q and an attachable v: its rows are
+        induced_subdigraph's of Q + v, and its certificate is the one the
+        re-inducing absorb step built."""
+        d, in_rows, q_set, attachable = case
+        assume(attachable)
+        h, _ = induced_subdigraph(d, q_set)
+        res = find_good_pair_exact(h)
+        assume(res.status == "found")
+        v = data.draw(st.sampled_from(attachable))
+        grown, cert = _absorb(d, in_rows, q_set, h, res.cert, v)
+        assert grown == induced_subdigraph(d, q_set | 1 << v)[0]
+        assert cert == absorb_reference(d, q_set, res.cert, 1 << v, in_rows)
 
 
 def _counted(monkeypatch, name, modules):

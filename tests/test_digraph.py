@@ -160,6 +160,35 @@ class TestEdgeListFormat:
         with pytest.raises(ParseError, match="line 1"):
             parse_digraph("x\n0 1\n", "edge-list")
 
+    def test_blanks_around_tokens_and_crlf(self):
+        assert parse_digraph(" 3 \r\n0\t 1\r\n 1 2\n2 0 \n") == C3
+
+    @pytest.mark.parametrize(
+        "text,fragment",
+        [
+            # int() reads each of these as the number it resembles
+            ("3\n0 0_1\n1 0\n1 2\n2 1\n", "line 2: expected integers"),
+            ("3\n0 \u0661\n1 0\n", "line 2: expected integers"),
+            ("3\n0 +1\n", "line 2: expected integers"),
+            ("3\n0 \uff11\n", "line 2: expected integers"),
+            ("3\n0 1\n1\u00a02\n", "line 3: expected 'u v'"),
+            ("3\n0 1\n1\u20032\n", "line 3: expected 'u v'"),
+            ("3\n0 1\n1 2\x0c\n", "line 3: expected integers"),
+            ("\u0663\n0 1\n", "line 1: cannot determine format"),
+            ("\n\n\u0663\n0 1\n", "line 3: cannot determine format"),
+            ("3_0\n0 1\n", "line 1: expected vertex count"),
+            ("3\u00a0\n0 1\n", "line 1: expected vertex count"),
+        ],
+    )
+    def test_one_spelling_per_number(self, text, fragment):
+        with pytest.raises(ParseError, match=fragment):
+            parse_digraph(text)
+
+    @pytest.mark.parametrize("head", ["+3", "\u0663", "3.0", " 3_0"])
+    def test_vertex_count_ascii_digits_only(self, head):
+        with pytest.raises(ParseError, match="line 1"):
+            parse_digraph(f"{head}\n0 1\n", "edge-list")
+
 
 class TestDigraph6Format:
     def test_frozen_example(self):
@@ -190,6 +219,15 @@ class TestDigraph6Format:
     def test_malformed(self, text, fragment):
         with pytest.raises(ParseError, match=fragment):
             parse_digraph(text, "digraph6")
+
+    def test_nonzero_padding_rejected(self):
+        # n=2 has 4 matrix bits and 2 padding bits: "W" is 011000, "X" is
+        # 011001 with a padding bit set, which used to parse equal to "W"
+        assert parse_digraph("&AW") == Digraph(2, (0b10, 0b01))
+        with pytest.raises(ParseError, match="line 1: digraph6: nonzero padding"):
+            parse_digraph("&AX")
+        with pytest.raises(ParseError, match="line 2: digraph6: nonzero padding"):
+            parse_digraph("\n>>digraph6<<&AX\n")
 
     def test_loop_bit_rejected(self):
         # n=2 with the (0,0) matrix bit set: bits 1000 -> group 100000 = 32
