@@ -42,12 +42,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _natural(text: str) -> int:
+    """argparse type of every integer argument: ASCII digits only.  int()
+    would also take a sign, underscores, spaces and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _positive(text: str) -> int:
     """argparse type of --budget and --jobs: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _natural(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -269,18 +274,18 @@ def _build_parser() -> _Parser:
 
     p = add("paths", _cmd_paths, "maximum arc-disjoint path packing")
     p.add_argument("digraph")
-    p.add_argument("source", type=int)
-    p.add_argument("target", type=int)
+    p.add_argument("source", type=_natural)
+    p.add_argument("target", type=_natural)
 
     p = add("edmonds", _cmd_edmonds, "k arc-disjoint out-branchings or a blocking cut")
     p.add_argument("digraph")
-    p.add_argument("root", type=int)
-    p.add_argument("k", type=int)
+    p.add_argument("root", type=_natural)
+    p.add_argument("k", type=_natural)
 
     p = add("goodpair", _cmd_goodpair, "exact good-pair search")
     p.add_argument("digraph")
-    p.add_argument("--root-out", type=int, default=None, help="force the out-branching root")
-    p.add_argument("--root-in", type=int, default=None, help="force the in-branching root")
+    p.add_argument("--root-out", type=_natural, default=None, help="force the out-branching root")
+    p.add_argument("--root-in", type=_natural, default=None, help="force the in-branching root")
     p.add_argument("--budget", type=_positive, default=DEFAULT_NODE_BUDGET,
                    help="search node budget before giving up")
 
@@ -297,15 +302,15 @@ def _build_parser() -> _Parser:
 
     p = add("gen", _cmd_gen, "draw a random 2-arc-strong digraph")
     p.add_argument("--kind", choices=GEN_KINDS, default="gnp-repair")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
     p.add_argument("--p", type=float, default=0.3)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_natural, required=True)
     p.add_argument("--format", choices=("edge-list", "digraph6"), default="edge-list")
 
     p = add("sweep", _cmd_sweep, "certify a seeded batch and report failures")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
+    p.add_argument("--count", type=_natural, required=True)
+    p.add_argument("--seed", type=_natural, required=True)
     p.add_argument("--kinds", default="gnp-repair,arc-minimal",
                    help="comma-separated generator kinds to cycle through")
     p.add_argument("--p", type=float, default=0.3)
@@ -315,9 +320,9 @@ def _build_parser() -> _Parser:
                    help="where failing instances are written")
 
     p = add("enum", _cmd_enum, "stream all small digraphs or tournaments")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
     p.add_argument("--tournaments", action="store_true")
-    p.add_argument("--min-arcs", type=int, default=0)
+    p.add_argument("--min-arcs", type=_natural, default=0)
     p.add_argument("--canonical", action="store_true",
                    help="emit one representative per isomorphism class")
 

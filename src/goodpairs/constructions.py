@@ -10,6 +10,12 @@ Absorption attaches vertices directly and the spare-vertex rule reduces to
 the same pattern.  The Hamilton-path split of an orientation is a
 stand-alone rule: the pipeline does not run it.
 
+Once the degree condition holds the pairing cannot fail.  Only the start
+component may have a single crossing arc, and it is picked first, so every
+pick finds a candidate; every initial component of D[X] and terminal one of
+D[Y] gets a pick, so the forests span X and Y; and Q feeds every vertex of
+Y and is fed by every vertex of X.  A rule declines only on its degrees.
+
 ``reduce_and_lift`` chains the rules: seed a small sub-digraph with a good
 pair, grow it by absorption, close with pairing / spare vertex, and fall
 back to exhaustive search.  Each applied rule appends one step to a
@@ -242,92 +248,50 @@ class _Sides:
 
 def _alternating_selection(
     s: _Sides, start: int
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Pick one arc into each X-component and one out of each Y-component.
 
+    Side 0 picks, for each component of ``comps_x``, an arc (u, v) from Y
+    into it; side 1 picks, for each component of ``comps_y``, an arc out
+    of it into X.  Either way ``arc[side]`` is the far endpoint.
     Components are processed alternately, each new arc forbidden from being
     the previous pick of the other side; preferring arcs whose far endpoint
     lies in a still-unprocessed component keeps consecutive picks in
-    distinct components, which makes the two systems arc-disjoint.  The
-    ``start`` component may have a single entering arc, every other
-    component must have two; returns None when a pick is impossible.
+    distinct components, which makes the two systems arc-disjoint.
+
+    Under the degree condition a pick always exists.  X has components:
+    Y's components send arcs into X, and X and Y are not both empty.  Every
+    component has two arcs to choose from, so one survives the exclusion,
+    except that the ``start`` component of X may have a single entering
+    arc, and it is picked first, when nothing is excluded yet.
     """
-    comps_x, comps_y = s.comps_x, s.comps_y
-    comp_of_x = {v: i for i, c in enumerate(comps_x) for v in bits(c)}
-    comp_of_y = {v: i for i, c in enumerate(comps_y) for v in bits(c)}
-
-    def arcs_into(c: VertexSet, exclude):
-        out = []
-        for v in bits(c):
-            for u in bits(s.in_rows[v] & s.y_set):
-                if (u, v) != exclude:
-                    out.append((u, v))
-        out.sort()
-        return out
-
-    def arcs_out_of(c: VertexSet, exclude):
-        out = []
-        for u in bits(c):
-            for v in bits(s.rows[u] & s.x_set):
-                if (u, v) != exclude:
-                    out.append((u, v))
-        out.sort()
-        return out
-
-    unproc_x = set(range(len(comps_x))) - {start}
-    unproc_y = set(range(len(comps_y)))
-    p_x: list[tuple[int, int]] = []
-    p_y: list[tuple[int, int]] = []
-    last_px: tuple[int, int] | None = None
-    last_py: tuple[int, int] | None = None
-    cur_x: int | None = start if comps_x else None
-    cur_y: int | None = None
-    if cur_x is None and unproc_y:
-        cur_y = min(unproc_y)
-        unproc_y.remove(cur_y)
-
-    while cur_x is not None or cur_y is not None:
-        if cur_x is not None:
-            cand = arcs_into(comps_x[cur_x], last_py)
-            if not cand:
-                return None
-            pref = [a for a in cand if comp_of_y.get(a[0]) in unproc_y]
-            if pref:
-                arc = pref[0]
-                nxt = comp_of_y[arc[0]]
-            else:
-                arc = cand[0]
-                nxt = min(unproc_y) if unproc_y else None
-            p_x.append(arc)
-            last_px = arc
-            cur_x = None
-            if nxt is not None:
-                unproc_y.remove(nxt)
-                cur_y = nxt
-            elif unproc_x:
-                cur_x = min(unproc_x)
-                unproc_x.remove(cur_x)
+    comps = (s.comps_x, s.comps_y)
+    comp_of = tuple({v: i for i, c in enumerate(cs) for v in bits(c)} for cs in comps)
+    unproc = tuple(set(range(len(cs))) for cs in comps)
+    picks: tuple[list[tuple[int, int]], list[tuple[int, int]]] = ([], [])
+    last: list[tuple[int, int] | None] = [None, None]
+    side, cur = 0, start
+    unproc[0].remove(start)
+    while True:
+        if side == 0:
+            arcs = [(u, v) for v in bits(comps[0][cur]) for u in bits(s.in_rows[v] & s.y_set)]
         else:
-            cand = arcs_out_of(comps_y[cur_y], last_px)
-            if not cand:
-                return None
-            pref = [a for a in cand if comp_of_x.get(a[1]) in unproc_x]
-            if pref:
-                arc = pref[0]
-                nxt = comp_of_x[arc[1]]
-            else:
-                arc = cand[0]
-                nxt = min(unproc_x) if unproc_x else None
-            p_y.append(arc)
-            last_py = arc
-            cur_y = None
-            if nxt is not None:
-                unproc_x.remove(nxt)
-                cur_x = nxt
-            elif unproc_y:
-                cur_y = min(unproc_y)
-                unproc_y.remove(cur_y)
-    return p_x, p_y
+            arcs = [(u, v) for u in bits(comps[1][cur]) for v in bits(s.rows[u] & s.x_set)]
+        far = 1 - side
+        cand = sorted(a for a in arcs if a != last[far])
+        pref = [a for a in cand if comp_of[far].get(a[side]) in unproc[far]]
+        arc = pref[0] if pref else cand[0]
+        picks[side].append(arc)
+        last[side] = arc
+        if pref:
+            side, cur = far, comp_of[far][arc[side]]
+        elif unproc[far]:
+            side, cur = far, min(unproc[far])
+        elif unproc[side]:
+            cur = min(unproc[side])
+        else:
+            return picks
+        unproc[side].remove(cur)
 
 
 def _lift_branching(b: Branching, vmap: tuple[int, ...]) -> tuple[int, dict]:
@@ -361,12 +325,19 @@ def _check_condition(din: list[int], dout: list[int]) -> tuple[bool, int | None]
 
     Requires every entry of dout >= 2 and at most one entry of din equal to
     1, the rest >= 2.  Returns (ok, index of the deficient component)."""
-    if any(v < 2 for v in dout):
-        return False, None
     ones = [i for i, v in enumerate(din) if v == 1]
-    if any(v == 0 for v in din) or len(ones) > 1:
+    if any(v < 2 for v in dout) or 0 in din or len(ones) > 1:
         return False, None
     return True, ones[0] if ones else None
+
+
+def _checked_subdigraph(d: Digraph, q_set: VertexSet, cert_q: GoodPairCert) -> Digraph:
+    """D[Q], once cert_q is checked to be a good pair of it."""
+    h, _ = induced_subdigraph(d, q_set)
+    bad = verify_good_pair(h, cert_q)
+    if bad:
+        raise ValueError(f"certificate for D[Q] invalid: {bad}")
+    return h
 
 
 def _pairing_prologue(
@@ -374,10 +345,7 @@ def _pairing_prologue(
 ) -> tuple[list[int], VertexSet, VertexSet]:
     """Checks shared by the public pairing rules: the good pair of D[Q],
     then disjoint neighbourhoods.  Returns (in-rows, X, Y)."""
-    h, _ = induced_subdigraph(d, q_set)
-    bad = verify_good_pair(h, cert_q)
-    if bad:
-        raise ValueError(f"certificate for D[Q] invalid: {bad}")
+    _checked_subdigraph(d, q_set, cert_q)
     in_rows = _in_rows(d.n, d.out_adj)
     x_set, y_set = _neighbourhoods(d.out_adj, in_rows, q_set)
     if x_set & y_set:
@@ -422,25 +390,21 @@ def _component_pairing(
     sides = _Sides.build(d.out_adj, in_rows, x_set, y_set)
     comps_x, comps_y = sides.comps_x, sides.comps_y
     din, dout = _cross_degrees(sides)
-
-    cert = None
     ok, deficient = _check_condition(din, dout)
     if ok:
         cert = _assemble_pairing(sides, q_set, cert_q, deficient or 0)
-    # dual orientation: allow the deficient component on the Y side
-    ok2, deficient2 = _check_condition(dout, din)
-    if cert is None and ok2:
-        rcert = _assemble_pairing(sides.reversed(), q_set, reverse_cert(cert_q), deficient2 or 0)
-        cert = None if rcert is None else reverse_cert(rcert)
-    if cert is not None:
         return _checked(d, cert, "component pairing")
-    # report the first offending component
-    zeros_x = [i for i, v in enumerate(din) if v == 0]
-    if zeros_x:
-        return ConditionNotMet("component of D[X] receives no arc from Y", comps_x[zeros_x[0]])
-    zeros_y = [j for j, v in enumerate(dout) if v == 0]
-    if zeros_y:
-        return ConditionNotMet("component of D[Y] sends no arc into X", comps_y[zeros_y[0]])
+    # dual orientation: allow the deficient component on the Y side
+    ok, deficient = _check_condition(dout, din)
+    if ok:
+        rcert = _assemble_pairing(sides.reversed(), q_set, reverse_cert(cert_q), deficient or 0)
+        return _checked(d, reverse_cert(rcert), "component pairing")
+    # report the first offending component; without zeros, failing both
+    # orientations takes two single-arc components
+    if 0 in din:
+        return ConditionNotMet("component of D[X] receives no arc from Y", comps_x[din.index(0)])
+    if 0 in dout:
+        return ConditionNotMet("component of D[Y] sends no arc into X", comps_y[dout.index(0)])
     ones_x = [i for i, v in enumerate(din) if v == 1]
     ones_y = [j for j, v in enumerate(dout) if v == 1]
     if ones_x and ones_y:
@@ -449,11 +413,9 @@ def _component_pairing(
         return ConditionNotMet(
             "two components of D[X] with a single entering arc", comps_x[ones_x[1]]
         )
-    if len(ones_y) > 1:
-        return ConditionNotMet(
-            "two components of D[Y] with a single leaving arc", comps_y[ones_y[1]]
-        )
-    return ConditionNotMet("pairing condition not met", 0)
+    return ConditionNotMet(
+        "two components of D[Y] with a single leaving arc", comps_y[ones_y[1]]
+    )
 
 
 def _assemble_pairing(
@@ -462,7 +424,7 @@ def _assemble_pairing(
     cert_q: GoodPairCert,
     start: int,
     skip_direct: VertexSet = 0,
-) -> GoodPairCert | None:
+) -> GoodPairCert:
     """Condition-one assembly: the deficient component (if any) is
     ``s.comps_x[start]``.
 
@@ -470,23 +432,21 @@ def _assemble_pairing(
     ascending.  Vertices in ``skip_direct`` take part in the selection and
     forests but get no direct arc to or from Q; the caller supplies their
     missing arc.  The caller verifies the certificate.
+
+    Under the degree condition it cannot fail: the selection finds every
+    pick; the forests span, as every initial component of D[X] holds a
+    head of p_x and every terminal one of D[Y] a tail of p_y; and Q feeds
+    every y in Y and is fed by every x in X.
     """
-    sel = _alternating_selection(s, start)
-    if sel is None:
-        return None
-    p_x, p_y = sel
+    p_x, p_y = _alternating_selection(s, start)
     # forests inside X / Y hanging off the p_x heads / the p_y tails
     t_x = _out_forest(s.in_rows, s.x_set, mask_of(v for _, v in p_x))
     t_y = _in_forest(s.rows, s.y_set, mask_of(u for u, _ in p_y))
-    if t_x is None or t_y is None:
-        return None
 
     vmap = tuple(bits(q_set))
     root_out, out_parent = _lift_branching(cert_q.out, vmap)
     for y in bits(s.y_set & ~skip_direct):
         q = s.in_rows[y] & q_set
-        if not q:
-            return None
         out_parent[y] = ((q & -q).bit_length() - 1, y)
     for u, v in p_x:
         out_parent[v] = (u, v)
@@ -495,8 +455,6 @@ def _assemble_pairing(
     root_in, in_parent = _lift_branching(cert_q.in_, vmap)
     for x in bits(s.x_set & ~skip_direct):
         q = s.rows[x] & q_set
-        if not q:
-            return None
         in_parent[x] = (x, (q & -q).bit_length() - 1)
     for u, v in p_y:
         in_parent[u] = (u, v)
@@ -529,10 +487,7 @@ def absorb_external_vertices(
         raise ValueError("Q and X must be disjoint")
     if (q_set | x_set) & ~d.full_mask:
         raise ValueError("vertex sets mention vertices >= n")
-    h, _ = induced_subdigraph(d, q_set)
-    bad = verify_good_pair(h, cert_q)
-    if bad:
-        raise ValueError(f"certificate for D[Q] invalid: {bad}")
+    h = _checked_subdigraph(d, q_set, cert_q)
     if x_set == 0:
         return cert_q
     target = q_set | x_set
@@ -681,7 +636,6 @@ def _pair_with_spare_vertex(
     of D[Q], in_rows are d's in-rows, and Q, its disjoint in- and
     out-neighbourhoods X and Y, and w partition the vertices.  The
     certificate it builds is verified here, once."""
-    n = d.n
     wbit = 1 << w
     rows = d.out_adj
     if in_rows[w] & y_set:
@@ -694,9 +648,11 @@ def _pair_with_spare_vertex(
         return _checked(d, got, "spare vertex rule")
 
     # w is seen only by X and only sees Y
-    if (in_rows[w] & x_set).bit_count() < 2:
+    win = in_rows[w] & x_set
+    wout = rows[w] & y_set
+    if win.bit_count() < 2:
         return ConditionNotMet("spare vertex needs two in-neighbours in X", wbit)
-    if (rows[w] & y_set).bit_count() < 2:
+    if wout.bit_count() < 2:
         return ConditionNotMet("spare vertex needs two out-neighbours in Y", wbit)
     sides = _Sides.build(rows, in_rows, x_set, y_set)
     din, dout = _cross_degrees(sides)
@@ -708,20 +664,10 @@ def _pair_with_spare_vertex(
         return ConditionNotMet(
             "component of D[Y] short of leaving arcs into X", sides.comps_y[dout.index(min(dout))]
         )
-    base = _assemble_pairing(sides, q_set, cert_q, 0)
-    if base is None:
-        return ConditionNotMet("cross-arc selection failed", 0)
-    win = in_rows[w] & x_set
-    wout = rows[w] & y_set
-    out_parent = dict(base.out.parent)
-    out_parent[w] = ((win & -win).bit_length() - 1, w)
-    in_parent = dict(base.in_.parent)
-    in_parent[w] = (w, (wout & -wout).bit_length() - 1)
-    cert = GoodPairCert(
-        n,
-        Branching("out", base.out.root, out_parent),
-        Branching("in", base.in_.root, in_parent),
-    )
+    # the assembled certificate is fresh: w's two arcs go straight into it
+    cert = _assemble_pairing(sides, q_set, cert_q, 0)
+    cert.out.parent[w] = ((win & -win).bit_length() - 1, w)
+    cert.in_.parent[w] = (w, (wout & -wout).bit_length() - 1)
     return _checked(d, cert, "spare vertex rule")
 
 
@@ -739,11 +685,12 @@ def _spare_with_feed_arc(
     The tail's component may be left with a single leaving arc, so it
     plays the deficient role and is processed first.  The deleted arc
     itself becomes w's parent in the out-branching.  The caller verifies
-    the certificate.
+    the certificate and makes sure some arc runs from Y into w.  Deleting
+    it keeps Q's neighbourhoods, w lying outside Q, so only the degrees
+    can make an arc fail; the last arc's reason is returned.
     """
     wbit = 1 << w
     y_prime = y_set | wbit
-    last_reason: ConditionNotMet | None = None
     for v in bits(in_rows[w] & y_set):
         stripped = list(rows)
         stripped[v] &= ~wbit
@@ -776,14 +723,10 @@ def _spare_with_feed_arc(
         rcert = _assemble_pairing(
             sides.reversed(), q_set, reverse_cert(cert_q), start, skip_direct=wbit
         )
-        if rcert is None:
-            last_reason = ConditionNotMet("cross-arc selection failed", comps_y[start])
-            continue
-        base = reverse_cert(rcert)
-        out_parent = dict(base.out.parent)
-        out_parent[w] = (v, w)
-        return GoodPairCert(len(rows), Branching("out", base.out.root, out_parent), base.in_)
-    return last_reason or ConditionNotMet("no usable arc from Y into the spare vertex", wbit)
+        cert = reverse_cert(rcert)
+        cert.out.parent[w] = (v, w)
+        return cert
+    return last_reason
 
 
 # ---------------------------------------------------------------------------

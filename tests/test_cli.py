@@ -340,3 +340,50 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--n", "6", "--seed", "1", "--kind", "nope"])
         assert exc.value.code == 3
+
+
+# a command line per integer argument, "{}" marking it, and a value it takes
+INT_ARGS = {
+    "paths source": (["paths", "{file}", "{}", "1"], "2"),
+    "paths target": (["paths", "{file}", "0", "{}"], "2"),
+    "edmonds root": (["edmonds", "{file}", "{}", "2"], "1"),
+    "edmonds k": (["edmonds", "{file}", "0", "{}"], "2"),
+    "goodpair --root-out": (["goodpair", "{file}", "--root-out", "{}"], "2"),
+    "goodpair --root-in": (["goodpair", "{file}", "--root-in", "{}"], "2"),
+    "goodpair --budget": (["goodpair", "{file}", "--budget", "{}"], "10"),
+    "reduce --budget": (["reduce", "{file}", "--budget", "{}"], "10"),
+    "gen --n": (["gen", "--n", "{}", "--seed", "1"], "6"),
+    "gen --seed": (["gen", "--n", "6", "--seed", "{}"], "12"),
+    "sweep --n": (["sweep", "--n", "{}", "--count", "1", "--seed", "1"], "5"),
+    "sweep --count": (["sweep", "--n", "5", "--count", "{}", "--seed", "1"], "2"),
+    "sweep --seed": (["sweep", "--n", "5", "--count", "1", "--seed", "{}"], "12"),
+    "sweep --jobs": (["sweep", "--n", "5", "--count", "1", "--seed", "1", "--jobs", "{}"], "1"),
+    "sweep --budget": (
+        ["sweep", "--n", "5", "--count", "1", "--seed", "1", "--budget", "{}"], "10"
+    ),
+    "enum --n": (["enum", "--n", "{}"], "3"),
+    "enum --min-arcs": (["enum", "--n", "3", "--min-arcs", "{}"], "4"),
+}
+
+
+def _int_argv(name: str, text: str, digraph_file: str) -> list[str]:
+    return [a.replace("{file}", digraph_file).replace("{}", text) for a in INT_ARGS[name][0]]
+
+
+class TestIntegerArguments:
+    """Integer arguments are ASCII digits: int() would also read a sign,
+    an underscore or another script's digit, and run on a value the user
+    did not write (`gen --seed ١` drew the digraph of seed 1)."""
+
+    @pytest.mark.parametrize("name", sorted(INT_ARGS))
+    @pytest.mark.parametrize("text", ["١", "6_0", "+1", "-3", " 1", "", "1.0"])
+    def test_rejected_with_exit_3(self, bi3_file, name, text, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(_int_argv(name, text, bi3_file))
+        assert exc.value.code == 3
+        assert "invalid int value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(INT_ARGS))
+    def test_ascii_digits_accepted(self, bi3_file, name, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a sweep writes its failures under the working directory
+        assert main(_int_argv(name, INT_ARGS[name][1], bi3_file)) == 0

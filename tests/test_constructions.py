@@ -45,6 +45,7 @@ from goodpairs.constructions import (
     _TOURNAMENT4_CERTS,
     _absorb,
     _alternating_selection,
+    _check_condition,
     _in_forest,
     _seed_subdigraph,
     _Sides,
@@ -391,6 +392,140 @@ class TestSpareVertex:
         d = from_arcs(8, SPARE_BASE + [(2, 6), (3, 6), (6, 4), (6, 5), (7, 6), (6, 7)])
         with pytest.raises(ValueError, match="cover"):
             pair_with_spare_vertex(d, Q_SET, _digon_pair_cert(d, Q_SET), 6)
+
+
+PAIRING_REASONS = {
+    "component of D[X] receives no arc from Y",
+    "component of D[Y] sends no arc into X",
+    "deficient components on both sides",
+    "two components of D[X] with a single entering arc",
+    "two components of D[Y] with a single leaving arc",
+}
+SPARE_REASONS = {
+    "spare vertex needs two in-neighbours in X",
+    "spare vertex needs two out-neighbours in Y",
+    "component of D[X] short of entering arcs from Y",
+    "component of D[Y] short of leaving arcs into X",
+    "component of D[X] short of entering arcs",
+    "component of Y + w short of leaving arcs into X",
+}
+
+
+def _partitioned_instance(rng, spare):
+    """A random digraph with a vertex set Q whose D[Q] has a good pair, and
+    whose in-neighbourhood X and out-neighbourhood Y are disjoint and cover
+    the rest, bar one spare vertex w seeing neither Q nor being seen by it.
+    Returns (d, Q, cert of D[Q], X, Y, w or None)."""
+    while True:
+        n = rng.randint(4, 9)
+        verts = rng.sample(range(n), n)
+        k = rng.randint(2, 3)
+        q = verts[:k]
+        w = verts[k] if spare else None
+        rest = verts[k + (1 if spare else 0):]
+        if not rest:
+            continue
+        cut = rng.randint(0, len(rest))
+        xs, ys = rest[:cut], rest[cut:]
+        p = rng.choice((0.2, 0.4, 0.6, 0.8))
+        arcs = {(a, b) for a in q for b in q if a != b and rng.random() < 0.8}
+        for x in xs:  # x feeds Q, Q never feeds x
+            arcs |= {(x, b) for b in rng.sample(q, rng.randint(1, k))}
+        for y in ys:  # Q feeds y, y never feeds Q
+            arcs |= {(a, y) for a in rng.sample(q, rng.randint(1, k))}
+        arcs |= {(a, b) for a in rest for b in rest if a != b and rng.random() < p}
+        if spare and rng.random() < 0.5:  # w is seen only by X and only sees Y
+            arcs |= {(x, w) for x in xs if rng.random() < 0.7}
+            arcs |= {(w, y) for y in ys if rng.random() < 0.7}
+        elif spare:
+            arcs |= {(a, w) for a in rest if rng.random() < p}
+            arcs |= {(w, b) for b in rest if rng.random() < p}
+        d = from_arcs(n, sorted(arcs))
+        x_set, y_set = mask_of(xs), mask_of(ys)
+        if rng.random() < 0.5:  # the reversal swaps the roles of X and Y
+            d, x_set, y_set = reverse(d), y_set, x_set
+        q_set = mask_of(q)
+        res = find_good_pair_exact(induced_subdigraph(d, q_set)[0])
+        if res.status == "found":
+            return d, q_set, res.cert, x_set, y_set, w
+
+
+def _degrees(d, x_set, y_set):
+    """Arcs from Y into each initial component of D[X], and out of each
+    terminal component of D[Y] into X, from the reference components."""
+    din = [sum(d.has_arc(u, v) for v in bits(c) for u in bits(y_set))
+           for c in initial_comps_reference(d, x_set)]
+    dout = [sum(d.has_arc(u, v) for u in bits(c) for v in bits(x_set))
+            for c in terminal_comps_reference(d, y_set)]
+    return din, dout
+
+
+def _feed_arc_admits(d, x_set, y_set, w):
+    """Some arc v -> w from Y leaves, once deleted, degrees the pairing of
+    X and Y + w admits with its deficient component on the Y side."""
+    for v in bits(y_set):
+        if d.has_arc(v, w):
+            stripped = from_arcs(d.n, [a for a in d.arcs() if a != (v, w)])
+            din, dout = _degrees(stripped, x_set, y_set | 1 << w)
+            if _check_condition(dout, din)[0]:
+                return True
+    return False
+
+
+class TestPairingIsTotal:
+    """Under the degree condition the pairing rules always build a good
+    pair; otherwise they decline with the degree reason, never with a
+    failure of their own."""
+
+    def test_component_pairing(self):
+        rng = random.Random(1601)
+        seen = collections.Counter()
+        for _ in range(4_000):
+            d, q_set, cert_q, x_set, y_set, _ = _partitioned_instance(rng, spare=False)
+            din, dout = _degrees(d, x_set, y_set)
+            direct, dual = _check_condition(din, dout)[0], _check_condition(dout, din)[0]
+            got = component_pairing(d, q_set, cert_q)
+            if direct or dual:
+                assert isinstance(got, GoodPairCert), (d, q_set, got)
+                assert verify_good_pair(d, got) is None
+                seen["direct" if direct else "dual"] += 1
+                seen["single-arc start"] += 1 in din + dout
+            else:
+                assert isinstance(got, ConditionNotMet), (d, q_set)
+                assert got.reason in PAIRING_REASONS
+                assert got.component and not got.component & q_set
+                seen[got.reason] += 1
+        assert seen["direct"] >= 100 and seen["dual"] >= 20, seen
+        assert seen["single-arc start"] >= 20, seen
+        assert all(seen[r] for r in PAIRING_REASONS), seen
+
+    def test_spare_vertex(self):
+        rng = random.Random(1602)
+        seen = collections.Counter()
+        for _ in range(4_000):
+            d, q_set, cert_q, x_set, y_set, w = _partitioned_instance(rng, spare=True)
+            wbit = 1 << w
+            if any(d.has_arc(v, w) for v in bits(y_set)):
+                case, ok = "feed", _feed_arc_admits(d, x_set, y_set, w)
+            elif any(d.has_arc(w, v) for v in bits(x_set)):
+                case, ok = "dual feed", _feed_arc_admits(reverse(d), y_set, x_set, w)
+            else:
+                din, dout = _degrees(d, x_set, y_set)
+                win = sum(d.has_arc(v, w) for v in bits(x_set))
+                wout = sum(d.has_arc(w, v) for v in bits(y_set))
+                case, ok = "plain", min(din + dout + [win, wout]) >= 2
+            got = pair_with_spare_vertex(d, q_set, cert_q, w)
+            if ok:
+                assert isinstance(got, GoodPairCert), (d, q_set, w, got)
+                assert verify_good_pair(d, got) is None
+            else:
+                assert isinstance(got, ConditionNotMet), (d, q_set, w)
+                assert got.reason in SPARE_REASONS
+                assert got.component and not got.component & q_set
+            seen[case, ok] += 1
+            assert not wbit & (q_set | x_set | y_set)
+        for case in ("feed", "dual feed", "plain"):
+            assert seen[case, True] >= 20 and seen[case, False] >= 20, seen
 
 
 class TestEndComponents:
