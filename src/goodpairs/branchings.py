@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 from .digraph import (
     Digraph,
@@ -459,61 +458,3 @@ def _find_good_pair_exact(
             log.append((u, v))
             start = u if _reaches(usable_in, vbit, tree) else n
     return SearchResult("none", None, nodes)
-
-
-# ---------------------------------------------------------------------------
-# brute-force enumeration (small n oracle)
-
-
-def enumerate_branchings(
-    d: Digraph, kind: str, root: int, limit: int | None = None
-) -> Iterator[Branching]:
-    """Every spanning branching of the given kind and root, no duplicates.
-
-    Brute force over parent choices in ascending vertex order with an
-    incremental cycle check; intended as a ground-truth oracle, so n is
-    capped at 8.
-    """
-    if d.n > 8:
-        raise ValueError("enumerate_branchings supports n <= 8")
-    if kind not in ("out", "in"):
-        raise ValueError(f"kind must be 'out' or 'in', got {kind!r}")
-    if not 0 <= root < d.n:
-        raise ValueError(f"root {root} out of range")
-    n = d.n
-    cand_rows = _in_rows(n, d.out_adj) if kind == "out" else list(d.out_adj)
-    order = [v for v in range(n) if v != root]
-    chosen: dict[int, int] = {}  # vertex -> parent vertex
-    emitted = 0
-
-    def creates_cycle(v: int, p: int) -> bool:
-        cur = p
-        while cur != root and cur in chosen:
-            if cur == v:
-                return True
-            cur = chosen[cur]
-        return cur == v
-
-    def rec(i: int) -> Iterator[Branching]:
-        nonlocal emitted
-        if limit is not None and emitted >= limit:
-            return
-        if i == len(order):
-            if kind == "out":
-                parent = {v: (p, v) for v, p in chosen.items()}
-            else:
-                parent = {v: (v, p) for v, p in chosen.items()}
-            emitted += 1
-            yield Branching(kind, root, parent)
-            return
-        v = order[i]
-        for p in bits(cand_rows[v]):
-            if p == v or creates_cycle(v, p):
-                continue
-            chosen[v] = p
-            yield from rec(i + 1)
-            del chosen[v]
-            if limit is not None and emitted >= limit:
-                return
-
-    return rec(0)

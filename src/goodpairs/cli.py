@@ -23,7 +23,7 @@ from .branchings import (
     verify_good_pair,
 )
 from .connectivity import arc_connectivity, edmonds_branchings, max_arc_disjoint_paths
-from .constructions import hamilton_dipath, reduce_and_lift
+from .constructions import reduce_and_lift
 from .digraph import Digraph, ParseError, bits, parse_digraph, serialize_digraph
 from .genlab import GEN_KINDS, GenModel, canonical_form, enumerate_small, random_2arc_strong, verify_theorem_sample
 
@@ -55,6 +55,15 @@ def _positive(text: str) -> int:
     value = _natural(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: a natural number below 2^64, as the
+    generator takes them."""
+    value = _natural(text)
+    if value >> 64:
+        raise argparse.ArgumentTypeError(f"must be below 2**64, got {value}")
     return value
 
 
@@ -196,16 +205,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if reason is None else EXIT_NONE
 
 
-def _cmd_hamilton(args) -> int:
-    d = _read_digraph(args.digraph)
-    p = hamilton_dipath(d)
-    if args.json:
-        print(json.dumps({"path": list(p.vertices) if p else None}))
-    else:
-        print(" -> ".join(map(str, p.vertices)) if p else "no spanning dipath")
-    return EXIT_OK if p else EXIT_NONE
-
-
 def _cmd_gen(args) -> int:
     model = GenModel(args.kind, args.n, args.p, args.seed)
     d = random_2arc_strong(model)
@@ -297,20 +296,17 @@ def _build_parser() -> _Parser:
     p.add_argument("digraph")
     p.add_argument("certificate", help="certificate JSON file, or - for stdin")
 
-    p = add("hamilton", _cmd_hamilton, "spanning dipath (exact, n <= 12)")
-    p.add_argument("digraph")
-
     p = add("gen", _cmd_gen, "draw a random 2-arc-strong digraph")
     p.add_argument("--kind", choices=GEN_KINDS, default="gnp-repair")
     p.add_argument("--n", type=_natural, required=True)
     p.add_argument("--p", type=float, default=0.3)
-    p.add_argument("--seed", type=_natural, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--format", choices=("edge-list", "digraph6"), default="edge-list")
 
     p = add("sweep", _cmd_sweep, "certify a seeded batch and report failures")
     p.add_argument("--n", type=_natural, required=True)
     p.add_argument("--count", type=_natural, required=True)
-    p.add_argument("--seed", type=_natural, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--kinds", default="gnp-repair,arc-minimal",
                    help="comma-separated generator kinds to cycle through")
     p.add_argument("--p", type=float, default=0.3)

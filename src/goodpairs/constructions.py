@@ -7,8 +7,8 @@ out-neighbourhood Y of Q, two disjoint cross-arc systems are selected
 alternately between the initial strong components of D[X] and the terminal
 strong components of D[Y]; forests inside X and Y finish the job.
 Absorption attaches vertices directly and the spare-vertex rule reduces to
-the same pattern.  The Hamilton-path split of an orientation is a
-stand-alone rule: the pipeline does not run it.
+the same pattern.  The Hamilton-path split of an orientation is neither
+run by the pipeline nor exported; it stays while the benchmark binds it.
 
 Once the degree condition holds the pairing cannot fail.  Only the start
 component may have a single crossing arc, and it is picked first, so every
@@ -125,35 +125,6 @@ def _checked(d: Digraph, got, rule: str):
         if bad:  # pragma: no cover - every rule builds arc-disjoint branchings
             raise AssertionError(f"{rule} produced invalid certificate: {bad}")
     return got
-
-
-# ---------------------------------------------------------------------------
-# root transfer across a digon
-
-
-def digon_root_transfer(d: Digraph, cert: GoodPairCert, t: int) -> GoodPairCert:
-    """Move both roots of a same-root good pair to t across the digon s<->t.
-
-    The out-branching swaps t's parent arc for the arc t->s; the
-    in-branching swaps t's leaving arc for s->t.  Everything else is kept,
-    so the result is again a good pair, now rooted at t twice.
-    """
-    bad = verify_good_pair(d, cert)
-    if bad:
-        raise ValueError(f"certificate invalid: {bad}")
-    s = cert.out.root
-    if cert.in_.root != s:
-        raise ValueError("both branchings must share one root")
-    if t == s or not (d.has_arc(s, t) and d.has_arc(t, s)):
-        raise ValueError(f"vertices {s} and {t} must span a digon")
-    out_parent = dict(cert.out.parent)
-    del out_parent[t]
-    out_parent[s] = (t, s)
-    in_parent = dict(cert.in_.parent)
-    del in_parent[t]
-    in_parent[s] = (s, t)
-    new = GoodPairCert(d.n, Branching("out", t, out_parent), Branching("in", t, in_parent))
-    return _checked(d, new, "root transfer")
 
 
 # ---------------------------------------------------------------------------

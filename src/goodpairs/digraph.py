@@ -33,7 +33,7 @@ other scripts' digits, and nonzero padding would go unread.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 62
@@ -80,7 +80,6 @@ class Digraph:
 
     n: int
     out_adj: tuple[int, ...]
-    label: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "out_adj", tuple(self.out_adj))
@@ -135,7 +134,7 @@ def _in_rows(n: int, out_adj: tuple[int, ...] | list[int]) -> list[int]:
     return rows
 
 
-def from_arcs(n: int, arcs: Iterable[tuple[int, int]], label: str | None = None) -> Digraph:
+def from_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     rows = [0] * n
     for u, v in arcs:
         if not (0 <= u < n and 0 <= v < n):
@@ -143,7 +142,7 @@ def from_arcs(n: int, arcs: Iterable[tuple[int, int]], label: str | None = None)
         if u == v:
             raise ValueError(f"loop arc at vertex {u}")
         rows[u] |= 1 << v
-    return Digraph(n, tuple(rows), label)
+    return Digraph(n, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -308,7 +307,7 @@ def _serialize_digraph6(d: Digraph) -> str:
 
 def reverse(d: Digraph) -> Digraph:
     """The digraph with every arc flipped."""
-    return Digraph(d.n, tuple(_in_rows(d.n, d.out_adj)), d.label)
+    return Digraph(d.n, tuple(_in_rows(d.n, d.out_adj)))
 
 
 def induced_subdigraph(d: Digraph, x: VertexSet) -> tuple[Digraph, tuple[int, ...]]:

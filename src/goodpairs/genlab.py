@@ -54,9 +54,19 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+def _check_seed(seed: int) -> None:
+    """One stream per seed: ``random.Random`` seeds on the absolute value
+    and splitmix64 works modulo 2^64, so only an int in [0, 2^64) names a
+    stream no other seed draws."""
+    if type(seed) is not int or not 0 <= seed <= _M64:
+        raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
+
+
 def derive_seed(seed: int, index: int) -> int:
-    """Stable per-instance seed; avoids correlated streams across a sweep."""
-    return _splitmix64((seed & _M64) ^ _splitmix64(index & _M64))
+    """Stable per-instance seed; avoids correlated streams across a sweep.
+    ``seed`` is an int in [0, 2^64), else ``ValueError``."""
+    _check_seed(seed)
+    return _splitmix64(seed ^ _splitmix64(index & _M64))
 
 
 @dataclass(frozen=True)
@@ -67,7 +77,7 @@ class GenModel:
     "oriented-gnp-repair" draws each unordered pair and orients it, and
     the repair never closes a digon; "tournament" orients every pair and
     redraws until 2-arc-strong; "arc-minimal" is gnp-repair followed by
-    the minimization pass.
+    the minimization pass.  seed is an int in [0, 2^64).
     """
 
     kind: str
@@ -82,6 +92,7 @@ class GenModel:
             raise ValueError(f"n must be between 2 and {MAX_VERTICES}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
+        _check_seed(self.seed)
 
 
 def _repair_to_2_arc_strong(
@@ -368,9 +379,10 @@ def verify_theorem_sample(
 ) -> VerificationReport:
     """Certify ``count`` seeded 2-arc-strong digraphs on n vertices.
 
-    Instances cycle through ``kinds``; each gets its own derived seed, so
-    the batch is reproducible arc for arc and independent of ``jobs``, the
-    number of worker processes (at most one per 32-instance chunk).
+    Instances cycle through ``kinds``; each gets its own seed derived from
+    ``seed`` (an int in [0, 2^64), as ``derive_seed`` takes), so the batch
+    is reproducible arc for arc and independent of ``jobs``, the number of
+    worker processes (at most one per 32-instance chunk).
     Digraphs without a certificate land in the report (and on disk when
     ``artifact_dir`` is given).  For n <= 9 the theorem says every
     2-arc-strong digraph has a good pair, so an empty ``failures`` list is

@@ -6,7 +6,8 @@ the flow routines), depth-first augmenting paths on an explicit arc set
 for arc minimization, transitive closure for strong components, a
 fraction-free determinant for counting branchings, the initial and
 terminal components of an induced sub-digraph filtered from those closure
-components, a cross product of exhaustively enumerated branchings for the
+components, a cross product of branchings enumerated over every parent
+choice (``enumerate_branchings``, checked against the determinant) for the
 good-pair decision (and, for sparse digraphs beyond the enumerator's
 reach, every out-branching with an in-branching test on its complement),
 a scan over every small vertex subset for the seed of the reduction, and
@@ -16,7 +17,7 @@ stood before it carried its proven pairs, the absorb step as it stood
 before it grew D[Q] by one row (it re-induces D[Q + X] from the host),
 and a branching verifier that walks from every vertex all the way to the
 root.  Nothing imports the algorithms under test beyond plain data types,
-the branching enumerator, the repair's full ``arc_connectivity`` call per
+the repair's full ``arc_connectivity`` call per
 round (itself checked against subset enumeration), and the absorb
 reference's ``induced_subdigraph`` and ``verify_good_pair``.
 """
@@ -34,7 +35,6 @@ from goodpairs import (
     SearchResult,
     arc_connectivity,
     bits,
-    enumerate_branchings,
     induced_subdigraph,
     mask_of,
     verify_good_pair,
@@ -223,6 +223,59 @@ def count_out_branchings(d: Digraph, root: int) -> int:
         if u != root
     ]
     return _int_det(lap)
+
+
+def enumerate_branchings(
+    d: Digraph, kind: str, root: int, limit: int | None = None
+) -> Iterator[Branching]:
+    """Every spanning branching of the given kind and root, no duplicates.
+
+    Brute force over parent choices in ascending vertex order with an
+    incremental cycle check, so n is capped at 8.
+    """
+    if d.n > 8:
+        raise ValueError("enumerate_branchings supports n <= 8")
+    if kind not in ("out", "in"):
+        raise ValueError(f"kind must be 'out' or 'in', got {kind!r}")
+    if not 0 <= root < d.n:
+        raise ValueError(f"root {root} out of range")
+    n = d.n
+    cand_rows = d.in_adj() if kind == "out" else d.out_adj
+    order = [v for v in range(n) if v != root]
+    chosen: dict[int, int] = {}  # vertex -> parent vertex
+    emitted = 0
+
+    def creates_cycle(v: int, p: int) -> bool:
+        cur = p
+        while cur != root and cur in chosen:
+            if cur == v:
+                return True
+            cur = chosen[cur]
+        return cur == v
+
+    def rec(i: int) -> Iterator[Branching]:
+        nonlocal emitted
+        if limit is not None and emitted >= limit:
+            return
+        if i == len(order):
+            if kind == "out":
+                parent = {v: (p, v) for v, p in chosen.items()}
+            else:
+                parent = {v: (v, p) for v, p in chosen.items()}
+            emitted += 1
+            yield Branching(kind, root, parent)
+            return
+        v = order[i]
+        for p in bits(cand_rows[v]):
+            if p == v or creates_cycle(v, p):
+                continue
+            chosen[v] = p
+            yield from rec(i + 1)
+            del chosen[v]
+            if limit is not None and emitted >= limit:
+                return
+
+    return rec(0)
 
 
 def good_pair_exists_bruteforce(d: Digraph) -> bool:

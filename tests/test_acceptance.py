@@ -22,12 +22,10 @@ from goodpairs import (
     component_pairing,
     cut_degree,
     derive_seed,
-    digon_root_transfer,
     edmonds_branchings,
     enumerate_small,
     find_good_pair_exact,
     induced_subdigraph,
-    longest_dipath,
     max_arc_disjoint_paths,
     parse_digraph,
     random_2arc_strong,
@@ -41,6 +39,7 @@ from goodpairs import (
     verify_theorem_sample,
 )
 from goodpairs.connectivity import CutWitness
+from goodpairs.constructions import longest_dipath
 from goodpairs.digraph import _in_rows, bits
 
 from oracles import (
@@ -120,7 +119,7 @@ def test_criterion_02_four_vertex_exceptions_form_one_class():
 
 @pytest.fixture(scope="module")
 def sweep_stream():
-    """The seeded stream of criteria 3 and 8, drawn once per n exactly as
+    """The seeded stream of criterion 3, drawn once per n exactly as
     ``verify_theorem_sample(n, SWEEP_COUNT, SWEEP_SEED[n], kinds=SWEEP_KINDS)``
     draws it."""
     return {
@@ -302,43 +301,6 @@ def test_criterion_07_pairing_succeeds_under_hypotheses():
         done += 1
     print(f"[PASS] criterion 7: component pairing certified "
           f"{done}/1000 hypothesis-satisfying instances")
-
-
-def test_criterion_08_digon_transfer_on_sweep_stream(sweep_stream):
-    t0 = time.perf_counter()
-    transferred = no_digon = no_same_root = skipped = 0
-    for stream in sweep_stream.values():
-        for d in stream:
-            in_rows = _in_rows(d.n, d.out_adj)
-            digon = next(
-                (
-                    (u, v)
-                    for u in range(d.n)
-                    for v in range(u + 1, d.n)
-                    if d.out_adj[u] >> v & 1 and in_rows[u] >> v & 1
-                ),
-                None,
-            )
-            if digon is None:
-                no_digon += 1
-                continue
-            s, t = digon
-            res = find_good_pair_exact(d, root_out=s, root_in=s, node_budget=20_000)
-            if res.status == "inconclusive":
-                skipped += 1
-                continue
-            if res.status == "none":
-                no_same_root += 1
-                continue
-            moved = digon_root_transfer(d, res.cert, t)
-            assert verify_good_pair(d, moved) is None
-            assert moved.out.root == t and moved.in_.root == t
-            transferred += 1
-    elapsed = time.perf_counter() - t0
-    assert transferred >= 1000, "transfer hardly ever exercised"
-    print(f"[PASS] criterion 8: {transferred} transfers verified "
-          f"({no_digon} digon-free, {no_same_root} without a same-root "
-          f"pair, {skipped} over budget) in {elapsed:.1f}s")
 
 
 def test_criterion_09_oriented_instances_have_long_dipaths():

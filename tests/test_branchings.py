@@ -20,7 +20,6 @@ from goodpairs import (
     cert_from_json,
     cert_to_json,
     derive_seed,
-    enumerate_branchings,
     find_good_pair_exact,
     random_2arc_strong,
     reverse,
@@ -42,6 +41,7 @@ from goodpairs.digraph import (
 from oracles import (
     closure_sccs,
     count_out_branchings,
+    enumerate_branchings,
     find_good_pair_exact_reference,
     good_pair_exists_bruteforce,
     rand_digraph,

@@ -181,20 +181,6 @@ class TestVerify:
         assert "error:" in capsys.readouterr().err
 
 
-class TestHamilton:
-    def test_path_found(self, tmp_path, capsys):
-        f = tmp_path / "p.txt"
-        f.write_text("3\n0 1\n1 2\n")
-        assert main(["hamilton", f.as_posix()]) == 0
-        assert "0 -> 1 -> 2" in capsys.readouterr().out
-
-    def test_no_path(self, tmp_path, capsys):
-        f = tmp_path / "p.txt"
-        f.write_text("4\n0 1\n2 3\n")
-        assert main(["hamilton", "--json", f.as_posix()]) == 1
-        assert json.loads(capsys.readouterr().out)["path"] is None
-
-
 class TestGen:
     def test_deterministic(self, capsys):
         assert main(["gen", "--n", "7", "--seed", "5"]) == 0
@@ -335,6 +321,28 @@ class TestErrors:
         assert first.startswith(b"&")
         assert err == b""
         assert code == 141
+
+    def test_retired_hamilton_verb_exits_3(self, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_text("3\n0 1\n1 2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["hamilton", f.as_posix()])
+        assert exc.value.code == 3
+        assert "invalid choice: 'hamilton'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", [["gen", "--n", "6"], ["sweep", "--n", "5", "--count", "1"]])
+    def test_seed_from_2_to_the_64_exits_3(self, verb, capsys):
+        # derive_seed masked it to 64 bits: sweep drew seed 1's batch for 2^64 + 1
+        for seed in ("18446744073709551616", "18446744073709551617"):
+            with pytest.raises(SystemExit) as exc:
+                main(verb + ["--seed", seed])
+            assert exc.value.code == 3
+            assert "must be below 2**64" in capsys.readouterr().err
+
+    def test_largest_seed_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "--n", "6", "--seed", "18446744073709551615"]) == 0
+        assert main(["sweep", "--n", "5", "--count", "1", "--seed", "18446744073709551615"]) == 0
 
     def test_bad_gen_kind_exits_3(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,5 @@
-"""Constructive rules: transfer, pairing, absorption, spare vertex,
-Hamilton split, and the reduction pipeline."""
+"""Constructive rules: pairing, absorption, spare vertex, Hamilton split,
+and the reduction pipeline."""
 
 import collections
 import hashlib
@@ -24,13 +24,9 @@ from goodpairs import (
     cert_to_json,
     component_pairing,
     derive_seed,
-    digon_root_transfer,
     find_good_pair_exact,
-    hamilton_dipath,
     induced_subdigraph,
-    longest_dipath,
     mask_of,
-    pair_from_hamilton,
     pair_with_spare_vertex,
     parse_digraph,
     random_2arc_strong,
@@ -50,6 +46,9 @@ from goodpairs.constructions import (
     _seed_subdigraph,
     _Sides,
     _tournament4,
+    hamilton_dipath,
+    longest_dipath,
+    pair_from_hamilton,
 )
 from goodpairs.digraph import _in_rows, from_arcs
 
@@ -74,50 +73,6 @@ Q_SET = 0b000011
 def _digon_pair_cert(d, q_set):
     h, _ = induced_subdigraph(d, q_set)
     return find_good_pair_exact(h).cert
-
-
-class TestDigonRootTransfer:
-    def test_moves_both_roots(self):
-        cert = find_good_pair_exact(BI3, root_out=0, root_in=0).cert
-        moved = digon_root_transfer(BI3, cert, 2)
-        assert moved.out.root == 2 and moved.in_.root == 2
-        assert verify_good_pair(BI3, moved) is None
-
-    def test_requires_digon(self):
-        d = from_arcs(3, [(0, 1), (1, 0), (1, 2), (2, 0)])
-        cert = find_good_pair_exact(d, root_out=0, root_in=0).cert
-        with pytest.raises(ValueError, match="digon"):
-            digon_root_transfer(d, cert, 2)
-
-    def test_requires_shared_root(self):
-        cert = find_good_pair_exact(BI3, root_out=0, root_in=1).cert
-        with pytest.raises(ValueError, match="share"):
-            digon_root_transfer(BI3, cert, 2)
-
-    def test_requires_valid_cert(self):
-        cert = find_good_pair_exact(BI3, root_out=0, root_in=0).cert
-        broken = GoodPairCert(3, cert.out, cert.out)
-        with pytest.raises(ValueError, match="invalid"):
-            digon_root_transfer(BI3, broken, 1)
-
-    def test_random_digon_instances(self):
-        rng = random.Random(40)
-        done = 0
-        for i in range(60):
-            d = random_2arc_strong(GenModel("gnp-repair", 6, 0.4, derive_seed(8, i)))
-            in_rows = _in_rows(d.n, d.out_adj)
-            digons = [(u, v) for u, v in d.arcs() if u < v and in_rows[u] >> v & 1]
-            if not digons:
-                continue
-            s, t = digons[0]
-            res = find_good_pair_exact(d, root_out=s, root_in=s)
-            if res.status != "found":
-                continue
-            moved = digon_root_transfer(d, res.cert, t)
-            assert verify_good_pair(d, moved) is None
-            assert moved.out.root == t and moved.in_.root == t
-            done += 1
-        assert done >= 20
 
 
 class TestComponentPairing:

@@ -1,5 +1,6 @@
 """Core digraph type, formats, and decompositions."""
 
+import dataclasses
 import random
 import sys
 
@@ -100,6 +101,11 @@ class TestDigraph:
         assert d.out_adj == (0b10, 0b01)
         with pytest.raises(TypeError):
             d.out_adj[0] = 0b01
+
+    def test_fields_are_n_and_rows(self):
+        assert [f.name for f in dataclasses.fields(Digraph)] == ["n", "out_adj"]
+        with pytest.raises(TypeError):
+            from_arcs(2, [(0, 1)], "named")
 
     def test_from_arcs(self):
         assert from_arcs(3, [(0, 1), (1, 2), (2, 0)]) == C3

@@ -47,6 +47,35 @@ class TestDerivedSeeds:
         assert len(seeds) == 1000
 
 
+# random.Random seeds on |seed| and derive_seed once masked to 64 bits, so
+# each of these drew the stream of another seed
+BAD_SEEDS = [-1, -5, 2**64, 2**64 + 1, True, 1.0, "1", None]
+
+
+class TestSeedRange:
+    """A seed is an int in [0, 2^64): one stream per seed, on every path."""
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_derive_seed_rejects(self, seed):
+        with pytest.raises(ValueError, match="seed must be"):
+            derive_seed(seed, 0)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_gen_model_rejects(self, seed):
+        with pytest.raises(ValueError, match="seed must be"):
+            GenModel("gnp-repair", 6, seed=seed)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_sweep_rejects(self, seed):
+        with pytest.raises(ValueError, match="seed must be"):
+            verify_theorem_sample(5, 1, seed)
+
+    def test_range_ends_accepted(self):
+        for seed in (0, 2**64 - 1):
+            assert random_2arc_strong(GenModel("tournament", 6, seed=seed)).n == 6
+        assert verify_theorem_sample(5, 1, 2**64 - 1).found == 1
+
+
 class TestGenModel:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
