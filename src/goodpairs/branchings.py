@@ -24,7 +24,9 @@ stops at the tree.
 
 The search reads the host's in-rows three times: for its strong
 decomposition, as the usable in-rows of the exclude test, and at the leaf,
-where the residual's in-rows are the host's minus the tree arcs.
+where the residual's in-rows are the host's minus the tree arcs.  The
+leaf's in-branching comes from ``digraph._in_forest``, the package's one
+forest builder, rooted at a vertex of T.
 ``find_good_pair_exact`` builds them; ``reduce_and_lift``, which holds
 them already, passes its own to ``_find_good_pair_exact``.
 """
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 from .digraph import (
     Digraph,
     VertexSet,
+    _in_forest,
     _in_rows,
     _reach,
     _reaches,
@@ -275,28 +278,6 @@ def _cut_terminal(res: list[int], u: int, term: VertexSet) -> VertexSet:
     return term if _reaches(res, ubit, term) else 0
 
 
-def _in_branching(res: list[int], res_in: list[int], t: int) -> dict[int, tuple[int, int]]:
-    """Parent arcs of an in-branching of the residual rooted at t, a vertex
-    that every vertex reaches; ``res_in`` are the residual's in-rows.
-
-    The lowest unsettled vertex with an arc into the settled set joins next,
-    by its arc to the lowest settled vertex; ``ready`` holds those vertices
-    and grows by each joiner's in-row.  Every vertex reaches t, so every
-    vertex joins.
-    """
-    parent: dict[int, tuple[int, int]] = {}
-    settled = 1 << t
-    ready = res_in[t] & ~settled
-    while ready:
-        vbit = ready & -ready
-        v = vbit.bit_length() - 1
-        hit = res[v] & settled
-        parent[v] = (v, (hit & -hit).bit_length() - 1)
-        settled |= vbit
-        ready = (ready | res_in[v]) & ~settled
-    return parent
-
-
 def find_good_pair_exact(
     d: Digraph,
     *,
@@ -409,7 +390,7 @@ def _find_good_pair_exact(
                     cert = GoodPairCert(
                         n,
                         Branching("out", r, {v: (u, v) for _, _, _, u, v in stack}),
-                        Branching("in", t, _in_branching(res, res_in, t)),
+                        Branching("in", t, _in_forest(res, res_in, full, 1 << t)),
                     )
                     bad = verify_good_pair(d, cert)
                     if bad:  # pragma: no cover - guards the builder

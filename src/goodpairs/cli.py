@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -65,6 +66,15 @@ def _seed(text: str) -> int:
     if value >> 64:
         raise argparse.ArgumentTypeError(f"must be below 2**64, got {value}")
     return value
+
+
+def _probability(text: str) -> float:
+    """argparse type of --p: ASCII digits with at most one decimal point.
+    float() would also take a sign, underscores, exponents, spaces and
+    other scripts' digits; GenModel checks the [0, 1] range."""
+    if not re.fullmatch(r"[0-9]+\.?[0-9]*|\.[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    return float(text)
 
 
 def _read_digraph(spec: str) -> Digraph:
@@ -299,7 +309,7 @@ def _build_parser() -> _Parser:
     p = add("gen", _cmd_gen, "draw a random 2-arc-strong digraph")
     p.add_argument("--kind", choices=GEN_KINDS, default="gnp-repair")
     p.add_argument("--n", type=_natural, required=True)
-    p.add_argument("--p", type=float, default=0.3)
+    p.add_argument("--p", type=_probability, default=0.3)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--format", choices=("edge-list", "digraph6"), default="edge-list")
 
@@ -309,7 +319,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--kinds", default="gnp-repair,arc-minimal",
                    help="comma-separated generator kinds to cycle through")
-    p.add_argument("--p", type=float, default=0.3)
+    p.add_argument("--p", type=_probability, default=0.3)
     p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--budget", type=_positive, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--artifact-dir", default="./goodpair-failures",

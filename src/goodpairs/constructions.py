@@ -53,7 +53,9 @@ from .digraph import (
     Digraph,
     Dipath,
     VertexSet,
+    _in_forest,
     _in_rows,
+    _out_forest,
     _strong_decomposition,
     bits,
     induced_subdigraph,
@@ -125,46 +127,6 @@ def _checked(d: Digraph, got, rule: str):
         if bad:  # pragma: no cover - every rule builds arc-disjoint branchings
             raise AssertionError(f"{rule} produced invalid certificate: {bad}")
     return got
-
-
-# ---------------------------------------------------------------------------
-# forests
-
-
-def _out_forest(
-    in_rows: Sequence[int], inside: VertexSet, roots: VertexSet
-) -> dict[int, tuple[int, int]] | None:
-    """Parent arcs of an out-forest spanning ``inside`` from ``roots``.
-
-    The roots lie inside the set, so arcs stay inside it; vertices attach
-    lowest-first to their lowest covered in-neighbour.  None when some
-    vertex is unreachable.
-    """
-    parent: dict[int, tuple[int, int]] = {}
-    covered = roots
-    rest = inside & ~roots
-    while rest:
-        attached = 0
-        for v in bits(rest):
-            hit = in_rows[v] & covered
-            if hit:
-                u = (hit & -hit).bit_length() - 1
-                parent[v] = (u, v)
-                covered |= 1 << v
-                attached |= 1 << v
-        if not attached:
-            return None
-        rest &= ~attached
-    return parent
-
-
-def _in_forest(
-    out_rows: Sequence[int], inside: VertexSet, roots: VertexSet
-) -> dict[int, tuple[int, int]] | None:
-    """The in-forest into ``roots``: the out-forest of the reversed digraph,
-    arcs flipped back."""
-    forest = _out_forest(out_rows, inside, roots)
-    return None if forest is None else {v: (b, a) for v, (a, b) in forest.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +373,8 @@ def _assemble_pairing(
     """
     p_x, p_y = _alternating_selection(s, start)
     # forests inside X / Y hanging off the p_x heads / the p_y tails
-    t_x = _out_forest(s.in_rows, s.x_set, mask_of(v for _, v in p_x))
-    t_y = _in_forest(s.rows, s.y_set, mask_of(u for u, _ in p_y))
+    t_x = _out_forest(s.rows, s.in_rows, s.x_set, mask_of(v for _, v in p_x))
+    t_y = _in_forest(s.rows, s.in_rows, s.y_set, mask_of(u for u, _ in p_y))
 
     vmap = tuple(bits(q_set))
     root_out, out_parent = _lift_branching(cert_q.out, vmap)
@@ -775,7 +737,7 @@ def pair_from_hamilton(d: Digraph, p: Dipath) -> GoodPairCert | ConditionNotMet:
     bad = verify_dipath(d, p)
     if bad:
         raise ValueError(f"invalid dipath: {bad}")
-    if len(p) != n or p.closed:
+    if len(p) != n:
         raise ValueError("dipath must span the digraph")
     verts = p.vertices
     stripped = list(d.out_adj)
@@ -835,12 +797,8 @@ def _hamilton_high_case(
     out_parent[b] = (x, b)
 
     # the root x never takes a leaving arc, so x->b stays out of the in-forest
-    t2 = _in_forest(stripped, comp_b, 1 << x)
-    t1 = _in_forest(stripped, comp_a, 1 << a)
-    if t2 is None or t1 is None:
-        return None
-    in_parent = dict(t2)
-    in_parent.update(t1)
+    in_parent = _in_forest(stripped, in_stripped, comp_b, 1 << x)
+    in_parent.update(_in_forest(stripped, in_stripped, comp_a, 1 << a))
     in_parent[a] = (a, b)
     return GoodPairCert(
         n,

@@ -13,6 +13,10 @@ and hashable, safe to share between threads and to use as dict keys.
 ``_reach`` is the one traversal primitive: every "what reaches what"
 question in the package, strong components included, is a reach to a
 fixpoint along out-rows or in-rows (``_reaches`` stops at a target).
+``_out_forest`` is the one forest builder: the exact search's leaf
+in-branching and the forests of the pairing and of the Hamilton split
+all grow from their roots by it, and ``_in_forest`` runs it on swapped
+rows.
 
 Two text formats are supported:
 
@@ -147,19 +151,15 @@ def from_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
 
 @dataclass(frozen=True)
 class Dipath:
-    """Directed path as an ordered vertex tuple; ``closed`` marks a cycle."""
+    """Directed path as an ordered vertex tuple."""
 
     vertices: tuple[int, ...]
-    closed: bool = False
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     def arcs(self) -> list[tuple[int, int]]:
-        pairs = list(zip(self.vertices, self.vertices[1:]))
-        if self.closed and len(self.vertices) > 1:
-            pairs.append((self.vertices[-1], self.vertices[0]))
-        return pairs
+        return list(zip(self.vertices, self.vertices[1:]))
 
 
 def verify_dipath(d: Digraph, path: Dipath) -> str | None:
@@ -366,22 +366,56 @@ def _reaches(rows: Sequence[int], seen: VertexSet, target: VertexSet) -> bool:
     return True
 
 
+def _out_forest(
+    rows: Sequence[int], in_rows: Sequence[int], inside: VertexSet, roots: VertexSet
+) -> dict[int, tuple[int, int]]:
+    """Parent arcs of an out-forest from ``roots``, a subset of ``inside``,
+    over the vertices of ``inside`` that the roots reach within it.
+
+    The lowest vertex with an arc from the settled set joins next, by the
+    arc from its lowest settled in-neighbour; ``ready`` holds those
+    vertices and grows by each joiner's row.  Every caller's roots reach
+    all of ``inside``, so its forest spans the set.
+    """
+    parent: dict[int, tuple[int, int]] = {}
+    settled = roots
+    ready = 0
+    for r in bits(roots):
+        ready |= rows[r]
+    ready &= inside & ~settled
+    while ready:
+        vbit = ready & -ready
+        v = vbit.bit_length() - 1
+        hit = in_rows[v] & settled
+        parent[v] = ((hit & -hit).bit_length() - 1, v)
+        settled |= vbit
+        ready = (ready | rows[v]) & inside & ~settled
+    return parent
+
+
+def _in_forest(
+    rows: Sequence[int], in_rows: Sequence[int], inside: VertexSet, roots: VertexSet
+) -> dict[int, tuple[int, int]]:
+    """The in-forest into ``roots``: the out-forest of the reversed digraph,
+    arcs flipped back."""
+    return {v: (b, a) for v, (a, b) in _out_forest(in_rows, rows, inside, roots).items()}
+
+
 @dataclass(frozen=True)
 class StrongDecomposition:
     """Strong components of a digraph, condensation in topological order.
 
-    ``components[c]`` is the vertex mask of component c, and ``comp_id[v]``
-    locates v's component.  Components come by falling reach size (the
-    number of vertices they reach), ties broken by lowest member.  That is
-    a topological order of the condensation, since a component reaches
-    strictly more vertices than any component it reaches: arcs go from
-    lower to higher index, never backwards, and components of equal reach
-    size are incomparable and ordered by lowest member.
+    ``components[c]`` is the vertex mask of component c.  Components come
+    by falling reach size (the number of vertices they reach), ties broken
+    by lowest member.  That is a topological order of the condensation,
+    since a component reaches strictly more vertices than any component it
+    reaches: arcs go from lower to higher index, never backwards, and
+    components of equal reach size are incomparable and ordered by lowest
+    member.
     ``initial[c]`` / ``terminal[c]`` flag components with no incoming /
     no outgoing arcs from or to other components.
     """
 
-    comp_id: tuple[int, ...]
     components: tuple[VertexSet, ...]
     initial: tuple[bool, ...]
     terminal: tuple[bool, ...]
@@ -415,12 +449,8 @@ def _strong_decomposition(
         found.append((-ahead.bit_count(), vbit, comp, back == comp, ahead == comp))
         left &= ~comp
     found.sort()
-    comp_id = [0] * n
-    for c, (_, _, comp, _, _) in enumerate(found):
-        for v in bits(comp):
-            comp_id[v] = c
     _, _, comps, initial, terminal = zip(*found)
-    return StrongDecomposition(tuple(comp_id), comps, initial, terminal)
+    return StrongDecomposition(comps, initial, terminal)
 
 
 def independence_number(d: Digraph) -> int:

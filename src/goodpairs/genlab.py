@@ -64,9 +64,11 @@ def _check_seed(seed: int) -> None:
 
 def derive_seed(seed: int, index: int) -> int:
     """Stable per-instance seed; avoids correlated streams across a sweep.
-    ``seed`` is an int in [0, 2^64), else ``ValueError``."""
+    ``seed`` and ``index`` are ints in [0, 2^64), else ``ValueError``."""
     _check_seed(seed)
-    return _splitmix64(seed ^ _splitmix64(index & _M64))
+    if type(index) is not int or not 0 <= index <= _M64:
+        raise ValueError(f"index must be an int in [0, 2**64), got {index!r}")
+    return _splitmix64(seed ^ _splitmix64(index))
 
 
 @dataclass(frozen=True)
@@ -210,8 +212,9 @@ def arc_minimize(d: Digraph, seed: int) -> Digraph:
     The input is checked to be 2-arc-strong.  ``random_2arc_strong`` strips
     the arcs of its arc-minimal draws without that check, since the repair
     has just proved lambda >= 2 for them and a second proof would only
-    repeat its flows.
+    repeat its flows.  ``seed`` is an int in [0, 2^64), else ``ValueError``.
     """
+    _check_seed(seed)
     lam, _ = arc_connectivity(d, cap=2)
     if lam < 2:
         raise ValueError("arc_minimize expects a 2-arc-strong digraph")

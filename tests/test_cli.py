@@ -215,6 +215,31 @@ class TestGen:
         assert "lambda = " in capsys.readouterr().out
 
 
+class TestProbabilityArgument:
+    """--p is ASCII digits with at most one decimal point: float() would
+    also read another script's digits, an underscore or a sign, and
+    `gen --p ٠.٣` drew the digraph of `--p 0.3`."""
+
+    VERBS = [["gen", "--n", "6", "--seed", "1"], ["sweep", "--n", "5", "--count", "1", "--seed", "1"]]
+
+    @pytest.mark.parametrize("verb", VERBS)
+    @pytest.mark.parametrize("text", ["٠.٣", "0.3_0", "+.3"])
+    def test_rejected_with_exit_3(self, verb, text, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(verb + ["--p", text])
+        assert exc.value.code == 3
+        assert "invalid float value" in capsys.readouterr().err
+
+    def test_decimal_spellings_accepted(self, capsys):
+        assert main(self.VERBS[0]) == 0
+        default = capsys.readouterr().out
+        for text in ("0.3", ".3", "0.30"):
+            assert main(self.VERBS[0] + ["--p", text]) == 0
+            assert capsys.readouterr().out == default
+        assert main(self.VERBS[0] + ["--p", "1.5"]) == 3  # GenModel's range check
+        assert "p must lie in [0, 1]" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_clean_sweep(self, tmp_path, capsys):
         target = tmp_path / "art"

@@ -23,7 +23,7 @@ from goodpairs import (
     strong_decomposition,
     verify_dipath,
 )
-from goodpairs.digraph import from_arcs
+from goodpairs.digraph import _in_forest, _in_rows, _out_forest, from_arcs
 
 from oracles import closure_sccs, independent_set_size, rand_digraph
 
@@ -130,10 +130,42 @@ class TestDipath:
         assert verify_dipath(C3, Dipath((0, 1, 0))) == "vertex 0 repeated"
         assert verify_dipath(C3, Dipath((0, 5))) == "vertex 5 out of range"
 
-    def test_closed_cycle(self):
-        c = Dipath((0, 1, 2), closed=True)
-        assert c.arcs() == [(0, 1), (1, 2), (2, 0)]
-        assert verify_dipath(C3, c) is None
+
+class TestForest:
+    """The one forest builder, in both orientations, against a reach over
+    the arc list."""
+
+    def test_forest_spans_what_the_roots_reach(self):
+        rng = random.Random(72)
+        for i in range(4_000):
+            kind = ("out", "in")[i % 2]
+            n = rng.randint(1, 10)
+            d = rand_digraph(rng, n, rng.random())
+            inside = rng.getrandbits(n)
+            roots = inside & rng.getrandbits(n)
+            build = _out_forest if kind == "out" else _in_forest
+            forest = build(d.out_adj, _in_rows(n, d.out_adj), inside, roots)
+            # the vertices of the set the roots reach inside it, along the
+            # arcs (out) or against them (in)
+            steps = [a if kind == "out" else a[::-1] for a in d.arcs()]
+            members = set(bits(inside))
+            reached = set(bits(roots))
+            grew = True
+            while grew:
+                more = {v for u, v in steps if u in reached and v in members}
+                grew = not more <= reached
+                reached |= more
+            assert set(forest) == reached - set(bits(roots))
+            for v, (tail, head) in forest.items():
+                assert d.has_arc(tail, head) and inside >> tail & 1 and inside >> head & 1
+                assert (head if kind == "out" else tail) == v
+            for v in forest:  # parent arcs lead to a root without a cycle
+                seen = set()
+                while not roots >> v & 1:
+                    assert v not in seen
+                    seen.add(v)
+                    tail, head = forest[v]
+                    v = tail if kind == "out" else head
 
 
 class TestEdgeListFormat:
@@ -287,8 +319,9 @@ class TestOperations:
         dec = strong_decomposition(d)
         assert set(dec.components) == closure_sccs(d)
         # topological order: arcs never go to an earlier component
+        index = {v: c for c, comp in enumerate(dec.components) for v in bits(comp)}
         for u, v in d.arcs():
-            assert dec.comp_id[u] <= dec.comp_id[v]
+            assert index[u] <= index[v]
 
     @given(sparse_digraphs())
     @settings(max_examples=150, deadline=None)
@@ -296,9 +329,7 @@ class TestOperations:
         dec = strong_decomposition(d)
         reach = _closure_reach(d)
         comps = closure_sccs(d)
-        assert len(dec.comp_id) == d.n
         for c, comp in enumerate(dec.components):
-            assert all(dec.comp_id[v] == c for v in bits(comp))
             outside = d.full_mask & ~comp
             enters = any(d.out_adj[u] & comp for u in bits(outside))
             leaves = any(d.out_adj[u] & outside for u in bits(comp))

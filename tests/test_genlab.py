@@ -60,6 +60,18 @@ class TestSeedRange:
         with pytest.raises(ValueError, match="seed must be"):
             derive_seed(seed, 0)
 
+    @pytest.mark.parametrize("index", BAD_SEEDS)
+    def test_derive_seed_rejects_index(self, index):
+        # derive_seed(1, -1) drew the stream of derive_seed(1, 2**64 - 1)
+        with pytest.raises(ValueError, match="index must be"):
+            derive_seed(1, index)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_arc_minimize_rejects(self, seed):
+        d = random_2arc_strong(GenModel("gnp-repair", 6, seed=1))
+        with pytest.raises(ValueError, match="seed must be"):
+            arc_minimize(d, seed)
+
     @pytest.mark.parametrize("seed", BAD_SEEDS)
     def test_gen_model_rejects(self, seed):
         with pytest.raises(ValueError, match="seed must be"):
@@ -73,6 +85,7 @@ class TestSeedRange:
     def test_range_ends_accepted(self):
         for seed in (0, 2**64 - 1):
             assert random_2arc_strong(GenModel("tournament", 6, seed=seed)).n == 6
+        assert derive_seed(1, 2**64 - 1) == 7521888212171461645
         assert verify_theorem_sample(5, 1, 2**64 - 1).found == 1
 
 
