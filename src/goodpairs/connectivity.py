@@ -16,17 +16,26 @@ source) and the same residual co-reach to the sink (the one closest to
 the sink).  Only the particular paths of ``max_arc_disjoint_paths``
 depend on the search order.
 
-A flow capped at k is skipped when ``_short_paths`` already sees k
-arc-disjoint s-t paths of length at most 3: the arc s->t, the 2-paths
-s->w->t through distinct w, and for k = 2 also 3-paths s->w->x->t whose
-middle vertices w and x avoid those of the other path.  Such paths share
-no arc: an arc out of s is fixed by its head, an arc into t by its tail,
-and a middle arc w->x by both, so paths with distinct middle vertices
-use distinct arcs.  The test is sufficient only.  A skipped flow is one
-that would have returned its cap, and a flow at its cap changes no
-value, witness or scan index, so arc connectivity, the generator's
-repair and its arc stripping return what they returned with every flow
-run; only a flow ever answers "below k".
+A flow capped at k is skipped when ``_short_paths`` (``_short_pair`` for
+k = 2) already sees k arc-disjoint s-t paths of length at most 3: the
+arc s->t, the 2-paths s->w->t through distinct w, and for k = 2 also
+3-paths s->w->x->t whose middle vertices w and x avoid those of the
+other path.  Such paths share no arc: an arc out of s is fixed by its
+head, an arc into t by its tail, and a middle arc w->x by both, so paths
+with distinct middle vertices use distinct arcs.  The test is sufficient
+only.  A skipped flow is one that would have returned its cap, and a
+flow at its cap changes no value, witness or scan index.
+
+Where the cap in force is 2 and the short-path test fails, no capped
+flow runs either: ``_cut_below_2`` pushes one unit along the one short
+path the test saw (or, where it saw none, along the shortest path
+``_augment`` finds) and takes the residual reach of s.  If that reach
+holds t, a second augmenting path exists and the flow is at least 2.
+If not, the one unit is a maximum flow, and its residual reach is the
+minimum cut closest to s, the set every maximum flow leaves: the
+witness a flow capped at 2 returns.  So arc connectivity, the
+generator's repair and its arc stripping return what they would with
+every flow run.
 """
 
 from __future__ import annotations
@@ -136,37 +145,85 @@ def _short_paths(
     """Whether k arc-disjoint s-t paths of length at most 3 are in sight.
 
     The arc s->t and the 2-paths s->w->t, one per w in N+(s) & N-(t), are
-    pairwise arc-disjoint.  For k = 2, one of those plus a 3-path
-    s->w->x->t with w, x outside it, or else two 3-paths with distinct w
-    and distinct x, also suffice: with no arc s->t and no common
-    neighbour, the w's and x's are disjoint sets, and two such paths
-    exist iff the arcs from the w's to the x's are not all at one vertex
-    (Koenig).  True proves the s-t flow reaches k; False proves nothing.
+    pairwise arc-disjoint.  True proves the s-t flow reaches k; False
+    proves nothing.  ``_short_pair`` is the k = 2 test, which also tries
+    3-paths.
+    """
+    out = rows[s]
+    return (out >> t & 1) + (out & in_rows[t]).bit_count() >= k
+
+
+def _short_pair(
+    rows: list[int] | tuple[int, ...], in_rows: list[int], s: int, t: int
+) -> tuple[int, ...] | None:
+    """None when two arc-disjoint s-t paths of length at most 3 are in
+    sight; otherwise the one such path it saw, as a vertex tuple, or ()
+    when it saw none.
+
+    The arc s->t and the 2-paths s->w->t, one per w in N+(s) & N-(t), are
+    pairwise arc-disjoint.  One of those plus a 3-path s->w->x->t with w,
+    x outside it, or else two 3-paths with distinct w and distinct x, also
+    suffice: with no arc s->t and no common neighbour, the w's and x's are
+    disjoint sets, and two such paths exist iff the arcs from the w's to
+    the x's are not all at one vertex (Koenig).  The path seen is the arc,
+    the 2-path or the 3-path through the lowest w with an arc into the
+    x's, and the lowest such x.
     """
     out = rows[s]
     into = in_rows[t]
     mid = out & into
-    found = (out >> t & 1) + mid.bit_count()
-    if found >= k:
-        return True
-    if k != 2:
-        return False
+    if out >> t & 1:
+        if mid:
+            return None
+        seen: tuple[int, ...] = (s, t)
+    elif mid:
+        if mid & (mid - 1):
+            return None
+        seen = (s, mid.bit_length() - 1, t)
+    else:
+        seen = ()
     heads = out & ~mid & ~(1 << t)
     tails = into & ~mid & ~(1 << s)
-    users = 0
     union = 0
     while heads:
         low = heads & -heads
         hit = rows[low.bit_length() - 1] & tails
         if hit:
-            if found:
-                return True
-            users += 1
-            union |= hit
-            if users > 1 and union & (union - 1):
-                return True
+            if union:  # another 3-path: is there one with another w and x?
+                union |= hit
+                if union & (union - 1):
+                    return None
+            elif seen:  # a 3-path beside the arc or 2-path seen
+                return None
+            else:  # the first 3-path
+                union = hit
+                seen = (s, low.bit_length() - 1, (hit & -hit).bit_length() - 1, t)
         heads ^= low
-    return False
+    return seen
+
+
+def _cut_below_2(
+    n: int, rows: list[int] | tuple[int, ...], s: int, t: int, path: tuple[int, ...]
+) -> VertexSet:
+    """0 when the s-t flow is at least 2; otherwise the residual reach of
+    s under a maximum flow, the source side of the minimum cut closest to
+    s, which is what a flow capped at 2 leaves.
+
+    One unit is pushed along ``path``, the s-t path ``_short_pair`` saw,
+    or, when it is (), along a shortest one found by ``_augment``.  The
+    flow reaches 2 exactly when the residual reach of s then holds t.
+    With no s-t path at all the flow is 0 and the reach of s is returned.
+    """
+    if path:
+        res = list(rows)
+        for p, v in zip(path, path[1:]):
+            res[p] ^= 1 << v
+            res[v] |= 1 << p
+    else:
+        _, fwd, bwd = _max_flow(n, rows, s, t, cap=1)
+        res = [f | b for f, b in zip(fwd, bwd)]
+    side = _reach(res, 1 << s, (1 << n) - 1)
+    return 0 if side >> t & 1 else side
 
 
 def max_arc_disjoint_paths(d: Digraph, s: int, t: int) -> PathPacking:
@@ -212,8 +269,9 @@ def arc_connectivity(d: Digraph, cap: int | None = None) -> tuple[int, CutWitnes
     closest to the source).
 
     With ``cap=k`` (k >= 1) only "lambda >= k, or else a deficient cut" is
-    decided: every flow stops at k or at the least value seen so far, and
-    the call returns ``(k, None)`` when lambda >= k.  Otherwise it returns
+    decided: every flow stops at k or at the least value seen so far (at
+    2, one pushed path and one residual reach decide instead), and the
+    call returns ``(k, None)`` when lambda >= k.  Otherwise it returns
     exactly the ``(lambda, witness)`` of the uncapped call, since the flow
     that attains the minimum stays below every cap it runs under.
 
@@ -250,7 +308,11 @@ def _scan_pairs(
     Each flow after the first runs capped at the least value seen so far,
     and is skipped when ``_short_paths`` proves the pair reaches that cap:
     the flow would have returned the cap, which changes neither the
-    value, the witness nor the index returned.
+    value, the witness nor the index returned.  Where the cap in force is
+    2 no capped flow runs: ``_cut_below_2`` pushes one path, the one the
+    short-path test saw or else one ``_augment`` finds, and its residual
+    reach of s either holds the sink or is the cut that flow would have
+    left.
     """
     full = (1 << n) - 1
     pairs = 2 * (n - 1)
@@ -270,17 +332,27 @@ def _scan_pairs(
     for i in range(start, pairs):
         t = i // 2 + 1
         s, goal = (t, 0) if i & 1 else (0, t)
-        if best is not None and _short_paths(rows, in_rows, s, goal, best):
-            continue
-        value, fwd, bwd = _max_flow(n, rows, s, goal, cap=best)
-        if best is None or value < best:
-            if witness is None:
-                stop = i
-            best = value
+        if best == 2:
+            path = _short_pair(rows, in_rows, s, goal)
+            if path is None:
+                continue
+            side = _cut_below_2(n, rows, s, goal, path)
+            if not side:
+                continue
+            value = 1
+        else:
+            if best is not None and _short_paths(rows, in_rows, s, goal, best):
+                continue
+            value, fwd, bwd = _max_flow(n, rows, s, goal, cap=best)
+            if value == best:
+                continue
             side = _reach([f | b for f, b in zip(fwd, bwd)], 1 << s, full)
-            witness = CutWitness(side, "out", value)
-            if value == 1:
-                return 1, witness, stop
+        if witness is None:
+            stop = i
+        best = value
+        witness = CutWitness(side, "out", value)
+        if value == 1:
+            return 1, witness, stop
     return best, witness, stop
 
 

@@ -476,3 +476,22 @@ def independence_number(d: Digraph) -> int:
         return best
 
     return grow(d.full_mask)
+
+
+def alpha_at_most_2(d: Digraph) -> bool:
+    """Whether every three vertices span an arc (independence number <= 2).
+
+    Exactly when the complement of the underlying graph is triangle-free:
+    no non-adjacent pair u < v has a common non-neighbour.  One bitmask
+    AND per non-adjacent pair, so it runs at every n <= 62.
+    """
+    full = d.full_mask
+    apart = [
+        full & ~(row | back | 1 << u)
+        for u, (row, back) in enumerate(zip(d.out_adj, _in_rows(d.n, d.out_adj)))
+    ]
+    for u, mine in enumerate(apart):
+        for v in bits(mine >> u + 1 << u + 1):
+            if mine & apart[v]:
+                return False
+    return True

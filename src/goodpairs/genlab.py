@@ -6,14 +6,18 @@ pass then strips every arc whose removal keeps the connectivity, which
 pushes instances toward the hard boundary of the property.  Exhaustive
 streams cover all small digraphs and all small tournaments.
 
-Each flow is proved once per draw.  Adding arcs never lowers a flow, so a
-pair the repair has proven to carry 2 stays proven after every later
+Each pair is proved once per draw.  Adding arcs never lowers a flow, so
+a pair the repair has proven to carry 2 stays proven after every later
 round; each round resumes the pair scan where the previous one stopped.
 The repair's result is 2-arc-strong by construction, so the arc-minimal
-draw strips arcs without proving lambda >= 2 again.  Most flows need not
-run at all: ``connectivity._short_paths`` sees two arc-disjoint paths of
-length at most 3 for most pairs, and a flow runs only where that test
-fails; an n = 20 tournament draw rarely needs one.
+draw strips arcs without proving lambda >= 2 again.  No flow capped at
+2 runs in a draw.
+``connectivity._short_pair`` sees two arc-disjoint paths of length at
+most 3 for most pairs; where it does not, ``connectivity._cut_below_2``
+pushes one unit along the path it saw (or one ``_augment`` finds) and
+takes the residual reach of the source, which holds the sink exactly
+when the flow reaches 2 and is otherwise the cut a flow capped at 2
+leaves.  An n = 20 tournament draw rarely gets that far.
 
 The pair scan and the short-path test read in-rows next to the rows, and
 each draw builds them at most once.  A tournament's in-row of v is the
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .branchings import DEFAULT_NODE_BUDGET
-from .connectivity import _scan_pairs, _short_paths, arc_connectivity
+from .connectivity import _cut_below_2, _scan_pairs, _short_pair, arc_connectivity
 from .constructions import reduce_and_lift
 from .digraph import MAX_VERTICES, Digraph, _in_rows, bits, serialize_digraph
 
@@ -202,12 +206,13 @@ def arc_minimize(d: Digraph, seed: int) -> Digraph:
     an arc is removable exactly when two arc-disjoint paths from its tail
     to its head survive its removal.  An arc whose removal would leave its
     tail with out-degree below 2 or its head with in-degree below 2 is
-    kept without a flow.  An arc goes without a flow when, after its
-    removal, ``connectivity._short_paths`` sees two arc-disjoint paths
-    from its tail to its head of length at most 3 (a 2-path and a
-    3-path avoiding its middle vertex, say); such a flow would only have
-    confirmed the value 2, so the result is the same arc for arc.  Every
-    other arc costs one flow capped at 2.
+    kept without further work.  An arc goes when, after its removal,
+    ``connectivity._short_pair`` sees two arc-disjoint paths from its
+    tail to its head of length at most 3 (a 2-path and a 3-path avoiding
+    its middle vertex, say).  Every other arc costs one pushed path and
+    one residual reach (``connectivity._cut_below_2``), which holds the
+    head exactly when the flow from the tail reaches 2: the arc is kept
+    exactly when a flow capped at 2 would keep it.
 
     The input is checked to be 2-arc-strong.  ``random_2arc_strong`` strips
     the arcs of its arc-minimal draws without that check, since the repair
@@ -231,8 +236,6 @@ def _strip_arcs(n: int, rows: list[int], in_rows: list[int], seed: int) -> None:
     The in-rows the short-path test reads follow the rows, one bit per
     removed or restored arc; degrees are the rows' bit counts.
     """
-    from .connectivity import _max_flow
-
     rng = random.Random(seed)
     arcs = [(u, v) for u in range(n) for v in bits(rows[u])]
     rng.shuffle(arcs)
@@ -241,9 +244,8 @@ def _strip_arcs(n: int, rows: list[int], in_rows: list[int], seed: int) -> None:
             continue
         rows[u] ^= 1 << v
         in_rows[v] ^= 1 << u
-        if _short_paths(rows, in_rows, u, v, 2):
-            continue
-        if _max_flow(n, rows, u, v, cap=2)[0] < 2:
+        path = _short_pair(rows, in_rows, u, v)
+        if path is not None and _cut_below_2(n, rows, u, v, path):
             rows[u] |= 1 << v
             in_rows[v] |= 1 << u
 

@@ -16,8 +16,8 @@ from goodpairs import (
     verify_branching,
     verify_dipath,
 )
-from goodpairs.connectivity import _max_flow, _short_paths
-from goodpairs.digraph import _in_rows, from_arcs
+from goodpairs.connectivity import _cut_below_2, _max_flow, _short_pair, _short_paths
+from goodpairs.digraph import _in_rows, _reach, from_arcs
 
 from oracles import (
     arc_connectivity_reference,
@@ -190,6 +190,14 @@ class TestArcConnectivity:
             arc_connectivity(BI3, cap=0)
 
 
+def _claims(rows, in_rows, s, t, k):
+    """The short-path test for k: ``_short_pair``'s at k = 2, which also
+    tries 3-paths, ``_short_paths``' otherwise."""
+    if k == 2:
+        return _short_pair(rows, in_rows, s, t) is None
+    return _short_paths(rows, in_rows, s, t, k)
+
+
 class TestShortPaths:
     def test_never_claims_more_than_the_flow(self):
         """Sufficient only: every claim of k paths is backed by a flow of k,
@@ -205,7 +213,7 @@ class TestShortPaths:
                     if s == t:
                         continue
                     for k in (1, 2, 3):
-                        if _short_paths(rows, in_rows, s, t, k):
+                        if _claims(rows, in_rows, s, t, k):
                             claims += 1
                             assert _max_flow(n, rows, s, t, cap=k)[0] == k, (d, s, t, k)
         assert claims > 10_000
@@ -230,8 +238,59 @@ class TestShortPaths:
     def test_each_rule(self, arcs, k, claimed):
         d = from_arcs(6, arcs)
         rows, in_rows = d.out_adj, _in_rows(6, d.out_adj)
-        assert _short_paths(rows, in_rows, 0, 1, k) is claimed
+        assert _claims(rows, in_rows, 0, 1, k) is claimed
         assert _max_flow(6, rows, 0, 1, cap=k)[0] == (k if claimed else k - 1)
+
+
+class TestCutBelow2:
+    def test_agrees_with_flow(self):
+        """On seeded digraphs with 2..12 vertices, sparse (often not
+        strong) to dense (with digons), every pair the short-path test
+        leaves open is decided as the flow decides it, both along the path
+        that test saw and along the path ``_augment`` finds; below 2 the
+        set is the residual reach of an uncapped flow."""
+        rng = random.Random(2024)
+        below = bfs = digons = non_strong = 0
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            d = rand_digraph(rng, n, rng.choice((0.1, 0.2, 0.3, 0.5, 0.8)))
+            rows, in_rows = d.out_adj, _in_rows(n, d.out_adj)
+            digons += any(rows[u] & in_rows[u] for u in range(n))
+            non_strong += arc_connectivity(d, cap=1)[0] == 0
+            for s in range(n):
+                for t in range(n):
+                    if s == t:
+                        continue
+                    value, fwd, bwd = _max_flow(n, rows, s, t)
+                    path = _short_pair(rows, in_rows, s, t)
+                    if path is None:
+                        assert value >= 2, (d, s, t)
+                        continue
+                    if path:
+                        assert (path[0], path[-1]) == (s, t) and len(path) <= 4
+                        assert all(rows[u] >> v & 1 for u, v in zip(path, path[1:]))
+                    side = _reach([f | b for f, b in zip(fwd, bwd)], 1 << s, d.full_mask)
+                    want = 0 if value >= 2 else side
+                    assert _cut_below_2(n, rows, s, t, path) == want, (d, s, t)
+                    assert _cut_below_2(n, rows, s, t, ()) == want, (d, s, t)
+                    bfs += not path
+                    below += value < 2
+        assert below > 3000 and bfs > 2000 and digons > 100 and non_strong > 100
+
+    def test_arc_connectivity_cap_2_matches_enumeration(self):
+        rng = random.Random(62)
+        deficient = 0
+        for _ in range(200):
+            n = rng.randint(2, 9)
+            d = rand_digraph(rng, n, rng.uniform(0.1, 0.9))
+            lam, w = arc_connectivity(d, cap=2)
+            if lambda_enum(d) >= 2:
+                assert (lam, w) == (2, None), d
+            else:
+                assert (lam, w.x_set) == arc_connectivity_reference(d), d
+                assert w == CutWitness(w.x_set, "out", lam)
+                deficient += 1
+        assert 50 < deficient < 180
 
 
 class TestEdmonds:

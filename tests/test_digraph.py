@@ -12,6 +12,7 @@ from goodpairs import (
     Dipath,
     MAX_VERTICES,
     ParseError,
+    alpha_at_most_2,
     bits,
     independence_number,
     induced_subdigraph,
@@ -359,3 +360,31 @@ class TestOperations:
     def test_independence_number_guard(self):
         with pytest.raises(ValueError):
             independence_number(Digraph(33, (0,) * 33))
+
+    def test_alpha_at_most_2_vs_independence_number(self):
+        rng = random.Random(212)
+        held = 0
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            d = rand_digraph(rng, n, rng.choice((0.2, 0.4, 0.6, 0.8, 0.9)))
+            want = independence_number(d) <= 2
+            assert alpha_at_most_2(d) is want, d
+            held += want
+        assert 50 < held < 350
+
+    def test_alpha_at_most_2_at_62_vertices(self):
+        """Two complete digraphs on 31 vertices have alpha 2; dropping the
+        digon between two vertices of one of them makes alpha 3, and an
+        orientation of the complete digraph has alpha 1."""
+        half = (1 << 31) - 1
+        rows = [half << 31 * (u >= 31) & ~(1 << u) for u in range(62)]
+        d = Digraph(62, tuple(rows))
+        assert alpha_at_most_2(d)
+        rows[3] &= ~(1 << 17)
+        rows[17] &= ~(1 << 3)
+        assert not alpha_at_most_2(Digraph(62, tuple(rows)))
+        transitive = Digraph(62, tuple(d.full_mask >> u + 1 << u + 1 for u in range(62)))
+        assert alpha_at_most_2(transitive)
+        rows = list(transitive.out_adj)
+        rows[0] &= ~(1 << 61)
+        assert alpha_at_most_2(Digraph(62, tuple(rows)))  # {0, 61} is still only a pair

@@ -204,51 +204,65 @@ class TestRepair:
         assert non_strong > 500 and redrawn > 50
 
     def test_each_pair_proved_once(self, monkeypatch):
-        """At most 2(n-1) flows, one per pair, plus one per round that finds
-        a deficient pair on a strong digraph (counted on the reference,
-        whose per-round arc_connectivity answers 1 exactly then)."""
-        flows = []
+        """At most 2(n-1) proofs past the short-path test, one per pair,
+        plus one per round that finds a deficient pair on a strong digraph
+        (counted on the reference, whose per-round arc_connectivity
+        answers 1 exactly then)."""
+        proofs = []
         deficient_rounds = []
-        max_flow, full_scan = connectivity._max_flow, oracles.arc_connectivity
+        prove, full_scan = connectivity._cut_below_2, oracles.arc_connectivity
 
-        def counted_flow(*args, **kwargs):
-            flows.append(args[2:4])
-            return max_flow(*args, **kwargs)
+        def counted_proof(*args):
+            proofs.append(args[2:4])
+            return prove(*args)
 
         def counted_scan(d, cap=None):
             lam, witness = full_scan(d, cap)
             deficient_rounds.append(lam == 1)
             return lam, witness
 
-        monkeypatch.setattr(connectivity, "_max_flow", counted_flow)
+        monkeypatch.setattr(connectivity, "_cut_below_2", counted_proof)
         monkeypatch.setattr(oracles, "arc_connectivity", counted_scan)
         rng = random.Random(31)
+        total = 0
         for i in range(300):
             n = rng.randint(3, 12)
             oriented = bool(i & 1)
             rows = _start_rows(rng, n, oriented)
             repair_reference(n, list(rows), oriented)
-            flows.clear()
+            proofs.clear()
             genlab._repair_to_2_arc_strong(n, list(rows), oriented)
-            assert len(flows) <= 2 * (n - 1) + sum(deficient_rounds), (n, rows, oriented)
+            assert len(proofs) <= 2 * (n - 1) + sum(deficient_rounds), (n, rows, oriented)
             deficient_rounds.clear()
+            total += len(proofs)
+        assert total > 300  # the counter sees the scan's proofs
 
     @pytest.mark.parametrize("kind, most", [("tournament", 2), ("arc-minimal", 50)])
     def test_short_paths_spare_most_flows(self, monkeypatch, kind, most):
-        """Mean flows per n = 20 draw over 100 draws of seed 1; proving each
-        pair by a flow took 38 per tournament and about 108 per arc-minimal
-        draw, while short arc-disjoint paths prove most pairs outright."""
-        flows = []
-        max_flow = connectivity._max_flow
+        """Mean proofs past the short-path test per n = 20 draw over 100
+        draws of seed 1; proving each pair that way took 38 per tournament
+        and about 108 per arc-minimal draw, while short arc-disjoint paths
+        prove most pairs outright.  A draw runs no flow capped at 2; the
+        only flow it runs pushes the one unit of a pair no short path
+        proves."""
+        proofs = []
+        prove, flow = connectivity._cut_below_2, connectivity._max_flow
 
-        def counted_flow(*args, **kwargs):
-            flows.append(args[2:4])
-            return max_flow(*args, **kwargs)
+        def counted_proof(*args):
+            proofs.append(args[2:4])
+            return prove(*args)
 
-        monkeypatch.setattr(connectivity, "_max_flow", counted_flow)
+        def one_unit_flow(n, adj, s, t, cap=None):
+            assert cap == 1, "a draw ran a flow capped above 1"
+            return flow(n, adj, s, t, cap)
+
+        for module in (connectivity, genlab):
+            monkeypatch.setattr(module, "_cut_below_2", counted_proof)
+        monkeypatch.setattr(connectivity, "_max_flow", one_unit_flow)
         for i in range(100):
             random_2arc_strong(GenModel(kind, 20, 0.3, derive_seed(1, i)))
-        assert len(flows) / 100 <= most
+        assert len(proofs) / 100 <= most
+        assert proofs or kind == "tournament"  # the counter sees the strip's proofs
 
     def test_repair_draws_call_no_arc_connectivity(self, monkeypatch):
         calls = []
