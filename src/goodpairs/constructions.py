@@ -24,11 +24,13 @@ replayable trace.
 ``reduce_and_lift`` builds the host's in-rows once and hands them to every
 step: the seed scan, each absorb step, the pairing and spare-vertex steps
 and the exact fallback.  It induces D[Q] once, at the first absorb step
-after the seed; each absorb step grows D[Q] by the new vertex's row and
-renumbers the certificate instead of inducing D[Q + v] from the host
-again, and still verifies the good pair it builds.  Each public rule
-checks its input (the good pair of D[Q] included) and then runs the same
-private step.
+after the seed.  Through the absorb phase D[Q] is numbered in attachment
+order, the seed's members first, so each step only appends the new
+vertex's row and its two arcs instead of inducing D[Q + v] from the host
+again; every step still verifies the good pair it builds, and the
+certificate is renumbered once per phase, into ``induced_subdigraph``'s
+numbering.  Each public rule checks its input (the good pair of D[Q]
+included) and then runs the same private step.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .branchings import (
     Branching,
@@ -227,7 +229,7 @@ def _alternating_selection(
         unproc[side].remove(cur)
 
 
-def _lift_branching(b: Branching, vmap: tuple[int, ...]) -> tuple[int, dict]:
+def _lift_branching(b: Branching, vmap: Sequence[int]) -> tuple[int, dict]:
     root = vmap[b.root]
     parent = {vmap[v]: (vmap[a], vmap[h]) for v, (a, h) in b.parent.items()}
     return root, parent
@@ -413,6 +415,9 @@ def absorb_external_vertices(
     arcs because the new vertex was untouched so far.  Each step attaches
     the lowest vertex that can join, as the pipeline does, so a vertex
     whose neighbours only appear after others joined is still absorbed.
+    It runs the pipeline's absorb phase: every step is verified, and the
+    certificate is renumbered from attachment order into the returned
+    numbering once.  cert_q is left as it was passed.
     """
     if q_set == 0:
         raise ValueError("Q must be nonempty")
@@ -421,108 +426,97 @@ def absorb_external_vertices(
     if (q_set | x_set) & ~d.full_mask:
         raise ValueError("vertex sets mention vertices >= n")
     h = _checked_subdigraph(d, q_set, cert_q)
-    if x_set == 0:
-        return cert_q
-    target = q_set | x_set
     in_rows = _in_rows(d.n, d.out_adj)
-    for _, q_set, _, cert_q in _absorb_steps(d, in_rows, q_set, h, cert_q, x_set):
-        pass
-    if q_set != target:
-        stuck = target & ~q_set
+    attached, cert = _absorb_phase(d, in_rows, q_set, h, cert_q, x_set)
+    stuck = x_set & ~mask_of(attached)
+    if stuck:
         raise ValueError(
             f"vertex {(stuck & -stuck).bit_length() - 1} cannot be absorbed: it lacks an "
             "in- or out-neighbour among the covered vertices"
         )
-    return cert_q
+    return cert
 
 
-def _absorb_steps(
+def _absorb_phase(
     d: Digraph,
     in_rows: Sequence[int],
     q_set: VertexSet,
     h: Digraph | None,
     cert_q: GoodPairCert,
     rest: VertexSet,
-) -> Iterator[tuple[int, VertexSet, Digraph, GoodPairCert]]:
+) -> tuple[list[int], GoodPairCert]:
     """Absorb members of ``rest`` one at a time, the lowest one with an
     in- and an out-neighbour in Q first, until none is left that can join.
+    Returns the attached vertices in attachment order and the good pair of
+    D[Q] grown by them, numbered as ``induced_subdigraph`` numbers it.
 
-    cert_q is a good pair of D[Q] as ``induced_subdigraph`` numbers it, and
-    h is that D[Q], or None to induce it at the first step, so a Q that
-    absorbs nothing is never induced; in_rows are d's in-rows.  Each step
-    yields the vertex v it attached and the grown Q, D[Q] and certificate.
+    cert_q is a good pair of D[Q] in that numbering, and h is that D[Q],
+    or None to induce it at the first step, so a Q that absorbs nothing is
+    never induced; in_rows are d's in-rows.
+
+    Inside the phase D[Q] is numbered in attachment order: Q's members
+    first, ascending, then each attached vertex v at index k, the size of
+    Q before it joined.  A step appends v's row, sets bit k in the rows of
+    v's in-neighbours, and gives v the arc from its lowest in-neighbour in
+    the out-branching and the arc to its lowest out-neighbour in the
+    in-branching.  The parent maps are copied from cert_q once and grown in
+    place.  Every step builds its grown ``Digraph`` and verifies its
+    certificate on it; the certificate is renumbered into ascending order
+    once, when the phase ends.
     """
     rows = d.out_adj
-    while rest:
-        for v in bits(rest):
-            if in_rows[v] & q_set and rows[v] & q_set:
-                break
-        else:
-            return
-        if h is None:
-            h, _ = induced_subdigraph(d, q_set)
-        h, cert_q = _absorb(d, in_rows, q_set, h, cert_q, v)
-        q_set |= 1 << v
-        rest &= ~(1 << v)
-        yield v, q_set, h, cert_q
-
-
-def _absorb(
-    d: Digraph,
-    in_rows: Sequence[int],
-    q_set: VertexSet,
-    h: Digraph,
-    cert_q: GoodPairCert,
-    v: int,
-) -> tuple[Digraph, GoodPairCert]:
-    """Attach v to a good pair of D[Q]: returns D[Q + v] and its good pair,
-    both numbered as ``induced_subdigraph`` numbers them.
-
-    h is D[Q] in that numbering and cert_q a good pair of h, verified by
-    the caller; in_rows are d's in-rows, and v has an in- and an
-    out-neighbour in Q.  D[Q + v] is h grown by one row: v's rank r is
-    the number of members of Q below v, so every index from r up moves up
-    one, in the rows and in the certificate alike; bit r joins the rows of
-    v's in-neighbours and v's own row goes in at r.  v's lowest in- and
-    out-neighbours give its parent arc in the out-branching and its
-    leaving arc in the in-branching.  The new certificate is verified
-    here, once.
-    """
-    target = q_set | 1 << v
-    r = (q_set & ((1 << v) - 1)).bit_count()
-    rbit = 1 << r
-    low = rbit - 1
-    grown = [(row & low) | (row >> r << (r + 1)) for row in h.out_adj]
-    row_v = 0
-    outs = d.out_adj[v] & q_set
-    while outs:
-        low_u = outs & -outs
-        row_v |= 1 << (target & (low_u - 1)).bit_count()
-        outs ^= low_u
-    grown.insert(r, row_v)
-    ins = in_rows[v] & q_set
-    parent_in = (target & ((ins & -ins) - 1)).bit_count()
-    while ins:
-        low_u = ins & -ins
-        grown[(target & (low_u - 1)).bit_count()] |= rbit
-        ins ^= low_u
-    h = Digraph(h.n + 1, tuple(grown))
-
-    up = list(range(h.n))
-    del up[r]
-    out_parent = {up[x]: (up[a], up[b]) for x, (a, b) in cert_q.out.parent.items()}
-    out_parent[r] = (parent_in, r)
-    in_parent = {up[x]: (up[a], up[b]) for x, (a, b) in cert_q.in_.parent.items()}
-    in_parent[r] = (r, (row_v & -row_v).bit_length() - 1)
-    cert = GoodPairCert(
-        h.n,
-        Branching("out", up[cert_q.out.root], out_parent),
-        Branching("in", up[cert_q.in_.root], in_parent),
+    # Q's in- and out-neighbourhoods, grown with Q; only their parts in rest count
+    x_set, y_set = _neighbourhoods(rows, in_rows, q_set)
+    joinable = x_set & y_set & rest
+    if not joinable:
+        return [], cert_q
+    if h is None:
+        h, _ = induced_subdigraph(d, q_set)
+    order = [*bits(q_set)]  # the host vertex behind each index
+    seeded = len(order)
+    idx = [0] * d.n  # the index of each member of Q
+    for i, u in enumerate(order):
+        idx[u] = i
+    grown = list(h.out_adj)
+    out_b = Branching("out", cert_q.out.root, dict(cert_q.out.parent))
+    in_b = Branching("in", cert_q.in_.root, dict(cert_q.in_.parent))
+    while joinable:
+        vbit = joinable & -joinable
+        v = vbit.bit_length() - 1
+        k = len(order)
+        ins = in_rows[v] & q_set
+        outs = rows[v] & q_set
+        out_b.parent[k] = (idx[(ins & -ins).bit_length() - 1], k)
+        in_b.parent[k] = (k, idx[(outs & -outs).bit_length() - 1])
+        row_v = 0
+        while outs:
+            low = outs & -outs
+            row_v |= 1 << idx[low.bit_length() - 1]
+            outs ^= low
+        grown.append(row_v)
+        while ins:
+            low = ins & -ins
+            grown[idx[low.bit_length() - 1]] |= 1 << k
+            ins ^= low
+        bad = verify_good_pair(Digraph(k + 1, tuple(grown)), GoodPairCert(k + 1, out_b, in_b))
+        if bad:  # pragma: no cover - attachment cannot collide
+            raise AssertionError(f"absorption produced invalid certificate: {bad}")
+        idx[v] = k
+        order.append(v)
+        q_set |= vbit
+        rest ^= vbit
+        x_set |= in_rows[v]
+        y_set |= rows[v]
+        joinable = x_set & y_set & rest
+    # attachment order -> ascending order, once
+    for i, u in enumerate(bits(q_set)):
+        idx[u] = i
+    new = [idx[u] for u in order]
+    return order[seeded:], GoodPairCert(
+        len(order),
+        Branching("out", *_lift_branching(out_b, new)),
+        Branching("in", *_lift_branching(in_b, new)),
     )
-    bad = verify_good_pair(h, cert)
-    if bad:  # pragma: no cover - attachment cannot collide
-        raise AssertionError(f"absorption produced invalid certificate: {bad}")
-    return h, cert
 
 
 # ---------------------------------------------------------------------------
@@ -912,9 +906,11 @@ def reduce_and_lift(
     "none", "inconclusive").
 
     The host's in-rows are built once, and D[Q] is induced once, when the
-    first vertex is absorbed after the seed; every absorb step grows D[Q]
-    by one row and verifies its certificate, so each certificate the
-    pipeline builds is verified once.
+    first vertex is absorbed after the seed.  The absorb phase numbers
+    D[Q] in attachment order; every absorb step grows it by one row and
+    verifies its certificate, so each certificate the pipeline builds is
+    verified once, and the phase renumbers the last one into
+    ``induced_subdigraph``'s numbering once, for the closing rules.
     """
     if node_budget < 1:
         raise ValueError(f"node_budget must be at least 1, got {node_budget}")
@@ -929,7 +925,9 @@ def reduce_and_lift(
         steps.append(TraceStep("small-base", q_set, note))
         # cert is a good pair of D[Q], by the digon or the table; each
         # absorb step grows D[Q] by one row and verifies the pair it builds
-        for v, q_set, _, cert in _absorb_steps(d, in_rows, q_set, None, cert, full & ~q_set):
+        attached, cert = _absorb_phase(d, in_rows, q_set, None, cert, full & ~q_set)
+        for v in attached:
+            q_set |= 1 << v
             steps.append(TraceStep("absorb", q_set, f"attached vertex {v}"))
         if q_set == full:
             return SearchResult("found", cert, 0), ReductionTrace(steps)

@@ -2,6 +2,7 @@
 and the reduction pipeline."""
 
 import collections
+import copy
 import hashlib
 import json
 import random
@@ -39,12 +40,13 @@ from goodpairs import branchings, connectivity, constructions, digraph
 from goodpairs.constructions import (
     _PAIRS4,
     _TOURNAMENT4_CERTS,
-    _absorb,
+    _absorb_phase,
     _alternating_selection,
     _check_condition,
     _seed_subdigraph,
     _Sides,
     _tournament4,
+    _tournament4_certs,
     hamilton_dipath,
     longest_dipath,
     pair_from_hamilton,
@@ -223,10 +225,9 @@ class TestAbsorption:
 
 
 @st.composite
-def absorb_cases(draw, max_n=9):
-    """A digraph with each arc present with probability 3/4, a nonempty
-    proper vertex set Q, and the vertices outside Q with an in- and an
-    out-neighbour in Q."""
+def absorb_cases(draw, max_n=20):
+    """A digraph with each arc present with probability 3/4 and a nonempty
+    proper vertex set Q whose D[Q] has a good pair, with that pair."""
     n = draw(st.integers(2, max_n))
     full = (1 << n) - 1
     rows = tuple(
@@ -234,27 +235,69 @@ def absorb_cases(draw, max_n=9):
     )
     d = Digraph(n, rows)
     q_set = draw(st.integers(1, full - 1))
-    in_rows = _in_rows(n, rows)
-    attachable = [v for v in bits(full & ~q_set) if in_rows[v] & q_set and rows[v] & q_set]
-    return d, in_rows, q_set, attachable
+    res = find_good_pair_exact(induced_subdigraph(d, q_set)[0], node_budget=10_000)
+    assume(res.status == "found")
+    return d, q_set, res.cert
 
 
-class TestAbsorbStep:
-    @given(absorb_cases(), st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_grows_induced_rows_and_matches_reference(self, case, data):
-        """One step on a random Q and an attachable v: its rows are
-        induced_subdigraph's of Q + v, and its certificate is the one the
-        re-inducing absorb step built."""
-        d, in_rows, q_set, attachable = case
-        assume(attachable)
-        h, _ = induced_subdigraph(d, q_set)
-        res = find_good_pair_exact(h)
-        assume(res.status == "found")
-        v = data.draw(st.sampled_from(attachable))
-        grown, cert = _absorb(d, in_rows, q_set, h, res.cert, v)
-        assert grown == induced_subdigraph(d, q_set | 1 << v)[0]
-        assert cert == absorb_reference(d, q_set, res.cert, 1 << v, in_rows)
+class TestAbsorbPhase:
+    @given(absorb_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_steps_grow_induced_rows_and_match_reference(self, case):
+        """A whole phase on a random Q: each step attaches the lowest vertex
+        with an in- and an out-neighbour among the covered ones, its verified
+        rows are induced_subdigraph's of the grown Q relabelled in attachment
+        order, and the final certificate is the one the re-inducing
+        reference builds, one vertex at a time."""
+        d, q_set, cert_q = case
+        before = copy.deepcopy(cert_q)
+        in_rows = _in_rows(d.n, d.out_adj)
+        seen = []
+        real = constructions.verify_good_pair
+
+        def recorded(h, cert):
+            seen.append(h.out_adj)
+            return real(h, cert)
+
+        constructions.verify_good_pair = recorded
+        try:
+            attached, cert = _absorb_phase(d, in_rows, q_set, None, cert_q, d.full_mask & ~q_set)
+        finally:
+            constructions.verify_good_pair = real
+        assert len(seen) == len(attached)
+        order = [*bits(q_set)]
+        covered = q_set
+        ref = cert_q
+        for v, rows in zip(attached, seen):
+            joinable = [u for u in bits(d.full_mask & ~covered)
+                        if in_rows[u] & covered and d.out_adj[u] & covered]
+            assert v == joinable[0]
+            ref = absorb_reference(d, covered, ref, 1 << v, in_rows)
+            covered |= 1 << v
+            order.append(v)
+            h, vmap = induced_subdigraph(d, covered)
+            at = {u: i for i, u in enumerate(order)}
+            assert rows == tuple(
+                mask_of(at[vmap[j]] for j in bits(h.out_adj[vmap.index(u)])) for u in order
+            )
+        assert not [u for u in bits(d.full_mask & ~covered)
+                    if in_rows[u] & covered and d.out_adj[u] & covered]
+        assert cert == ref and cert_q == before
+
+    def test_leaves_its_inputs_alone(self):
+        """The phase grows its parent maps in place, so it must own them:
+        the 4-tournament table survives 200 tournament runs, and the public
+        rule leaves the certificate it was given as it was."""
+        for i in range(200):
+            d = random_2arc_strong(GenModel("tournament", 20, 0.3, derive_seed(21, i)))
+            _, trace = reduce_and_lift(d)
+            assert trace.steps[0].note == "4-vertex base with 6 arcs"
+        assert _TOURNAMENT4_CERTS == _tournament4_certs()
+        d = parse_digraph("&C]so")
+        cq = find_good_pair_exact(induced_subdigraph(d, 0b0100)[0]).cert
+        before = copy.deepcopy(cq)
+        cert = absorb_external_vertices(d, 0b0100, cq, 0b1011)
+        assert cert.n == 4 and cq == before
 
 
 def _counted(monkeypatch, name, modules):
@@ -692,6 +735,35 @@ class TestReduceAndLift:
             res, _ = reduce_and_lift(d)
             assert res.status == "found"
             assert verify_good_pair(d, res.cert) is None
+
+    @pytest.mark.parametrize(
+        "name, absorbs, digest",
+        [
+            ("cycle", 60, "c0cb81abb8741df45bacb7ec57752903632979b8e716a595dec3e74e35702ffc"),
+            ("complete", 60, "0e0dac29f4cc97f358c9b8f59ef6d04629e33a301e318066565fa7e2b31ec312"),
+            ("tournament", 58, "181a1744e6480a5fd0babf8f3cefe14ebb21743678207e90044343dc7b388362"),
+        ],
+    )
+    def test_n62_closes_by_absorb(self, name, absorbs, digest, monkeypatch):
+        """At n = 62, far past the golden files: the bidirected cycle, the
+        complete digraph and a tournament close by absorption, one verified
+        step per absorbed vertex and one induced D[Q], with the certificate
+        bytes of the absorb phase that renumbered every step."""
+        n = 62
+        d = {
+            "cycle": from_arcs(n, [(v, (v + s) % n) for v in range(n) for s in (1, -1)]),
+            "complete": Digraph(n, tuple(((1 << n) - 1) & ~(1 << v) for v in range(n))),
+            "tournament": random_2arc_strong(GenModel("tournament", n, 0.3, 1)),
+        }[name]
+        verified = _counted(monkeypatch, "verify_good_pair", (constructions,))
+        induced = _counted(monkeypatch, "induced_subdigraph", (constructions,))
+        searched = _counted(monkeypatch, "_find_good_pair_exact", (constructions,))
+        res, trace = reduce_and_lift(d)
+        rules = [s.rule for s in trace.steps]
+        assert (res.status, rules) == ("found", ["small-base"] + ["absorb"] * absorbs)
+        assert (len(verified), len(induced), len(searched)) == (absorbs, 1, 0)
+        assert verify_good_pair(d, res.cert) is None
+        assert _sha(cert_to_json(res.cert)) == digest
 
     def test_trivial_single_vertex(self):
         res, _ = reduce_and_lift(Digraph(1, (0,)))
