@@ -6,8 +6,11 @@ dual with one outgoing arc per non-root vertex.  A good pair is an
 out-branching plus an in-branching of the same digraph whose arc sets are
 disjoint; the roots may differ.
 
-Certificates carry one parent arc per non-root vertex and are checked by
-independent linear-time verifiers that never share code with the builders.
+Certificates carry one parent arc per non-root vertex.  The verifiers
+share no code with the builders, ``digraph._reach`` included: one pass over
+a parent map tests each arc and files it in its parent's children mask, a
+reach from the root along those masks must cover every vertex, and every
+message is the one the earlier walk-per-vertex verifier gave.
 
 The exact search (``find_good_pair_exact``) prunes a partial out-branching
 with two tests: every unreached vertex stays reachable from the tree
@@ -100,49 +103,69 @@ def branching_roots(d: Digraph, kind: str) -> VertexSet:
 def verify_branching(d: Digraph, b: Branching) -> str | None:
     """None if b is a valid spanning branching of d, else the first violation.
 
-    Linear in n: each parent arc is one row-bit test, and the walks along
-    parent pointers stop at a vertex already shown to reach the root, so
-    every vertex is walked through once.
+    Linear in n.  One pass over the parent map tests each arc by its own
+    endpoints (direction, range, one row bit) and sets its vertex's bit in
+    its parent's children mask.  With no failing arc the keys are distinct
+    non-root vertices, so ``len(parent) == n - 1`` replaces comparing key
+    sets; otherwise key errors still come first, then the lowest vertex
+    with a failing arc.  A reach from the root one layer at a time along
+    the children masks names the lowest vertex it misses.  On arcs that are
+    pairs of ints, verdicts and messages are those of the walk-per-vertex
+    verifier this replaced, and keys equal to a vertex but of another type
+    (``True``, ``1.0``) pass.
     """
     n = d.n
-    if b.kind not in ("out", "in"):
-        return f"unknown kind {b.kind!r}"
-    if not 0 <= b.root < n:
-        return f"root {b.root} out of range"
-    if b.root in b.parent:
-        return f"root {b.root} has a parent arc"
-    expected = set(range(n)) - {b.root}
-    got = set(b.parent)
-    if got != expected:
-        missing = expected - got
-        if missing:
-            return f"vertex {min(missing)} has no parent arc"
-        return f"unexpected vertex {min(got - expected)} in parent map"
+    kind, root, parent = b.kind, b.root, b.parent
+    if kind not in ("out", "in"):
+        return f"unknown kind {kind!r}"
+    if not 0 <= root < n:
+        return f"root {root} out of range"
+    if root in parent:
+        return f"root {root} has a parent arc"
     rows = d.out_adj
-    out = b.kind == "out"
-    nxt = [b.root] * n  # the next vertex on the way to the root
-    for v in range(n):
-        if v == b.root:
-            continue
-        a, h = b.parent[v]
+    out = kind == "out"
+    children = [0] * n  # children[p]: the vertices whose parent is p
+    bad = []  # keys whose parent arc fails
+    for v, (a, h) in parent.items():
+        if out:
+            p, c = a, h
+        else:
+            p, c = h, a
+        if c == v and 0 <= p < n and 0 <= c < n and rows[a] >> h & 1:
+            children[p] |= 1 << c
+        else:
+            bad.append(v)
+    # with no bad arc the keys are distinct non-root vertices, so n - 1 of them are all
+    if bad or len(parent) != n - 1:
+        expected = set(range(n)) - {root}
+        got = set(parent)
+        if got != expected:
+            missing = expected - got
+            if missing:
+                return f"vertex {min(missing)} has no parent arc"
+            return f"unexpected vertex {min(got - expected)} in parent map"
+        v = next(u for u in range(n) if u in bad)  # as an int, whatever the key's type
+        a, h = parent[v]
         if not (0 <= a < n and 0 <= h < n) or not rows[a] >> h & 1:
             return f"parent arc ({a}, {h}) of {v} is not an arc of the digraph"
-        if out and h != v:
-            return f"parent arc ({a}, {h}) of {v} must point at {v}"
-        if not out and a != v:
-            return f"parent arc ({a}, {h}) of {v} must start at {v}"
-        nxt[v] = a if out else h
-    # every vertex must reach the root along parent pointers without repeats
-    settled = 1 << b.root
-    for v in range(n):
-        walk = 0
-        cur = v
-        while not settled >> cur & 1:
-            if walk >> cur & 1:
-                return f"parent pointers from {v} never reach the root"
-            walk |= 1 << cur
-            cur = nxt[cur]
-        settled |= walk
+        return f"parent arc ({a}, {h}) of {v} must {'point at' if out else 'start at'} {v}"
+    # reach from the root one layer at a time until every vertex is reached;
+    # each vertex has one parent, so none enters two layers, and a vertex on
+    # a cycle of parent pointers enters none
+    full = (1 << n) - 1
+    reached = layer = 1 << root
+    while reached != full:
+        below = 0
+        while layer:
+            low = layer & -layer
+            below |= children[low.bit_length() - 1]
+            layer ^= low
+        if not below:
+            missed = full & ~reached
+            v = (missed & -missed).bit_length() - 1
+            return f"parent pointers from {v} never reach the root"
+        reached |= below
+        layer = below
     return None
 
 
@@ -160,9 +183,10 @@ def verify_good_pair(d: Digraph, cert: GoodPairCert) -> str | None:
     bad = verify_branching(d, cert.in_)
     if bad:
         return f"in-branching: {bad}"
-    shared = cert.out.arcs() & cert.in_.arcs()
-    if shared:
-        return f"arc {min(shared)} used by both branchings"
+    out_arcs = set(cert.out.parent.values())
+    in_arcs = cert.in_.parent.values()
+    if not out_arcs.isdisjoint(in_arcs):
+        return f"arc {min(out_arcs.intersection(in_arcs))} used by both branchings"
     return None
 
 

@@ -16,10 +16,11 @@ pruning test rerun at every node, the generator's repair loop as it
 stood before it carried its proven pairs, the absorb step as it stood
 before it grew D[Q] by one row (it re-induces D[Q + X] from the host),
 and a branching verifier that walks from every vertex all the way to the
-root.  Nothing imports the algorithms under test beyond plain data types,
-the repair's full ``arc_connectivity`` call per
-round (itself checked against subset enumeration), and the absorb
-reference's ``induced_subdigraph`` and ``verify_good_pair``.
+root, with a good-pair verifier built on it.  Nothing imports the
+algorithms under test beyond plain data types, the repair's full
+``arc_connectivity`` call per round (itself checked against subset
+enumeration), and the absorb reference's ``induced_subdigraph`` and
+``verify_good_pair``.
 """
 
 from __future__ import annotations
@@ -83,6 +84,25 @@ def verify_branching_reference(d: Digraph, b: Branching) -> str | None:
             steps += 1
             if steps > d.n:
                 return f"parent pointers from {v} never reach the root"
+    return None
+
+
+def verify_good_pair_reference(d: Digraph, cert: GoodPairCert) -> str | None:
+    """``verify_good_pair`` on ``verify_branching_reference``, with the
+    shared arcs found by intersecting both arc sets; same messages."""
+    if cert.n != d.n:
+        return f"certificate is for n={cert.n}, digraph has n={d.n}"
+    if cert.out.kind != "out":
+        return "first branching must have kind 'out'"
+    if cert.in_.kind != "in":
+        return "second branching must have kind 'in'"
+    for side, b in (("out", cert.out), ("in", cert.in_)):
+        bad = verify_branching_reference(d, b)
+        if bad:
+            return f"{side}-branching: {bad}"
+    shared = cert.out.arcs() & cert.in_.arcs()
+    if shared:
+        return f"arc {min(shared)} used by both branchings"
     return None
 
 

@@ -46,6 +46,7 @@ from oracles import (
     good_pair_exists_bruteforce,
     rand_digraph,
     verify_branching_reference,
+    verify_good_pair_reference,
 )
 
 N10 = Path(__file__).parent / "data" / "no_good_pair_n10.json"
@@ -184,6 +185,44 @@ class TestGoodPairVerification:
         in_ = Branching("in", 0, {1: (1, 2), 2: (2, 0)})
         d = from_arcs(3, [(0, 1), (1, 2), (2, 0)])
         assert "used by both" in verify_good_pair(d, GoodPairCert(3, out, in_))
+
+    def test_matches_reference_on_corrupted_pairs(self):
+        """Same verdict and message as the reference on seeded good pairs with
+        n up to 62 and their corruptions: a defect of either branching, an
+        out-arc put in the in-branching too, a vertex's key renamed to n with
+        the arc (0, 0), and keys equal to their vertex but of another type.
+
+        Two traps of a one-pass design are each hit at least 50 times: a
+        renamed key leaves n - 1 keys, so only the key set shows the missing
+        vertex, and a float key breaks a row-bit shift by the key."""
+        rng = random.Random(6262)
+        messages = ("out of range", "has a parent", "no parent", "unexpected",
+                    "not an arc", "must", "never reach", "used by both")
+        seen = collections.Counter()
+        traps = collections.Counter()
+        for i in range(1500):
+            n = rng.randint(1, 62)
+            rows, cert = _random_good_pair(rng, n, path=i % 3 == 0)
+            d = Digraph(n, tuple(rows))
+            assert verify_good_pair(d, cert) is None
+            assert verify_good_pair_reference(d, cert) is None
+            for _ in range(rng.randint(0, 2)):
+                rows, cert = _corrupt_pair(rng, rows, cert)
+            d = Digraph(n, tuple(rows))
+            cert = GoodPairCert(n, _retyped(rng, d, cert.out), _retyped(rng, d, cert.in_))
+            got = verify_good_pair(d, cert)
+            assert got == verify_good_pair_reference(d, cert), (rows, cert)
+            seen[next((m for m in messages if got and m in got), got)] += 1
+            # the branchings the verifier reaches: the in-branching only
+            # after the out-branching passes
+            for b in (cert.out, cert.in_):
+                if 0 <= b.root < n and b.root not in b.parent:
+                    traps["renamed"] += len(b.parent) == n - 1 and b.parent.get(n) == (0, 0)
+                    traps["float key"] += any(type(v) is float for v in b.parent)
+                if verify_branching_reference(d, b):
+                    break
+        assert min(seen[m] for m in (*messages, None)) >= 10, seen
+        assert min(traps.values()) >= 50, traps
 
     def test_reverse_cert_duality(self):
         cert = self._pair()
@@ -458,6 +497,66 @@ def _corrupt(rng, rows, b):
             parent[v] = (a, h)
             rows[a] |= 1 << h
     return rows, Branching(b.kind, root, parent)
+
+
+def _random_good_pair(rng, n, path):
+    """Host rows and a good pair of them, both rooted at the first vertex of
+    a shuffled order.  Each later vertex gets an out-arc from an earlier
+    vertex (its predecessor when ``path``) and an in-arc to an earlier one,
+    so no arc lies in both; half the hosts get about a quarter of all other
+    arcs too."""
+    order = rng.sample(range(n), n)
+    dense = rng.random() < 0.5
+    rows = [rng.getrandbits(n) & rng.getrandbits(n) & ~(1 << u) if dense else 0
+            for u in range(n)]
+    out, in_ = {}, {}
+    for i in range(1, n):
+        v = order[i]
+        p = order[i - 1] if path else order[rng.randrange(i)]
+        q = order[rng.randrange(i)]
+        out[v] = (p, v)
+        in_[v] = (v, q)
+        rows[p] |= 1 << v
+        rows[v] |= 1 << q
+    return rows, GoodPairCert(n, Branching("out", order[0], out), Branching("in", order[0], in_))
+
+
+def _corrupt_pair(rng, rows, cert):
+    """One random defect of a pair: one of ``_corrupt``'s in either
+    branching, an out-arc (a, h) made a's in-arc too, or a non-root
+    vertex's key renamed to n with the arc (0, 0), which keeps n - 1 keys."""
+    out, in_ = cert.out, cert.in_
+    what = rng.choice(("out", "in", "out", "in", "shared", "renamed"))
+    if what == "out":
+        rows, out = _corrupt(rng, rows, out)
+    elif what == "in":
+        rows, in_ = _corrupt(rng, rows, in_)
+    elif what == "shared":
+        arcs = sorted(arc for arc in out.parent.values() if arc[0] != in_.root)
+        if arcs:
+            a, h = rng.choice(arcs)
+            in_ = Branching("in", in_.root, {**in_.parent, a: (a, h)})
+    else:
+        b = rng.choice((out, in_))
+        parent = dict(b.parent)
+        if parent:
+            del parent[rng.choice(sorted(parent))]
+        parent[len(rows)] = (0, 0)
+        b = Branching(b.kind, b.root, parent)
+        out, in_ = (b, in_) if b.kind == "out" else (out, b)
+    return rows, GoodPairCert(cert.n, out, in_)
+
+
+def _retyped(rng, d, b):
+    """b with a random part of the keys whose arcs pass every per-arc check
+    replaced by an equal key of another type: True for 1, else a float."""
+    parent = {}
+    for v, (a, h) in b.parent.items():
+        if (rng.random() < 0.3 and 0 <= a < d.n and 0 <= h < d.n and d.has_arc(a, h)
+                and v == (h if b.kind == "out" else a)):
+            v = True if v == 1 and rng.random() < 0.5 else float(v)
+        parent[v] = (a, h)
+    return Branching(b.kind, b.root, parent)
 
 
 def _terminal_comps(n, rows):
