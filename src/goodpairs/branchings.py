@@ -12,6 +12,13 @@ a parent map tests each arc and files it in its parent's children mask, a
 reach from the root along those masks must cover every vertex, and every
 message is the one the earlier walk-per-vertex verifier gave.
 
+A certificate of a sub-digraph D[Q] names vertices by their number in d.
+The verifiers take Q as an optional vertex set, every vertex of d by
+default, and run the same pass on d's rows restricted to Q: a vertex
+outside Q gets an empty row and is cleared from every other, so a root,
+key or arc outside D[Q] fails as an out-of-range one does on d, and
+n = |Q|.
+
 The exact search (``find_good_pair_exact``) prunes a partial out-branching
 with two tests: every unreached vertex stays reachable from the tree
 through usable arcs, and the residual (host minus tree arcs) keeps one
@@ -39,6 +46,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from typing import Sequence
 
 from .digraph import (
     Digraph,
@@ -100,29 +108,47 @@ def branching_roots(d: Digraph, kind: str) -> VertexSet:
     return comps[0] if len(comps) == 1 else 0
 
 
-def verify_branching(d: Digraph, b: Branching) -> str | None:
-    """None if b is a valid spanning branching of d, else the first violation.
+def verify_branching(d: Digraph, b: Branching, vertices: VertexSet | None = None) -> str | None:
+    """None if b is a valid spanning branching of D[vertices], else the
+    first violation.  ``vertices`` defaults to every vertex of d; a set
+    naming a vertex outside d raises ValueError.
 
     Linear in n.  One pass over the parent map tests each arc by its own
     endpoints (direction, range, one row bit) and sets its vertex's bit in
     its parent's children mask.  With no failing arc the keys are distinct
-    non-root vertices, so ``len(parent) == n - 1`` replaces comparing key
-    sets; otherwise key errors still come first, then the lowest vertex
-    with a failing arc.  A reach from the root one layer at a time along
-    the children masks names the lowest vertex it misses.  On arcs that are
-    pairs of ints, verdicts and messages are those of the walk-per-vertex
-    verifier this replaced, and keys equal to a vertex but of another type
-    (``True``, ``1.0``) pass.
+    non-root vertices, so ``len(parent) == |vertices| - 1`` replaces
+    comparing key sets; otherwise key errors still come first, then the
+    lowest vertex with a failing arc.  A reach from the root one layer at a
+    time along the children masks names the lowest vertex it misses.  On
+    arcs that are pairs of ints, verdicts and messages are those of the
+    walk-per-vertex verifier this replaced, and keys equal to a vertex but
+    of another type (``True``, ``1.0``) pass.
     """
-    n = d.n
+    q, rows = _restricted(d, vertices)
+    return _branching_violation(d.n, q, rows, b)
+
+
+def _restricted(d: Digraph, vertices: VertexSet | None) -> tuple[VertexSet, Sequence[int]]:
+    """(the vertex set, d's rows restricted to it): a vertex outside the set
+    has an empty row and no row names it, so an arc of these rows is an arc
+    of D[vertices]."""
+    if vertices is None:
+        return d.full_mask, d.out_adj
+    if vertices & ~d.full_mask:
+        raise ValueError("vertex set mentions vertices >= n")
+    return vertices, [row & vertices if vertices >> u & 1 else 0 for u, row in enumerate(d.out_adj)]
+
+
+def _branching_violation(n: int, q: VertexSet, rows: Sequence[int], b: Branching) -> str | None:
+    """``verify_branching`` on the vertex set q of a digraph on n vertices,
+    whose rows are restricted to q."""
     kind, root, parent = b.kind, b.root, b.parent
     if kind not in ("out", "in"):
         return f"unknown kind {kind!r}"
-    if not 0 <= root < n:
+    if not (0 <= root < n and q >> root & 1):
         return f"root {root} out of range"
     if root in parent:
         return f"root {root} has a parent arc"
-    rows = d.out_adj
     out = kind == "out"
     children = [0] * n  # children[p]: the vertices whose parent is p
     bad = []  # keys whose parent arc fails
@@ -135,9 +161,10 @@ def verify_branching(d: Digraph, b: Branching) -> str | None:
             children[p] |= 1 << c
         else:
             bad.append(v)
-    # with no bad arc the keys are distinct non-root vertices, so n - 1 of them are all
-    if bad or len(parent) != n - 1:
-        expected = set(range(n)) - {root}
+    # with no bad arc the keys are distinct non-root members of q, so
+    # |q| - 1 of them are all
+    if bad or len(parent) != q.bit_count() - 1:
+        expected = set(bits(q)) - {root}
         got = set(parent)
         if got != expected:
             missing = expected - got
@@ -152,16 +179,15 @@ def verify_branching(d: Digraph, b: Branching) -> str | None:
     # reach from the root one layer at a time until every vertex is reached;
     # each vertex has one parent, so none enters two layers, and a vertex on
     # a cycle of parent pointers enters none
-    full = (1 << n) - 1
     reached = layer = 1 << root
-    while reached != full:
+    while reached != q:
         below = 0
         while layer:
             low = layer & -layer
             below |= children[low.bit_length() - 1]
             layer ^= low
         if not below:
-            missed = full & ~reached
+            missed = q & ~reached
             v = (missed & -missed).bit_length() - 1
             return f"parent pointers from {v} never reach the root"
         reached |= below
@@ -169,18 +195,24 @@ def verify_branching(d: Digraph, b: Branching) -> str | None:
     return None
 
 
-def verify_good_pair(d: Digraph, cert: GoodPairCert) -> str | None:
-    """None for a valid certificate, else the first violated invariant."""
-    if cert.n != d.n:
-        return f"certificate is for n={cert.n}, digraph has n={d.n}"
+def verify_good_pair(
+    d: Digraph, cert: GoodPairCert, vertices: VertexSet | None = None
+) -> str | None:
+    """None for a valid certificate of D[vertices], else the first violated
+    invariant.  ``vertices`` defaults to every vertex of d; the certificate
+    names vertices by their number in d, and its n is the set's size."""
+    q, rows = _restricted(d, vertices)
+    size = q.bit_count()
+    if cert.n != size:
+        return f"certificate is for n={cert.n}, digraph has n={size}"
     if cert.out.kind != "out":
         return "first branching must have kind 'out'"
     if cert.in_.kind != "in":
         return "second branching must have kind 'in'"
-    bad = verify_branching(d, cert.out)
+    bad = _branching_violation(d.n, q, rows, cert.out)
     if bad:
         return f"out-branching: {bad}"
-    bad = verify_branching(d, cert.in_)
+    bad = _branching_violation(d.n, q, rows, cert.in_)
     if bad:
         return f"in-branching: {bad}"
     out_arcs = set(cert.out.parent.values())

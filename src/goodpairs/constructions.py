@@ -23,14 +23,13 @@ replayable trace.
 
 ``reduce_and_lift`` builds the host's in-rows once and hands them to every
 step: the seed scan, each absorb step, the pairing and spare-vertex steps
-and the exact fallback.  It induces D[Q] once, at the first absorb step
-after the seed.  Through the absorb phase D[Q] is numbered in attachment
-order, the seed's members first, so each step only appends the new
-vertex's row and its two arcs instead of inducing D[Q + v] from the host
-again; every step still verifies the good pair it builds, and the
-certificate is renumbered once per phase, into ``induced_subdigraph``'s
-numbering.  Each public rule checks its input (the good pair of D[Q]
-included) and then runs the same private step.
+and the exact fallback.  A sub-digraph D[Q] is the vertex set Q over the
+host's rows, never a renumbered ``Digraph``: a good pair of D[Q] is a
+``GoodPairCert`` with n = |Q| whose roots, parent keys and arcs lie in Q,
+named by their host numbers.  So an absorb step adds the new vertex's two
+arcs and verifies the pair on D[Q + v], and the closing rules copy the
+parent maps they extend.  Each public rule checks its input (the good
+pair of D[Q] included) and then runs the same private step.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from .digraph import (
     _out_forest,
     _strong_decomposition,
     bits,
-    induced_subdigraph,
+    induced_subdigraph,  # not called here; the benchmark's tracer binds this name
     mask_of,
     verify_dipath,
 )
@@ -229,12 +228,6 @@ def _alternating_selection(
         unproc[side].remove(cur)
 
 
-def _lift_branching(b: Branching, vmap: Sequence[int]) -> tuple[int, dict]:
-    root = vmap[b.root]
-    parent = {vmap[v]: (vmap[a], vmap[h]) for v, (a, h) in b.parent.items()}
-    return root, parent
-
-
 def _neighbourhoods(
     rows: Sequence[int], in_rows: Sequence[int], q_set: VertexSet
 ) -> tuple[VertexSet, VertexSet]:
@@ -266,21 +259,22 @@ def _check_condition(din: list[int], dout: list[int]) -> tuple[bool, int | None]
     return True, ones[0] if ones else None
 
 
-def _checked_subdigraph(d: Digraph, q_set: VertexSet, cert_q: GoodPairCert) -> Digraph:
-    """D[Q], once cert_q is checked to be a good pair of it."""
-    h, _ = induced_subdigraph(d, q_set)
-    bad = verify_good_pair(h, cert_q)
+def _check_cert_q(d: Digraph, q_set: VertexSet, cert_q: GoodPairCert) -> None:
+    """Raise ValueError unless cert_q is a good pair of D[Q] in d's
+    numbering; Q is a vertex set of d."""
+    bad = verify_good_pair(d, cert_q, q_set)
     if bad:
         raise ValueError(f"certificate for D[Q] invalid: {bad}")
-    return h
 
 
 def _pairing_prologue(
     d: Digraph, q_set: VertexSet, cert_q: GoodPairCert
 ) -> tuple[list[int], VertexSet, VertexSet]:
-    """Checks shared by the public pairing rules: the good pair of D[Q],
-    then disjoint neighbourhoods.  Returns (in-rows, X, Y)."""
-    _checked_subdigraph(d, q_set, cert_q)
+    """Checks shared by the public pairing rules: Q and the good pair of
+    D[Q], then disjoint neighbourhoods.  Returns (in-rows, X, Y)."""
+    if q_set == 0 or q_set & ~d.full_mask:
+        raise ValueError("Q must be a nonempty vertex set of the digraph")
+    _check_cert_q(d, q_set, cert_q)
     in_rows = _in_rows(d.n, d.out_adj)
     x_set, y_set = _neighbourhoods(d.out_adj, in_rows, q_set)
     if x_set & y_set:
@@ -300,8 +294,6 @@ def component_pairing(
     component on one side may make do with a single arc.  When the count
     fails on both sides the offending component is reported.
     """
-    if q_set == 0 or q_set & ~d.full_mask:
-        raise ValueError("Q must be a nonempty vertex set of the digraph")
     in_rows, x_set, y_set = _pairing_prologue(d, q_set, cert_q)
     if q_set == d.full_mask:
         return cert_q
@@ -363,10 +355,10 @@ def _assemble_pairing(
     """Condition-one assembly: the deficient component (if any) is
     ``s.comps_x[start]``.
 
-    cert_q is numbered as ``induced_subdigraph`` numbers D[Q], Q's members
-    ascending.  Vertices in ``skip_direct`` take part in the selection and
-    forests but get no direct arc to or from Q; the caller supplies their
-    missing arc.  The caller verifies the certificate.
+    cert_q is a good pair of D[Q] in the host's numbering; its parent maps
+    are copied, not shared.  Vertices in ``skip_direct`` take part in the
+    selection and forests but get no direct arc to or from Q; the caller
+    supplies their missing arc.  The caller verifies the certificate.
 
     Under the degree condition it cannot fail: the selection finds every
     pick; the forests span, as every initial component of D[X] holds a
@@ -378,8 +370,7 @@ def _assemble_pairing(
     t_x = _out_forest(s.rows, s.in_rows, s.x_set, mask_of(v for _, v in p_x))
     t_y = _in_forest(s.rows, s.in_rows, s.y_set, mask_of(u for u, _ in p_y))
 
-    vmap = tuple(bits(q_set))
-    root_out, out_parent = _lift_branching(cert_q.out, vmap)
+    out_parent = dict(cert_q.out.parent)
     for y in bits(s.y_set & ~skip_direct):
         q = s.in_rows[y] & q_set
         out_parent[y] = ((q & -q).bit_length() - 1, y)
@@ -387,7 +378,7 @@ def _assemble_pairing(
         out_parent[v] = (u, v)
     out_parent.update(t_x)
 
-    root_in, in_parent = _lift_branching(cert_q.in_, vmap)
+    in_parent = dict(cert_q.in_.parent)
     for x in bits(s.x_set & ~skip_direct):
         q = s.rows[x] & q_set
         in_parent[x] = (x, (q & -q).bit_length() - 1)
@@ -396,7 +387,9 @@ def _assemble_pairing(
     in_parent.update(t_y)
 
     return GoodPairCert(
-        len(s.rows), Branching("out", root_out, out_parent), Branching("in", root_in, in_parent)
+        len(s.rows),
+        Branching("out", cert_q.out.root, out_parent),
+        Branching("in", cert_q.in_.root, in_parent),
     )
 
 
@@ -415,9 +408,9 @@ def absorb_external_vertices(
     arcs because the new vertex was untouched so far.  Each step attaches
     the lowest vertex that can join, as the pipeline does, so a vertex
     whose neighbours only appear after others joined is still absorbed.
-    It runs the pipeline's absorb phase: every step is verified, and the
-    certificate is renumbered from attachment order into the returned
-    numbering once.  cert_q is left as it was passed.
+    It runs the pipeline's absorb phase, which verifies every step.  Both
+    certificates name vertices by their number in d; the result is a good
+    pair of D[Q + X], and cert_q is left as it was passed.
     """
     if q_set == 0:
         raise ValueError("Q must be nonempty")
@@ -425,9 +418,9 @@ def absorb_external_vertices(
         raise ValueError("Q and X must be disjoint")
     if (q_set | x_set) & ~d.full_mask:
         raise ValueError("vertex sets mention vertices >= n")
-    h = _checked_subdigraph(d, q_set, cert_q)
+    _check_cert_q(d, q_set, cert_q)
     in_rows = _in_rows(d.n, d.out_adj)
-    attached, cert = _absorb_phase(d, in_rows, q_set, h, cert_q, x_set)
+    attached, cert = _absorb_phase(d, in_rows, q_set, cert_q, x_set)
     stuck = x_set & ~mask_of(attached)
     if stuck:
         raise ValueError(
@@ -441,28 +434,20 @@ def _absorb_phase(
     d: Digraph,
     in_rows: Sequence[int],
     q_set: VertexSet,
-    h: Digraph | None,
     cert_q: GoodPairCert,
     rest: VertexSet,
 ) -> tuple[list[int], GoodPairCert]:
     """Absorb members of ``rest`` one at a time, the lowest one with an
     in- and an out-neighbour in Q first, until none is left that can join.
     Returns the attached vertices in attachment order and the good pair of
-    D[Q] grown by them, numbered as ``induced_subdigraph`` numbers it.
+    D[Q] grown by them; cert_q is a good pair of D[Q] and in_rows are d's
+    in-rows.
 
-    cert_q is a good pair of D[Q] in that numbering, and h is that D[Q],
-    or None to induce it at the first step, so a Q that absorbs nothing is
-    never induced; in_rows are d's in-rows.
-
-    Inside the phase D[Q] is numbered in attachment order: Q's members
-    first, ascending, then each attached vertex v at index k, the size of
-    Q before it joined.  A step appends v's row, sets bit k in the rows of
-    v's in-neighbours, and gives v the arc from its lowest in-neighbour in
-    the out-branching and the arc to its lowest out-neighbour in the
-    in-branching.  The parent maps are copied from cert_q once and grown in
-    place.  Every step builds its grown ``Digraph`` and verifies its
-    certificate on it; the certificate is renumbered into ascending order
-    once, when the phase ends.
+    Certificates name vertices by their number in d, so a step only gives
+    v the arc from its lowest in-neighbour in Q in the out-branching and
+    the arc to its lowest out-neighbour in Q in the in-branching, in
+    parent maps copied from cert_q once and grown in place.  Every step
+    verifies the pair it builds on D[Q + v], read from d's rows.
     """
     rows = d.out_adj
     # Q's in- and out-neighbourhoods, grown with Q; only their parts in rest count
@@ -470,53 +455,27 @@ def _absorb_phase(
     joinable = x_set & y_set & rest
     if not joinable:
         return [], cert_q
-    if h is None:
-        h, _ = induced_subdigraph(d, q_set)
-    order = [*bits(q_set)]  # the host vertex behind each index
-    seeded = len(order)
-    idx = [0] * d.n  # the index of each member of Q
-    for i, u in enumerate(order):
-        idx[u] = i
-    grown = list(h.out_adj)
     out_b = Branching("out", cert_q.out.root, dict(cert_q.out.parent))
     in_b = Branching("in", cert_q.in_.root, dict(cert_q.in_.parent))
+    attached = []
     while joinable:
         vbit = joinable & -joinable
         v = vbit.bit_length() - 1
-        k = len(order)
         ins = in_rows[v] & q_set
         outs = rows[v] & q_set
-        out_b.parent[k] = (idx[(ins & -ins).bit_length() - 1], k)
-        in_b.parent[k] = (k, idx[(outs & -outs).bit_length() - 1])
-        row_v = 0
-        while outs:
-            low = outs & -outs
-            row_v |= 1 << idx[low.bit_length() - 1]
-            outs ^= low
-        grown.append(row_v)
-        while ins:
-            low = ins & -ins
-            grown[idx[low.bit_length() - 1]] |= 1 << k
-            ins ^= low
-        bad = verify_good_pair(Digraph(k + 1, tuple(grown)), GoodPairCert(k + 1, out_b, in_b))
+        out_b.parent[v] = ((ins & -ins).bit_length() - 1, v)
+        in_b.parent[v] = (v, (outs & -outs).bit_length() - 1)
+        q_set |= vbit
+        cert = GoodPairCert(q_set.bit_count(), out_b, in_b)
+        bad = verify_good_pair(d, cert, q_set)
         if bad:  # pragma: no cover - attachment cannot collide
             raise AssertionError(f"absorption produced invalid certificate: {bad}")
-        idx[v] = k
-        order.append(v)
-        q_set |= vbit
+        attached.append(v)
         rest ^= vbit
         x_set |= in_rows[v]
         y_set |= rows[v]
         joinable = x_set & y_set & rest
-    # attachment order -> ascending order, once
-    for i, u in enumerate(bits(q_set)):
-        idx[u] = i
-    new = [idx[u] for u in order]
-    return order[seeded:], GoodPairCert(
-        len(order),
-        Branching("out", *_lift_branching(out_b, new)),
-        Branching("in", *_lift_branching(in_b, new)),
-    )
+    return attached, cert
 
 
 # ---------------------------------------------------------------------------
@@ -805,14 +764,6 @@ def _hamilton_high_case(
 # the pipeline
 
 
-def _digon_cert() -> GoodPairCert:
-    return GoodPairCert(
-        2,
-        Branching("out", 0, {1: (0, 1)}),
-        Branching("in", 0, {1: (1, 0)}),
-    )
-
-
 # the six pairs of a 4-set in lexicographic order; bit i of a 4-tournament's
 # key is set when pair i points from its lower to its higher member
 _PAIRS4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -853,10 +804,11 @@ def _seed_subdigraph(
     3 vertices carry at most 3 arcs, and 4 vertices carry 6 only when every
     two of them are joined, that is when they induce a tournament.  All 64
     labelled 4-tournaments have a good pair, so after the digon check the
-    seed is the lexicographically first 4-clique of the underlying graph,
-    its certificate looked up in ``_TOURNAMENT4_CERTS`` (numbered as
-    ``induced_subdigraph`` numbers D[Q]) and copied, so the caller owns it.
-    ``in_rows`` are the in-rows of d.
+    seed is the lexicographically first 4-clique a < b < c < e of the
+    underlying graph.  Its certificate is looked up in
+    ``_TOURNAMENT4_CERTS``, where vertices 0..3 stand for a, b, c, e, and
+    copied into d's numbering, so the caller owns it.  ``in_rows`` are the
+    in-rows of d.
     """
     n = d.n
     rows = d.out_adj
@@ -864,7 +816,10 @@ def _seed_subdigraph(
         both = rows[u] & in_rows[u] & ~((1 << (u + 1)) - 1)
         if both:
             v = (both & -both).bit_length() - 1
-            return (1 << u) | (1 << v), _digon_cert(), f"digon {u}-{v}"
+            cert = GoodPairCert(
+                2, Branching("out", u, {v: (u, v)}), Branching("in", u, {v: (v, u)})
+            )
+            return (1 << u) | (1 << v), cert, f"digon {u}-{v}"
     joined = [rows[v] | in_rows[v] for v in range(n)]
     for a in range(n):
         above_a = joined[a] & ~((2 << a) - 1)
@@ -883,13 +838,15 @@ def _seed_subdigraph(
                         | (rows[c] >> e & 1) << 5
                     )
                     cert = _TOURNAMENT4_CERTS[key]
-                    copy = GoodPairCert(
-                        4,
-                        Branching("out", cert.out.root, dict(cert.out.parent)),
-                        Branching("in", cert.in_.root, dict(cert.in_.parent)),
+                    at = (a, b, c, e)
+                    out, in_ = (
+                        Branching(t.kind, at[t.root], {
+                            at[v]: (at[x], at[y]) for v, (x, y) in t.parent.items()
+                        })
+                        for t in (cert.out, cert.in_)
                     )
                     mask = 1 << a | 1 << b | 1 << c | 1 << e
-                    return mask, copy, "4-vertex base with 6 arcs"
+                    return mask, GoodPairCert(4, out, in_), "4-vertex base with 6 arcs"
     return None
 
 
@@ -905,12 +862,11 @@ def reduce_and_lift(
     and otherwise never; the result status mirrors the solver's ("found",
     "none", "inconclusive").
 
-    The host's in-rows are built once, and D[Q] is induced once, when the
-    first vertex is absorbed after the seed.  The absorb phase numbers
-    D[Q] in attachment order; every absorb step grows it by one row and
-    verifies its certificate, so each certificate the pipeline builds is
-    verified once, and the phase renumbers the last one into
-    ``induced_subdigraph``'s numbering once, for the closing rules.
+    The host's in-rows are built once.  D[Q] is never induced: it is the
+    vertex set Q over d's rows, and every certificate names vertices by
+    their number in d.  Every absorb step verifies the certificate it
+    builds on D[Q + v], so each certificate the pipeline builds is
+    verified once.
     """
     if node_budget < 1:
         raise ValueError(f"node_budget must be at least 1, got {node_budget}")
@@ -924,8 +880,8 @@ def reduce_and_lift(
         q_set, cert, note = seeded
         steps.append(TraceStep("small-base", q_set, note))
         # cert is a good pair of D[Q], by the digon or the table; each
-        # absorb step grows D[Q] by one row and verifies the pair it builds
-        attached, cert = _absorb_phase(d, in_rows, q_set, None, cert, full & ~q_set)
+        # absorb step verifies the pair it builds on D[Q + v]
+        attached, cert = _absorb_phase(d, in_rows, q_set, cert, full & ~q_set)
         for v in attached:
             q_set |= 1 << v
             steps.append(TraceStep("absorb", q_set, f"attached vertex {v}"))

@@ -20,7 +20,9 @@ root, with a good-pair verifier built on it.  Nothing imports the
 algorithms under test beyond plain data types, the repair's full
 ``arc_connectivity`` call per round (itself checked against subset
 enumeration), and the absorb reference's ``induced_subdigraph`` and
-``verify_good_pair``.
+``verify_good_pair``.  ``relabel_cert`` and ``dense_cert`` rename a
+certificate's vertices, to carry certificates between a host's numbering
+and the dense numbering of ``induced_subdigraph``.
 """
 
 from __future__ import annotations
@@ -729,3 +731,25 @@ def absorb_reference(
     if bad:
         raise AssertionError(f"absorption produced invalid certificate: {bad}")
     return cert
+
+
+def relabel_cert(cert: GoodPairCert, n: int, at) -> GoodPairCert:
+    """cert with n vertices and every vertex v, roots, keys and arc
+    endpoints alike, renamed ``at(v)``; ``vmap.__getitem__`` lifts a
+    certificate of ``induced_subdigraph(d, x)`` into d's numbering."""
+
+    def one(b: Branching) -> Branching:
+        parent = {at(v): (at(a), at(h)) for v, (a, h) in b.parent.items()}
+        return Branching(b.kind, at(b.root), parent)
+
+    return GoodPairCert(n, one(cert.out), one(cert.in_))
+
+
+def dense_cert(cert: GoodPairCert, x: int) -> GoodPairCert:
+    """A certificate in d's numbering renamed into the numbering of
+    ``induced_subdigraph(d, x)``, keeping its n; a vertex outside x, named
+    or not by d, becomes one out of range, and distinct vertices stay
+    distinct."""
+    index = {v: i for i, v in enumerate(bits(x))}
+    k = len(index)
+    return relabel_cert(cert, cert.n, lambda v: index.get(v, v if v < 0 else k + v))

@@ -16,11 +16,14 @@ from goodpairs import (
     Digraph,
     GenModel,
     GoodPairCert,
+    bits,
     branching_roots,
     cert_from_json,
     cert_to_json,
     derive_seed,
     find_good_pair_exact,
+    induced_subdigraph,
+    mask_of,
     random_2arc_strong,
     reverse,
     reverse_cert,
@@ -41,10 +44,12 @@ from goodpairs.digraph import (
 from oracles import (
     closure_sccs,
     count_out_branchings,
+    dense_cert,
     enumerate_branchings,
     find_good_pair_exact_reference,
     good_pair_exists_bruteforce,
     rand_digraph,
+    relabel_cert,
     verify_branching_reference,
     verify_good_pair_reference,
 )
@@ -191,6 +196,7 @@ class TestGoodPairVerification:
         n up to 62 and their corruptions: a defect of either branching, an
         out-arc put in the in-branching too, a vertex's key renamed to n with
         the arc (0, 0), and keys equal to their vertex but of another type.
+        Passing every vertex of d as the vertex set gives the same message.
 
         Two traps of a one-pass design are each hit at least 50 times: a
         renamed key leaves n - 1 keys, so only the key set shows the missing
@@ -212,6 +218,7 @@ class TestGoodPairVerification:
             cert = GoodPairCert(n, _retyped(rng, d, cert.out), _retyped(rng, d, cert.in_))
             got = verify_good_pair(d, cert)
             assert got == verify_good_pair_reference(d, cert), (rows, cert)
+            assert got == verify_good_pair(d, cert, d.full_mask), (rows, cert)
             seen[next((m for m in messages if got and m in got), got)] += 1
             # the branchings the verifier reaches: the in-branching only
             # after the out-branching passes
@@ -223,6 +230,73 @@ class TestGoodPairVerification:
                     break
         assert min(seen[m] for m in (*messages, None)) >= 10, seen
         assert min(traps.values()) >= 50, traps
+
+    def test_vertex_set_matches_the_induced_digraph(self):
+        """Seeded hosts d with a vertex set Q and a good pair of D[Q] in d's
+        numbering, corrupted as above, where a vertex out of D[Q]'s range
+        becomes one outside Q, then given a parent arc of d that leaves Q
+        or a wrong size.  The verifier on Q fails exactly when the verifier
+        on ``induced_subdigraph(d, Q)`` fails on the dense copy, with the
+        same kind of message.  Every kind shows up, and a parent arc of d
+        that leaves Q at least 50 times."""
+        rng = random.Random(6363)
+        messages = ("out of range", "has a parent", "no parent", "unexpected",
+                    "not an arc", "must", "never reach", "used by both", "n=")
+        seen = collections.Counter()
+        leaves = 0
+        for i in range(1500):
+            n = rng.randint(1, 62)
+            k = rng.randint(1, n)
+            vmap = sorted(rng.sample(range(n), k))
+            q_set = mask_of(vmap)
+            rows_q, cert = _random_good_pair(rng, k, path=i % 3 == 0)
+            for _ in range(rng.randint(0, 2)):
+                rows_q, cert = _corrupt_pair(rng, rows_q, cert)
+            # the corruptions' out-of-range vertex k becomes the lowest vertex
+            # outside Q, or n when Q is every vertex; -1 stays -1
+            outside = next((v for v in range(n) if not q_set >> v & 1), n)
+            cert = relabel_cert(cert, cert.n, lambda v: vmap[v] if 0 <= v < k else
+                                outside if v == k else v)
+            rows = [0] * n
+            for i_q, row in enumerate(rows_q):
+                rows[vmap[i_q]] = mask_of(vmap[j] for j in bits(row))
+            density = rng.choice((0.0, 0.2, 0.6))
+            for u in range(n):
+                for v in range(n):
+                    if u != v and not q_set >> u & q_set >> v & 1 and rng.random() < density:
+                        rows[u] |= 1 << v
+            d = Digraph(n, tuple(rows))
+            if rng.random() < 0.3:  # a member of Q takes a parent arc of d that leaves Q
+                out = rng.random() < 0.5
+                b, far = (cert.out, d.in_adj()) if out else (cert.in_, d.out_adj)
+                ends = [(v, x) for v in b.parent if 0 <= v < n and q_set >> v & 1
+                        for x in bits(far[v] & ~q_set)]
+                if ends:
+                    v, x = rng.choice(ends)
+                    b = Branching(b.kind, b.root, {**b.parent, v: (x, v) if out else (v, x)})
+                    cert = GoodPairCert(cert.n, *((b, cert.in_) if out else (cert.out, b)))
+            if rng.random() < 0.2:
+                cert = GoodPairCert(cert.n + rng.choice((-1, 1)), cert.out, cert.in_)
+            h, _ = induced_subdigraph(d, q_set)
+            assert h == Digraph(k, tuple(rows_q))
+            got = verify_good_pair(d, cert, q_set)
+            want = verify_good_pair(h, dense_cert(cert, q_set))
+            kind = next((m for m in messages if got and m in got), got)
+            assert kind == next((m for m in messages if want and m in want), want), (got, want)
+            seen[kind] += 1
+            leaves += any(
+                0 <= t < n and 0 <= e < n and d.has_arc(t, e) and not q_set >> t & q_set >> e & 1
+                for b in (cert.out, cert.in_) for t, e in b.parent.values()
+            )
+        assert min(seen[m] for m in (*messages, None)) >= 10, seen
+        assert leaves >= 50, leaves
+
+    def test_vertex_set_outside_the_digraph_rejected(self):
+        cert = self._pair()
+        with pytest.raises(ValueError, match="vertices >= n"):
+            verify_good_pair(BI3, cert, 0b1111)
+        with pytest.raises(ValueError, match="vertices >= n"):
+            verify_branching(BI3, cert.out, 0b1000)
 
     def test_reverse_cert_duality(self):
         cert = self._pair()

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from goodpairs import (
+    Branching,
     ConditionNotMet,
     Digraph,
     Dipath,
@@ -55,8 +56,10 @@ from goodpairs.digraph import _in_rows, from_arcs
 
 from oracles import (
     absorb_reference,
+    dense_cert,
     initial_comps_reference,
     rand_digraph,
+    relabel_cert,
     seed_subdigraph_reference,
     terminal_comps_reference,
 )
@@ -71,19 +74,20 @@ PAIRING_D = from_arcs(6, PAIRING_ARCS)
 Q_SET = 0b000011
 
 
-def _digon_pair_cert(d, q_set):
-    h, _ = induced_subdigraph(d, q_set)
-    return find_good_pair_exact(h).cert
+def _host_pair(d, q_set):
+    """The exact search's good pair of D[Q], in d's numbering."""
+    h, vmap = induced_subdigraph(d, q_set)
+    return relabel_cert(find_good_pair_exact(h).cert, h.n, vmap.__getitem__)
 
 
 class TestComponentPairing:
     def test_closes_partition(self):
-        cert = component_pairing(PAIRING_D, Q_SET, _digon_pair_cert(PAIRING_D, Q_SET))
+        cert = component_pairing(PAIRING_D, Q_SET, _host_pair(PAIRING_D, Q_SET))
         assert isinstance(cert, GoodPairCert)
         assert verify_good_pair(PAIRING_D, cert) is None
 
     def test_deterministic(self):
-        cq = _digon_pair_cert(PAIRING_D, Q_SET)
+        cq = _host_pair(PAIRING_D, Q_SET)
         a = component_pairing(PAIRING_D, Q_SET, cq)
         b = component_pairing(PAIRING_D, Q_SET, cq)
         assert a.out.parent == b.out.parent and a.in_.parent == b.in_.parent
@@ -94,13 +98,13 @@ class TestComponentPairing:
 
     def test_condition_not_met_both_sides(self):
         d = from_arcs(4, [(0, 1), (1, 0), (2, 0), (1, 3), (3, 2)])
-        got = component_pairing(d, 0b0011, _digon_pair_cert(d, 0b0011))
+        got = component_pairing(d, 0b0011, _host_pair(d, 0b0011))
         assert isinstance(got, ConditionNotMet)
         assert got.component == 0b0100  # the component {2} of D[X]
 
     def test_condition_not_met_no_entering_arc(self):
         d = from_arcs(4, [(0, 1), (1, 0), (2, 0), (1, 3)])
-        got = component_pairing(d, 0b0011, _digon_pair_cert(d, 0b0011))
+        got = component_pairing(d, 0b0011, _host_pair(d, 0b0011))
         assert isinstance(got, ConditionNotMet)
         assert "no arc" in got.reason and got.component == 0b0100
 
@@ -108,26 +112,26 @@ class TestComponentPairing:
         # component {2} receives a single arc from Y, component {3} two
         d = from_arcs(6, [(0, 1), (1, 0), (2, 0), (3, 0), (1, 4), (1, 5),
                           (4, 2), (4, 3), (5, 3), (5, 2)])
-        cert = component_pairing(d, Q_SET, _digon_pair_cert(d, Q_SET))
+        cert = component_pairing(d, Q_SET, _host_pair(d, Q_SET))
         assert isinstance(cert, GoodPairCert)
         assert verify_good_pair(d, cert) is None
 
     def test_dual_orientation_used(self):
         # reverse of the pairing instance: deficiency sits on the Y side
         rd = reverse(PAIRING_D)
-        cert = component_pairing(rd, Q_SET, _digon_pair_cert(rd, Q_SET))
+        cert = component_pairing(rd, Q_SET, _host_pair(rd, Q_SET))
         assert isinstance(cert, GoodPairCert)
         assert verify_good_pair(rd, cert) is None
 
     def test_overlapping_neighbourhoods_rejected(self):
         d = from_arcs(3, [(0, 1), (1, 0), (2, 0), (0, 2)])
         with pytest.raises(ValueError, match="overlap"):
-            component_pairing(d, 0b011, _digon_pair_cert(d, 0b011))
+            component_pairing(d, 0b011, _host_pair(d, 0b011))
 
     def test_uncovered_vertex_rejected(self):
         d = from_arcs(4, [(0, 1), (1, 0), (2, 0), (2, 3), (3, 2)])
         with pytest.raises(ValueError, match="cover"):
-            component_pairing(d, 0b0011, _digon_pair_cert(d, 0b0011))
+            component_pairing(d, 0b0011, _host_pair(d, 0b0011))
 
     def test_invalid_cert_rejected(self):
         cert = find_good_pair_exact(BI3).cert  # wrong size for the digon
@@ -149,33 +153,33 @@ class TestComponentPairing:
 class TestAbsorption:
     def test_single_vertex(self):
         d = from_arcs(3, [(0, 1), (1, 0), (1, 2), (2, 0)])
-        cert = absorb_external_vertices(d, 0b011, _digon_pair_cert(d, 0b011), 0b100)
+        cert = absorb_external_vertices(d, 0b011, _host_pair(d, 0b011), 0b100)
         assert verify_good_pair(d, cert) is None
 
     def test_cascading_order(self):
         # vertex 3 only attaches after vertex 2 joined
         d = from_arcs(4, [(0, 1), (1, 0), (1, 2), (2, 0), (2, 3), (3, 2)])
-        cert = absorb_external_vertices(d, 0b0011, _digon_pair_cert(d, 0b0011), 0b1100)
+        cert = absorb_external_vertices(d, 0b0011, _host_pair(d, 0b0011), 0b1100)
         assert verify_good_pair(d, cert) is None
 
     def test_empty_set_is_identity(self):
-        cq = _digon_pair_cert(PAIRING_D, Q_SET)
+        cq = _host_pair(PAIRING_D, Q_SET)
         assert absorb_external_vertices(PAIRING_D, Q_SET, cq, 0) is cq
 
     def test_stuck_vertex_reported(self):
         d = from_arcs(3, [(0, 1), (1, 0), (0, 2)])
         with pytest.raises(ValueError, match="vertex 2"):
-            absorb_external_vertices(d, 0b011, _digon_pair_cert(d, 0b011), 0b100)
+            absorb_external_vertices(d, 0b011, _host_pair(d, 0b011), 0b100)
 
     def test_overlap_rejected(self):
-        cq = _digon_pair_cert(PAIRING_D, Q_SET)
+        cq = _host_pair(PAIRING_D, Q_SET)
         with pytest.raises(ValueError, match="disjoint"):
             absorb_external_vertices(PAIRING_D, Q_SET, cq, 0b000001)
 
     @pytest.mark.parametrize("x_set", [0, 0b100])
     def test_invalid_cert_rejected(self, x_set):
         d = from_arcs(3, [(0, 1), (1, 0), (1, 2), (2, 0)])
-        cq = _digon_pair_cert(d, 0b011)
+        cq = _host_pair(d, 0b011)
         broken = GoodPairCert(2, cq.out, cq.out)
         with pytest.raises(ValueError, match="certificate for D\\[Q\\] invalid"):
             absorb_external_vertices(d, 0b011, broken, x_set)
@@ -186,48 +190,48 @@ class TestAbsorption:
         whose lowest covered neighbour is 0 by then.  Lowest-first passes
         with rescans attach 3 before 0, through 1; both pairs are good."""
         d = parse_digraph("&C]so")
-        cq = find_good_pair_exact(induced_subdigraph(d, 0b0100)[0]).cert
+        cq = _host_pair(d, 0b0100)
         cert = absorb_external_vertices(d, 0b0100, cq, 0b1011)
         assert verify_good_pair(d, cert) is None
         assert (cert.out.parent[3], cert.in_.parent[3]) == ((0, 3), (3, 0))
-        passes = absorb_reference(d, 0b0100, cq, 0b1011, _in_rows(d.n, d.out_adj))
+        in_rows = _in_rows(d.n, d.out_adj)
+        passes = absorb_reference(d, 0b0100, dense_cert(cq, 0b0100), 0b1011, in_rows)
         assert verify_good_pair(d, passes) is None
         assert (passes.out.parent[3], passes.in_.parent[3]) == ((1, 3), (3, 1))
 
     def test_pipeline_verifies_each_step_once(self, monkeypatch):
-        # a tournament has no digon, so the seed is its first 4-clique, whose
-        # good pair comes from the table with no search; D[Q] is induced
-        # once, at the first absorb step, and each step grows it by one row
-        calls = collections.Counter()
-        for name in ("verify_good_pair", "induced_subdigraph", "find_good_pair_exact"):
-            def counted(*args, _real=getattr(constructions, name), _name=name):
-                calls[_name] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(constructions, name, counted)
+        """A tournament has no digon, so the seed is its first 4-clique,
+        whose good pair comes from the table with no search.  D[Q] is never
+        induced: each absorb step verifies its pair once, on d's rows and
+        the vertex set of its trace step."""
+        verified = _counted(monkeypatch, "verify_good_pair", (constructions,))
+        induced = _counted(monkeypatch, "induced_subdigraph", (constructions,))
+        searched = _counted(monkeypatch, "find_good_pair_exact", (constructions,))
         d = random_2arc_strong(GenModel("tournament", 20, 0.3, derive_seed(99, 0)))
         res, trace = reduce_and_lift(d)
         assert res.status == "found" and trace.steps[-1].rule == "absorb"
-        steps = sum(s.rule == "absorb" for s in trace.steps)
-        assert steps == 16
-        assert calls == {"verify_good_pair": steps, "induced_subdigraph": 1}
-        assert calls["find_good_pair_exact"] == 0
+        steps = [s.subdigraph for s in trace.steps if s.rule == "absorb"]
+        assert len(steps) == 16
+        assert [(args[0], args[2]) for args in verified] == [(d, q_set) for q_set in steps]
+        assert (len(induced), len(searched)) == (0, 0)
 
     def test_pipeline_without_absorb_step_induces_nothing(self, monkeypatch):
         """A digon seed that absorbs nothing goes to the exact fallback
-        without inducing D[Q]."""
+        with no D[Q] induced and no step verified."""
         calls = _counted(monkeypatch, "induced_subdigraph", (constructions,))
+        verified = _counted(monkeypatch, "verify_good_pair", (constructions,))
         d = random_2arc_strong(GenModel("arc-minimal", 20, 0.3, derive_seed(7, 1)))
         res, trace = reduce_and_lift(d)
         assert res.status == "found"
         assert [s.rule for s in trace.steps] == ["small-base", "exact-fallback"]
-        assert calls == []
+        assert calls == [] and verified == []
 
 
 @st.composite
 def absorb_cases(draw, max_n=20):
     """A digraph with each arc present with probability 3/4 and a nonempty
-    proper vertex set Q whose D[Q] has a good pair, with that pair."""
+    proper vertex set Q whose D[Q] has a good pair, with that pair in
+    ``induced_subdigraph``'s numbering."""
     n = draw(st.integers(2, max_n))
     full = (1 << n) - 1
     rows = tuple(
@@ -243,46 +247,45 @@ def absorb_cases(draw, max_n=20):
 class TestAbsorbPhase:
     @given(absorb_cases())
     @settings(max_examples=200, deadline=None)
-    def test_steps_grow_induced_rows_and_match_reference(self, case):
+    def test_steps_match_reference(self, case):
         """A whole phase on a random Q: each step attaches the lowest vertex
-        with an in- and an out-neighbour among the covered ones, its verified
-        rows are induced_subdigraph's of the grown Q relabelled in attachment
-        order, and the final certificate is the one the re-inducing
-        reference builds, one vertex at a time."""
-        d, q_set, cert_q = case
+        with an in- and an out-neighbour among the covered ones, and
+        verifies on d's rows and the grown Q the certificate that the
+        re-inducing reference builds one vertex at a time, lifted through
+        its vertex map into d's numbering."""
+        d, q_set, dense_q = case
+        h, vmap = induced_subdigraph(d, q_set)
+        cert_q = relabel_cert(dense_q, h.n, vmap.__getitem__)
         before = copy.deepcopy(cert_q)
         in_rows = _in_rows(d.n, d.out_adj)
         seen = []
         real = constructions.verify_good_pair
 
-        def recorded(h, cert):
-            seen.append(h.out_adj)
-            return real(h, cert)
+        def recorded(host, cert, vertices=None):
+            seen.append((host, copy.deepcopy(cert), vertices))
+            return real(host, cert, vertices)
 
         constructions.verify_good_pair = recorded
         try:
-            attached, cert = _absorb_phase(d, in_rows, q_set, None, cert_q, d.full_mask & ~q_set)
+            attached, cert = _absorb_phase(d, in_rows, q_set, cert_q, d.full_mask & ~q_set)
         finally:
             constructions.verify_good_pair = real
         assert len(seen) == len(attached)
-        order = [*bits(q_set)]
         covered = q_set
-        ref = cert_q
-        for v, rows in zip(attached, seen):
+        ref = dense_q
+        lifted = cert_q
+        for v, (host, step, vertices) in zip(attached, seen):
             joinable = [u for u in bits(d.full_mask & ~covered)
                         if in_rows[u] & covered and d.out_adj[u] & covered]
             assert v == joinable[0]
             ref = absorb_reference(d, covered, ref, 1 << v, in_rows)
             covered |= 1 << v
-            order.append(v)
-            h, vmap = induced_subdigraph(d, covered)
-            at = {u: i for i, u in enumerate(order)}
-            assert rows == tuple(
-                mask_of(at[vmap[j]] for j in bits(h.out_adj[vmap.index(u)])) for u in order
-            )
+            vmap = tuple(bits(covered))
+            lifted = relabel_cert(ref, len(vmap), vmap.__getitem__)
+            assert (host, step, vertices) == (d, lifted, covered)
         assert not [u for u in bits(d.full_mask & ~covered)
                     if in_rows[u] & covered and d.out_adj[u] & covered]
-        assert cert == ref and cert_q == before
+        assert cert == lifted and cert_q == before
 
     def test_leaves_its_inputs_alone(self):
         """The phase grows its parent maps in place, so it must own them:
@@ -294,7 +297,7 @@ class TestAbsorbPhase:
             assert trace.steps[0].note == "4-vertex base with 6 arcs"
         assert _TOURNAMENT4_CERTS == _tournament4_certs()
         d = parse_digraph("&C]so")
-        cq = find_good_pair_exact(induced_subdigraph(d, 0b0100)[0]).cert
+        cq = _host_pair(d, 0b0100)
         before = copy.deepcopy(cq)
         cert = absorb_external_vertices(d, 0b0100, cq, 0b1011)
         assert cert.n == 4 and cq == before
@@ -356,39 +359,139 @@ SPARE_BASE = PAIRING_ARCS  # Q={0,1}, X={2,3}, Y={4,5}, w=6
 class TestSpareVertex:
     def test_no_arcs_either_way(self):
         d = from_arcs(7, SPARE_BASE + [(2, 6), (3, 6), (6, 4), (6, 5)])
-        cert = pair_with_spare_vertex(d, Q_SET, _digon_pair_cert(d, Q_SET), 6)
+        cert = pair_with_spare_vertex(d, Q_SET, _host_pair(d, Q_SET), 6)
         assert isinstance(cert, GoodPairCert)
         assert verify_good_pair(d, cert) is None
 
     def test_feed_arc_from_y(self):
         d = from_arcs(7, SPARE_BASE + [(4, 6), (6, 4), (6, 5)])
-        cert = pair_with_spare_vertex(d, Q_SET, _digon_pair_cert(d, Q_SET), 6)
+        cert = pair_with_spare_vertex(d, Q_SET, _host_pair(d, Q_SET), 6)
         assert isinstance(cert, GoodPairCert)
         assert verify_good_pair(d, cert) is None
 
     def test_feed_arc_into_x_dual(self):
         # w's in-neighbours avoid Y, so only the reversed branch applies
         d = from_arcs(7, SPARE_BASE + [(6, 2), (6, 3), (2, 6)])
-        cert = pair_with_spare_vertex(d, Q_SET, _digon_pair_cert(d, Q_SET), 6)
+        cert = pair_with_spare_vertex(d, Q_SET, _host_pair(d, Q_SET), 6)
         assert isinstance(cert, GoodPairCert)
         assert verify_good_pair(d, cert) is None
 
     def test_too_few_attachments(self):
         d = from_arcs(7, SPARE_BASE + [(2, 6), (6, 4), (6, 5)])
-        got = pair_with_spare_vertex(d, Q_SET, _digon_pair_cert(d, Q_SET), 6)
+        got = pair_with_spare_vertex(d, Q_SET, _host_pair(d, Q_SET), 6)
         assert isinstance(got, ConditionNotMet)
         assert "two in-neighbours" in got.reason
 
     def test_w_inside_q_rejected(self):
         with pytest.raises(ValueError, match="outside Q"):
             pair_with_spare_vertex(
-                PAIRING_D, Q_SET, _digon_pair_cert(PAIRING_D, Q_SET), 0
+                PAIRING_D, Q_SET, _host_pair(PAIRING_D, Q_SET), 0
             )
 
     def test_coverage_required(self):
         d = from_arcs(8, SPARE_BASE + [(2, 6), (3, 6), (6, 4), (6, 5), (7, 6), (6, 7)])
         with pytest.raises(ValueError, match="cover"):
-            pair_with_spare_vertex(d, Q_SET, _digon_pair_cert(d, Q_SET), 6)
+            pair_with_spare_vertex(d, Q_SET, _host_pair(d, Q_SET), 6)
+
+
+# PAIRING_D and the spare-vertex digraphs on n vertices with vertex i
+# renamed HOST[n][i], so that Q = {3, 5} is not a prefix of the vertices
+# and the spare vertex is 2, below Q
+HOST = {6: (3, 5, 0, 4, 1, 2), 7: (3, 5, 0, 4, 1, 6, 2)}
+HOST_Q = 1 << 3 | 1 << 5
+SPARE_ARCS = {
+    "plain": [(2, 6), (3, 6), (6, 4), (6, 5)],
+    "feed-from-y": [(4, 6), (6, 4), (6, 5)],
+    "feed-into-x": [(6, 2), (6, 3), (2, 6)],
+}
+
+
+def _renamed(n, arcs):
+    at = HOST[n]
+    return from_arcs(n, [(at[a], at[b]) for a, b in arcs])
+
+
+def _cycle62():
+    n = 62
+    return from_arcs(n, [(v, (v + s) % n) for v in range(n) for s in (1, -1)])
+
+
+def _host_q_cases():
+    """(name, digraph, Q, good pair of D[Q] in d's numbering, the rule on
+    them, the number of verify_good_pair calls it makes): Q is never
+    {0, ..., k - 1}, and absorption runs at n = 62."""
+    pairing = _renamed(6, PAIRING_ARCS)
+    cases = [
+        (name, d, HOST_Q, lambda d, q, c: component_pairing(d, q, c), 2)
+        for name, d in (("pairing", pairing), ("pairing-reversed", reverse(pairing)))
+    ]
+    for name, arcs in SPARE_ARCS.items():
+        d = _renamed(7, SPARE_BASE + arcs)
+        cases.append((f"spare-{name}", d, HOST_Q,
+                      lambda d, q, c: pair_with_spare_vertex(d, q, c, 2), 2))
+    cases.append(("absorb-n62", _cycle62(), 1 << 30 | 1 << 31,
+                  lambda d, q, c: absorb_external_vertices(d, q, c, d.full_mask & ~q), 61))
+    return [(name, d, q, _host_pair(d, q), run, calls) for name, d, q, run, calls in cases]
+
+
+HOST_Q_CASES = _host_q_cases()
+
+
+def _defective(d, q_set, cert, defect):
+    """cert with one defect that only D[Q]'s vertex set shows: a size other
+    than |Q|, a root or parent key outside Q, or a parent arc of d with one
+    end outside Q."""
+    out, in_ = cert.out, cert.in_
+    w = (~q_set & -~q_set).bit_length() - 1  # the lowest vertex outside Q
+    if defect == "size":
+        return GoodPairCert(cert.n + 1, out, in_)
+    if defect == "root":
+        return GoodPairCert(cert.n, Branching("out", w, out.parent), in_)
+    if defect == "key":
+        return GoodPairCert(cert.n, Branching("out", out.root, {**out.parent, w: (0, w)}), in_)
+    in_rows = d.in_adj()
+    for v in out.parent:
+        for x in bits(in_rows[v] & ~q_set):
+            return GoodPairCert(cert.n, Branching("out", out.root, {**out.parent, v: (x, v)}), in_)
+    for v in in_.parent:
+        for y in bits(d.out_adj[v] & ~q_set):
+            return GoodPairCert(cert.n, out, Branching("in", in_.root, {**in_.parent, v: (v, y)}))
+    raise AssertionError("no arc of d leaves Q at a non-root vertex")
+
+
+DEFECT_REASONS = {
+    "size": "certificate is for n=",
+    "root": "out-branching: root",
+    "key": "out-branching: unexpected vertex",
+    "arc": "-branching: parent arc",
+}
+
+
+class TestHostNumberedQ:
+    """The public rules take and return certificates in d's numbering for
+    any vertex set Q, and check the good pair of D[Q] with the verifier on
+    that set."""
+
+    @pytest.mark.parametrize("case", HOST_Q_CASES, ids=lambda c: c[0])
+    def test_accepts_a_good_pair_of_q(self, case, monkeypatch):
+        _, d, q_set, cert_q, run, calls = case
+        before = copy.deepcopy(cert_q)
+        assert q_set & (q_set + 1)  # Q is not {0, ..., k - 1}
+        verified = _counted(monkeypatch, "verify_good_pair", (constructions,))
+        cert = run(d, q_set, cert_q)
+        assert isinstance(cert, GoodPairCert), cert
+        assert verify_good_pair(d, cert) is None and cert_q == before
+        assert len(verified) == calls
+        assert verified[0] == (d, cert_q, q_set)
+
+    @pytest.mark.parametrize("defect", sorted(DEFECT_REASONS))
+    @pytest.mark.parametrize("case", HOST_Q_CASES, ids=lambda c: c[0])
+    def test_rejects_a_pair_outside_q(self, case, defect):
+        _, d, q_set, cert_q, run, _ = case
+        bad = _defective(d, q_set, cert_q, defect)
+        with pytest.raises(ValueError, match=r"certificate for D\[Q\] invalid") as info:
+            run(d, q_set, bad)
+        assert DEFECT_REASONS[defect] in str(info.value)
 
 
 PAIRING_REASONS = {
@@ -412,7 +515,7 @@ def _partitioned_instance(rng, spare):
     """A random digraph with a vertex set Q whose D[Q] has a good pair, and
     whose in-neighbourhood X and out-neighbourhood Y are disjoint and cover
     the rest, bar one spare vertex w seeing neither Q nor being seen by it.
-    Returns (d, Q, cert of D[Q], X, Y, w or None)."""
+    Returns (d, Q, cert of D[Q] in d's numbering, X, Y, w or None)."""
     while True:
         n = rng.randint(4, 9)
         verts = rng.sample(range(n), n)
@@ -442,9 +545,10 @@ def _partitioned_instance(rng, spare):
         if rng.random() < 0.5:  # the reversal swaps the roles of X and Y
             d, x_set, y_set = reverse(d), y_set, x_set
         q_set = mask_of(q)
-        res = find_good_pair_exact(induced_subdigraph(d, q_set)[0])
+        h, vmap = induced_subdigraph(d, q_set)
+        res = find_good_pair_exact(h)
         if res.status == "found":
-            return d, q_set, res.cert, x_set, y_set, w
+            return d, q_set, relabel_cert(res.cert, h.n, vmap.__getitem__), x_set, y_set, w
 
 
 def _degrees(d, x_set, y_set):
@@ -640,11 +744,23 @@ def _has_digon(d):
 
 class TestSeedScan:
     def _check(self, d):
+        """The seed is the subset scan's; its certificate, in d's numbering,
+        is a good pair of D[Q] and the digon's or the table's pair of
+        ``induced_subdigraph(d, Q)`` lifted through its vertex map."""
         got = _seed_subdigraph(d, _in_rows(d.n, d.out_adj))
         assert (None if got is None else (got[0], got[2])) == seed_subdigraph_reference(d)
         if got is not None:
-            h, _ = induced_subdigraph(d, got[0])
-            assert verify_good_pair(h, got[1]) is None
+            q_set, cert, _ = got
+            assert verify_good_pair(d, cert, q_set) is None
+            h, vmap = induced_subdigraph(d, q_set)
+            if h.n == 2:
+                ref = GoodPairCert(
+                    2, Branching("out", 0, {1: (0, 1)}), Branching("in", 0, {1: (1, 0)})
+                )
+            else:
+                key = sum(h.has_arc(a, b) << i for i, (a, b) in enumerate(_PAIRS4))
+                ref = _TOURNAMENT4_CERTS[key]
+            assert cert == relabel_cert(ref, h.n, vmap.__getitem__)
         return got
 
     @pytest.mark.parametrize("kind", ["oriented-gnp-repair", "tournament"])
@@ -662,11 +778,15 @@ class TestSeedScan:
         assert len(_TOURNAMENT4_CERTS) == 64
 
     def test_seed_certificate_is_a_copy(self):
-        # a caller may edit the seed's certificate without touching the table
-        d = _tournament4(0b101101)
-        _, cert, note = _seed_subdigraph(d, _in_rows(4, d.out_adj))
-        assert note == "4-vertex base with 6 arcs"
-        assert cert == _TOURNAMENT4_CERTS[0b101101]
+        """The table's pair, lifted onto the host's 4-clique {1, 3, 4, 5};
+        a caller may edit the seed's certificate without touching the
+        table."""
+        at = (1, 3, 4, 5)
+        t = _tournament4(0b101101)
+        d = from_arcs(6, [(at[a], at[b]) for a, b in t.arcs()])
+        q_set, cert, note = _seed_subdigraph(d, _in_rows(6, d.out_adj))
+        assert (q_set, note) == (0b111010, "4-vertex base with 6 arcs")
+        assert cert == relabel_cert(_TOURNAMENT4_CERTS[0b101101], 4, at.__getitem__)
         cert.out.parent.clear()
         assert len(_TOURNAMENT4_CERTS[0b101101].out.parent) == 3
 
@@ -747,8 +867,8 @@ class TestReduceAndLift:
     def test_n62_closes_by_absorb(self, name, absorbs, digest, monkeypatch):
         """At n = 62, far past the golden files: the bidirected cycle, the
         complete digraph and a tournament close by absorption, one verified
-        step per absorbed vertex and one induced D[Q], with the certificate
-        bytes of the absorb phase that renumbered every step."""
+        step per absorbed vertex and no induced D[Q], with the certificate
+        bytes the absorb phase gave when it renumbered every step."""
         n = 62
         d = {
             "cycle": from_arcs(n, [(v, (v + s) % n) for v in range(n) for s in (1, -1)]),
@@ -761,7 +881,7 @@ class TestReduceAndLift:
         res, trace = reduce_and_lift(d)
         rules = [s.rule for s in trace.steps]
         assert (res.status, rules) == ("found", ["small-base"] + ["absorb"] * absorbs)
-        assert (len(verified), len(induced), len(searched)) == (absorbs, 1, 0)
+        assert (len(verified), len(induced), len(searched)) == (absorbs, 0, 0)
         assert verify_good_pair(d, res.cert) is None
         assert _sha(cert_to_json(res.cert)) == digest
 
