@@ -122,7 +122,9 @@ def verify_branching(d: Digraph, b: Branching, vertices: VertexSet | None = None
     time along the children masks names the lowest vertex it misses.  On
     arcs that are pairs of ints, verdicts and messages are those of the
     walk-per-vertex verifier this replaced, and keys equal to a vertex but
-    of another type (``True``, ``1.0``) pass.
+    of another type (``True``, ``1.0``) pass.  A root that is not an int
+    is out of range, and an arc with an endpoint that is not an int is not
+    an arc of the digraph.
     """
     q, rows = _restricted(d, vertices)
     return _branching_violation(d.n, q, rows, b)
@@ -145,22 +147,25 @@ def _branching_violation(n: int, q: VertexSet, rows: Sequence[int], b: Branching
     kind, root, parent = b.kind, b.root, b.parent
     if kind not in ("out", "in"):
         return f"unknown kind {kind!r}"
-    if not (0 <= root < n and q >> root & 1):
+    if not (isinstance(root, int) and 0 <= root < n and q >> root & 1):
         return f"root {root} out of range"
     if root in parent:
         return f"root {root} has a parent arc"
     out = kind == "out"
     children = [0] * n  # children[p]: the vertices whose parent is p
-    bad = []  # keys whose parent arc fails
-    for v, (a, h) in parent.items():
-        if out:
-            p, c = a, h
-        else:
-            p, c = h, a
-        if c == v and 0 <= p < n and 0 <= c < n and rows[a] >> h & 1:
-            children[p] |= 1 << c
-        else:
-            bad.append(v)
+    bad = False  # whether some parent arc fails
+    try:
+        for v, (a, h) in parent.items():
+            if out:
+                p, c = a, h
+            else:
+                p, c = h, a
+            if c == v and 0 <= p < n and 0 <= c < n and rows[a] >> h & 1:
+                children[p] |= 1 << c
+            else:
+                bad = True
+    except TypeError:  # an endpoint that is not an int, such as 0.0
+        bad = True
     # with no bad arc the keys are distinct non-root members of q, so
     # |q| - 1 of them are all
     if bad or len(parent) != q.bit_count() - 1:
@@ -171,11 +176,13 @@ def _branching_violation(n: int, q: VertexSet, rows: Sequence[int], b: Branching
             if missing:
                 return f"vertex {min(missing)} has no parent arc"
             return f"unexpected vertex {min(got - expected)} in parent map"
-        v = next(u for u in range(n) if u in bad)  # as an int, whatever the key's type
-        a, h = parent[v]
-        if not (0 <= a < n and 0 <= h < n) or not rows[a] >> h & 1:
-            return f"parent arc ({a}, {h}) of {v} is not an arc of the digraph"
-        return f"parent arc ({a}, {h}) of {v} must {'point at' if out else 'start at'} {v}"
+        for v in sorted(expected):  # as ints, whatever the keys' types
+            a, h = parent[v]
+            ints = isinstance(a, int) and isinstance(h, int)
+            if not (ints and 0 <= a < n and 0 <= h < n and rows[a] >> h & 1):
+                return f"parent arc ({a}, {h}) of {v} is not an arc of the digraph"
+            if (h if out else a) != v:
+                return f"parent arc ({a}, {h}) of {v} must {'point at' if out else 'start at'} {v}"
     # reach from the root one layer at a time until every vertex is reached;
     # each vertex has one parent, so none enters two layers, and a vertex on
     # a cycle of parent pointers enters none
@@ -235,15 +242,21 @@ def reverse_cert(cert: GoodPairCert) -> GoodPairCert:
 
 
 def cert_to_json(cert: GoodPairCert) -> str:
-    def branching_obj(b: Branching) -> dict:
-        return {
-            "root": b.root,
-            "parent": {str(v): list(b.parent[v]) for v in sorted(b.parent)},
-        }
+    """The certificate as JSON that ``cert_from_json`` reads back.  The
+    first of n, the roots, parent keys and arc endpoints that is not an
+    int (a bool or ``1.0``, which the verifier accepts as a vertex, say)
+    raises ValueError: JSON would write it as a value no reader takes."""
+    def branching_obj(kind: str, b: Branching) -> dict:
+        root = _json_int(b.root, f"{kind} root")
+        parent = {}
+        for v, arc in b.parent.items():
+            what = f"{kind} parent arc endpoint of {v}"
+            parent[_json_int(v, f"{kind} parent key")] = [_json_int(x, what) for x in arc]
+        return {"root": root, "parent": {str(v): parent[v] for v in sorted(parent)}}
 
-    return json.dumps(
-        {"n": cert.n, "out": branching_obj(cert.out), "in": branching_obj(cert.in_)}
-    )
+    n = _json_int(cert.n, "n")
+    out, in_ = branching_obj("out", cert.out), branching_obj("in", cert.in_)
+    return json.dumps({"n": n, "out": out, "in": in_})
 
 
 # a parent key as str() writes an int: no plus sign, spaces, underscores or

@@ -16,31 +16,28 @@ source) and the same residual co-reach to the sink (the one closest to
 the sink).  Only the particular paths of ``max_arc_disjoint_paths``
 depend on the search order.
 
-A flow capped at k is skipped when ``_short_paths`` (``_short_pair`` for
-k = 2) already sees k arc-disjoint s-t paths of length at most 3: the
-arc s->t, the 2-paths s->w->t through distinct w, and for k = 2 also
-3-paths s->w->x->t whose middle vertices w and x avoid those of the
-other path.  Such paths share no arc: an arc out of s is fixed by its
-head, an arc into t by its tail, and a middle arc w->x by both, so paths
-with distinct middle vertices use distinct arcs.  The test is sufficient
-only.  A skipped flow is one that would have returned its cap, and a
-flow at its cap changes no value, witness or scan index.
-
-Where the cap in force is 2 and the short-path test fails, no capped
-flow runs either: ``_cut_below_2`` pushes one unit along the one short
-path the test saw (or, where it saw none, along the shortest path
-``_augment`` finds) and takes the residual reach of s.  If that reach
-holds t, a second augmenting path exists and the flow is at least 2.
-If not, the one unit is a maximum flow, and its residual reach is the
-minimum cut closest to s, the set every maximum flow leaves: the
-witness a flow capped at 2 returns.  So arc connectivity, the
-generator's repair and its arc stripping return what they would with
-every flow run.
+Every connectivity question is one flow decision: does the s-t flow
+reach k, and if not, what is its value and which cut stops it?
+``_short_paths`` answers yes when it sees k arc-disjoint s-t paths of
+length at most 3: the arc s->t, the 2-paths s->w->t through distinct w,
+and for k = 2 also 3-paths s->w->x->t whose middle vertices avoid those
+of the other path.  Such paths share no arc: an arc out of s is fixed by
+its head, an arc into t by its tail, and a middle arc w->x by both.  The
+test is sufficient only.  Otherwise ``_cut_below`` pushes k - 1 units
+(at k = 2 along the one short path the test saw, if any) and takes one
+residual reach of s.  If that reach holds t, the flow reaches k; if
+not, the units pushed are a maximum flow, and the reach is the minimum
+cut closest to s, the one every maximum flow leaves.  So arc
+connectivity at any cap, the generator's repair and its arc stripping
+return what they would with every flow run to the end.
+``edmonds_branchings`` asks the same question from one root by capped
+flows, whose residual also gives a blocked sink's co-reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .branchings import Branching
 from .digraph import Digraph, Dipath, VertexSet, _in_rows, _reach, bits
@@ -72,11 +69,7 @@ def cut_degree(d: Digraph, x: VertexSet, direction: str) -> int:
     if direction == "out":
         return sum(d.out_adj[u].bit_count() - (d.out_adj[u] & x).bit_count() for u in bits(x))
     if direction == "in":
-        total = 0
-        for u in range(d.n):
-            if not x >> u & 1:
-                total += (d.out_adj[u] & x).bit_count()
-        return total
+        return sum((d.out_adj[u] & x).bit_count() for u in bits(d.full_mask & ~x))
     raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
 
 
@@ -140,45 +133,31 @@ def _max_flow(
 
 
 def _short_paths(
-    rows: list[int] | tuple[int, ...], in_rows: list[int], s: int, t: int, k: int
-) -> bool:
-    """Whether k arc-disjoint s-t paths of length at most 3 are in sight.
-
-    The arc s->t and the 2-paths s->w->t, one per w in N+(s) & N-(t), are
-    pairwise arc-disjoint.  True proves the s-t flow reaches k; False
-    proves nothing.  ``_short_pair`` is the k = 2 test, which also tries
-    3-paths.
-    """
-    out = rows[s]
-    return (out >> t & 1) + (out & in_rows[t]).bit_count() >= k
-
-
-def _short_pair(
-    rows: list[int] | tuple[int, ...], in_rows: list[int], s: int, t: int
+    rows: Sequence[int], in_rows: Sequence[int], s: int, t: int, k: int
 ) -> tuple[int, ...] | None:
-    """None when two arc-disjoint s-t paths of length at most 3 are in
-    sight; otherwise the one such path it saw, as a vertex tuple, or ()
-    when it saw none.
+    """None when k arc-disjoint s-t paths of length at most 3 are in
+    sight, proving the s-t flow reaches k; else the one such path it saw
+    at k = 2, as a vertex tuple, and () when it saw none or k != 2.
 
     The arc s->t and the 2-paths s->w->t, one per w in N+(s) & N-(t), are
-    pairwise arc-disjoint.  One of those plus a 3-path s->w->x->t with w,
-    x outside it, or else two 3-paths with distinct w and distinct x, also
-    suffice: with no arc s->t and no common neighbour, the w's and x's are
-    disjoint sets, and two such paths exist iff the arcs from the w's to
-    the x's are not all at one vertex (Koenig).  The path seen is the arc,
-    the 2-path or the 3-path through the lowest w with an arc into the
-    x's, and the lowest such x.
+    pairwise arc-disjoint; their count settles any k.  At k = 2, one of
+    those plus a 3-path s->w->x->t with w, x outside it, or two 3-paths
+    with distinct w and distinct x, also suffice: with no arc s->t and no
+    common neighbour the w's and x's are disjoint, and two such paths
+    exist iff the arcs from the w's to the x's are not all at one vertex
+    (Koenig).  The path seen is the arc, the 2-path or the 3-path through
+    the lowest w with an arc into the x's, and the lowest such x.
     """
     out = rows[s]
     into = in_rows[t]
     mid = out & into
+    if (out >> t & 1) + mid.bit_count() >= k:
+        return None
+    if k != 2:
+        return ()
     if out >> t & 1:
-        if mid:
-            return None
         seen: tuple[int, ...] = (s, t)
     elif mid:
-        if mid & (mid - 1):
-            return None
         seen = (s, mid.bit_length() - 1, t)
     else:
         seen = ()
@@ -202,28 +181,29 @@ def _short_pair(
     return seen
 
 
-def _cut_below_2(
-    n: int, rows: list[int] | tuple[int, ...], s: int, t: int, path: tuple[int, ...]
-) -> VertexSet:
-    """0 when the s-t flow is at least 2; otherwise the residual reach of
-    s under a maximum flow, the source side of the minimum cut closest to
-    s, which is what a flow capped at 2 leaves.
+def _cut_below(
+    n: int, rows: Sequence[int], s: int, t: int, k: int, path: tuple[int, ...] = ()
+) -> tuple[int, VertexSet]:
+    """``(k, 0)`` when the s-t flow reaches k; otherwise the flow's value
+    and the residual reach of s under a maximum flow, the source side of
+    the minimum cut closest to s: what a flow capped at k leaves.
 
-    One unit is pushed along ``path``, the s-t path ``_short_pair`` saw,
-    or, when it is (), along a shortest one found by ``_augment``.  The
-    flow reaches 2 exactly when the residual reach of s then holds t.
-    With no s-t path at all the flow is 0 and the reach of s is returned.
+    k - 1 units are pushed: along ``path``, the s-t path ``_short_paths``
+    saw at k = 2, else by ``_max_flow``.  The flow reaches k exactly when
+    the residual reach of s then holds t; if it does not, the units
+    pushed are a maximum flow.
     """
     if path:
+        value = 1
         res = list(rows)
         for p, v in zip(path, path[1:]):
             res[p] ^= 1 << v
             res[v] |= 1 << p
     else:
-        _, fwd, bwd = _max_flow(n, rows, s, t, cap=1)
+        value, fwd, bwd = _max_flow(n, rows, s, t, cap=k - 1)
         res = [f | b for f, b in zip(fwd, bwd)]
     side = _reach(res, 1 << s, (1 << n) - 1)
-    return 0 if side >> t & 1 else side
+    return (k, 0) if side >> t & 1 else (value, side)
 
 
 def max_arc_disjoint_paths(d: Digraph, s: int, t: int) -> PathPacking:
@@ -269,11 +249,12 @@ def arc_connectivity(d: Digraph, cap: int | None = None) -> tuple[int, CutWitnes
     closest to the source).
 
     With ``cap=k`` (k >= 1) only "lambda >= k, or else a deficient cut" is
-    decided: every flow stops at k or at the least value seen so far (at
-    2, one pushed path and one residual reach decide instead), and the
-    call returns ``(k, None)`` when lambda >= k.  Otherwise it returns
-    exactly the ``(lambda, witness)`` of the uncapped call, since the flow
-    that attains the minimum stays below every cap it runs under.
+    decided: each pair is asked only whether its flow reaches k, or the
+    least value seen so far, and the call returns ``(k, None)`` when
+    lambda >= k.  Otherwise it returns exactly the ``(lambda, witness)``
+    of the uncapped call, since the flow that attains the minimum stays
+    below every cap it is asked about.  The uncapped call is the call
+    capped at n, which no flow on n vertices reaches.
 
     No flow runs on a digraph that is not strong: lambda is 0, and the
     witness is the reach of vertex 0, or of the first t that cannot reach
@@ -284,18 +265,14 @@ def arc_connectivity(d: Digraph, cap: int | None = None) -> tuple[int, CutWitnes
         raise ValueError("arc connectivity needs at least 2 vertices")
     if cap is not None and cap < 1:
         raise ValueError("cap must be at least 1")
-    lam, witness, _ = _scan_pairs(d.n, d.out_adj, _in_rows(d.n, d.out_adj), cap, 0)
-    return lam, witness
+    rows = d.out_adj
+    return _scan_pairs(d.n, rows, _in_rows(d.n, rows), d.n if cap is None else cap, 0)[:2]
 
 
 def _scan_pairs(
-    n: int,
-    rows: list[int] | tuple[int, ...],
-    in_rows: list[int],
-    cap: int | None,
-    start: int,
+    n: int, rows: Sequence[int], in_rows: Sequence[int], cap: int, start: int
 ) -> tuple[int, CutWitness | None, int]:
-    """``arc_connectivity``'s scan, from pair index ``start`` on.
+    """``arc_connectivity``'s scan at ``cap``, from pair index ``start`` on.
 
     Pair i is (0, t) for even i and (t, 0) for odd i, with t = i // 2 + 1.
     ``in_rows`` are the in-rows of ``rows``.  The caller must know that
@@ -305,50 +282,32 @@ def _scan_pairs(
     ``start`` when the digraph is not strong (no flow runs then), and
     2(n - 1) when every pair reaches it.
 
-    Each flow after the first runs capped at the least value seen so far,
-    and is skipped when ``_short_paths`` proves the pair reaches that cap:
-    the flow would have returned the cap, which changes neither the
-    value, the witness nor the index returned.  Where the cap in force is
-    2 no capped flow runs: ``_cut_below_2`` pushes one path, the one the
-    short-path test saw or else one ``_augment`` finds, and its residual
-    reach of s either holds the sink or is the cut that flow would have
-    left.
+    Each pair is asked whether its flow reaches the least value seen so
+    far, at first ``cap``: ``_short_paths`` answers yes for most pairs,
+    ``_cut_below`` the rest, and a pair below lowers that value.
     """
     full = (1 << n) - 1
     pairs = 2 * (n - 1)
     reach = _reach(rows, 1, full)
     coreach = _reach(in_rows, 1, full)
-    if reach & coreach != full:
-        for t in range(1, n):
-            if not reach >> t & 1:
-                return 0, CutWitness(reach, "out", 0), start
-            if not coreach >> t & 1:
-                return 0, CutWitness(_reach(rows, 1 << t, full), "out", 0), start
-    if cap == 1:
-        return 1, None, pairs
+    missed = full & ~(reach & coreach)
+    if missed:  # the lowest t that 0 cannot reach or that cannot reach 0
+        t = (missed & -missed).bit_length() - 1
+        side = _reach(rows, 1 << t, full) if reach >> t & 1 else reach
+        return 0, CutWitness(side, "out", 0), start
     best = cap
     witness = None
     stop = pairs
     for i in range(start, pairs):
         t = i // 2 + 1
         s, goal = (t, 0) if i & 1 else (0, t)
-        if best == 2:
-            path = _short_pair(rows, in_rows, s, goal)
-            if path is None:
-                continue
-            side = _cut_below_2(n, rows, s, goal, path)
-            if not side:
-                continue
-            value = 1
-        else:
-            if best is not None and _short_paths(rows, in_rows, s, goal, best):
-                continue
-            value, fwd, bwd = _max_flow(n, rows, s, goal, cap=best)
-            if value == best:
-                continue
-            side = _reach([f | b for f, b in zip(fwd, bwd)], 1 << s, full)
-        if witness is None:
-            stop = i
+        path = _short_paths(rows, in_rows, s, goal, best)
+        if path is None:
+            continue
+        value, side = _cut_below(n, rows, s, goal, best, path)
+        if not side:
+            continue
+        stop = min(stop, i)
         best = value
         witness = CutWitness(side, "out", value)
         if value == 1:
@@ -361,68 +320,47 @@ def edmonds_branchings(d: Digraph, z: int, k: int) -> list[Branching] | CutWitne
 
     Such a packing exists iff every nonempty X avoiding z has in-degree at
     least k; when it does not, the returned witness is a set with in-degree
+    below k: the residual co-reach of the first t whose flow from z stays
     below k.  Construction grows each branching greedily, accepting a
     frontier arc only when the leftover digraph still admits the remaining
-    k-1, k-2, ... branchings (checked by capped max-flow feasibility from z
-    to every other vertex).
+    k-1, k-2, ... branchings (no t blocked at that many).
     """
     n = d.n
     if not 0 <= z < n:
         raise ValueError(f"root {z} out of range")
     if k < 1:
         raise ValueError("k must be >= 1")
-    for t in range(n):
-        if t == z:
-            continue
-        value, fwd, bwd = _max_flow(n, d.out_adj, z, t, cap=k)
-        if value < k:
-            residual = [f | b for f, b in zip(fwd, bwd)]
-            x = _reach(_in_rows(n, residual), 1 << t, d.full_mask)
-            return CutWitness(x, "in", value)
 
-    def feasible(rows: list[int], need: int) -> bool:
+    def blocked(rows: Sequence[int], need: int) -> tuple[int, int, list[int], list[int]] | None:
+        """The first t != z whose flow from z stays below ``need``, with
+        that flow's value and residual rows ``fwd``, ``bwd``; else None."""
         for t in range(n):
-            if t == z:
-                continue
-            if _max_flow(n, rows, z, t, cap=need)[0] < need:
-                return False
-        return True
+            if t != z:
+                value, fwd, bwd = _max_flow(n, rows, z, t, cap=need)
+                if value < need:
+                    return t, value, fwd, bwd
+        return None
 
-    available = list(d.out_adj)
+    cut = blocked(d.out_adj, k)
+    if cut is not None:
+        t, value, fwd, bwd = cut
+        residual_in = _in_rows(n, [f | b for f, b in zip(fwd, bwd)])
+        return CutWitness(_reach(residual_in, 1 << t, d.full_mask), "in", value)
+
+    res = list(d.out_adj)
     result = []
-    for i in range(k):
-        rem = k - i - 1
-        res = list(available)
+    for rem in range(k - 1, -1, -1):
         parent: dict[int, tuple[int, int]] = {}
         tree = 1 << z
-        full = d.full_mask
-        while tree != full:
-            chosen = None
-            probe = tree
-            while probe and chosen is None:
-                low = probe & -probe
-                u = low.bit_length() - 1
-                probe ^= low
-                cand = res[u] & ~tree
-                while cand:
-                    vlow = cand & -cand
-                    v = vlow.bit_length() - 1
-                    cand ^= vlow
-                    if rem == 0:
-                        chosen = (u, v)
-                        break
-                    res[u] &= ~vlow
-                    if feasible(res, rem):
-                        chosen = (u, v)
-                        res[u] |= vlow
-                        break
-                    res[u] |= vlow
-            if chosen is None:  # pragma: no cover - contradicts the theorem
+        while tree != d.full_mask:
+            for u, v in ((u, v) for u in bits(tree) for v in bits(res[u] & ~tree)):
+                res[u] ^= 1 << v
+                if rem == 0 or blocked(res, rem) is None:
+                    break
+                res[u] |= 1 << v
+            else:  # pragma: no cover - contradicts the theorem
                 raise AssertionError("no safe arc although the cut condition holds")
-            u, v = chosen
             parent[v] = (u, v)
             tree |= 1 << v
-            res[u] &= ~(1 << v)
         result.append(Branching("out", z, parent))
-        available = res
     return result

@@ -867,6 +867,15 @@ def reduce_and_lift(
     their number in d.  Every absorb step verifies the certificate it
     builds on D[Q + v], so each certificate the pipeline builds is
     verified once.
+
+    On a 2-arc-strong digraph the closing rules never decline.  X and Y
+    are disjoint, so no arc joins Q to X or Y to Q: an initial component
+    of D[X] is entered only from Y (or w), a terminal one of D[Y] leaves
+    only into X (or to w), and each has two such arcs.  Deleting a feed
+    arc v->w leaves only v's component short, by one arc; a lone w has
+    two in-neighbours in X and two out-neighbours in Y.  So the exact
+    search runs only without a seed or with two or more vertices outside
+    Q, X and Y.
     """
     if node_budget < 1:
         raise ValueError(f"node_budget must be at least 1, got {node_budget}")

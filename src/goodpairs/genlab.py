@@ -12,8 +12,8 @@ round; each round resumes the pair scan where the previous one stopped.
 The repair's result is 2-arc-strong by construction, so the arc-minimal
 draw strips arcs without proving lambda >= 2 again.  No flow capped at
 2 runs in a draw.
-``connectivity._short_pair`` sees two arc-disjoint paths of length at
-most 3 for most pairs; where it does not, ``connectivity._cut_below_2``
+``connectivity._short_paths`` sees two arc-disjoint paths of length at
+most 3 for most pairs; where it does not, ``connectivity._cut_below``
 pushes one unit along the path it saw (or one ``_augment`` finds) and
 takes the residual reach of the source, which holds the sink exactly
 when the flow reaches 2 and is otherwise the cut a flow capped at 2
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .branchings import DEFAULT_NODE_BUDGET
-from .connectivity import _cut_below_2, _scan_pairs, _short_pair, arc_connectivity
+from .connectivity import _cut_below, _scan_pairs, _short_paths, arc_connectivity
 from .constructions import reduce_and_lift
 from .digraph import MAX_VERTICES, Digraph, _in_rows, bits, serialize_digraph
 
@@ -207,10 +207,10 @@ def arc_minimize(d: Digraph, seed: int) -> Digraph:
     to its head survive its removal.  An arc whose removal would leave its
     tail with out-degree below 2 or its head with in-degree below 2 is
     kept without further work.  An arc goes when, after its removal,
-    ``connectivity._short_pair`` sees two arc-disjoint paths from its
+    ``connectivity._short_paths`` sees two arc-disjoint paths from its
     tail to its head of length at most 3 (a 2-path and a 3-path avoiding
     its middle vertex, say).  Every other arc costs one pushed path and
-    one residual reach (``connectivity._cut_below_2``), which holds the
+    one residual reach (``connectivity._cut_below``), which holds the
     head exactly when the flow from the tail reaches 2: the arc is kept
     exactly when a flow capped at 2 would keep it.
 
@@ -244,8 +244,8 @@ def _strip_arcs(n: int, rows: list[int], in_rows: list[int], seed: int) -> None:
             continue
         rows[u] ^= 1 << v
         in_rows[v] ^= 1 << u
-        path = _short_pair(rows, in_rows, u, v)
-        if path is not None and _cut_below_2(n, rows, u, v, path):
+        path = _short_paths(rows, in_rows, u, v, 2)
+        if path is not None and _cut_below(n, rows, u, v, 2, path)[1]:
             rows[u] |= 1 << v
             in_rows[v] |= 1 << u
 

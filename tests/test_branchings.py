@@ -191,6 +191,28 @@ class TestGoodPairVerification:
         d = from_arcs(3, [(0, 1), (1, 2), (2, 0)])
         assert "used by both" in verify_good_pair(d, GoodPairCert(3, out, in_))
 
+    @pytest.mark.parametrize(
+        "out, message",
+        [
+            (Branching("out", 0.0, {1: (0, 1), 2: (1, 2)}), "root 0.0 out of range"),
+            (Branching("out", "0", {1: (0, 1), 2: (1, 2)}), "root 0 out of range"),
+            (Branching("out", 0, {1: (0.0, 1), 2: (1, 2)}),
+             "parent arc (0.0, 1) of 1 is not an arc of the digraph"),
+            (Branching("out", 0, {1: (0, 1), 2: (1, 2.0)}),
+             "parent arc (1, 2.0) of 2 is not an arc of the digraph"),
+            # the float arc comes first in the map, the lower failing vertex
+            # is named
+            (Branching("out", 0, {2: (1.0, 2), 1: (0, 2)}),
+             "parent arc (0, 2) of 1 is not an arc of the digraph"),
+            (Branching("out", 0, {1: ("0", 1), 2: (1, 2)}),
+             "parent arc (0, 1) of 1 is not an arc of the digraph"),
+        ],
+    )
+    def test_non_int_root_or_endpoint_answers(self, out, message):
+        """A root or arc endpoint that is not an int is reported, not raised."""
+        cert = GoodPairCert(3, out, Branching("in", 0, {1: (1, 0), 2: (2, 1)}))
+        assert verify_good_pair(PATH3, cert) == f"out-branching: {message}"
+
     def test_matches_reference_on_corrupted_pairs(self):
         """Same verdict and message as the reference on seeded good pairs with
         n up to 62 and their corruptions: a defect of either branching, an
@@ -407,6 +429,46 @@ class TestCertJsonStrict:
         text = json.dumps(PATH3_CERT)[:-1] + ', "n": 3}'
         with pytest.raises(ValueError, match="malformed certificate object: repeated key 'n'"):
             cert_from_json(text)
+
+    @pytest.mark.parametrize(
+        "out, message",
+        [
+            (Branching("out", 0, {1.0: (0, 1), 2: (1, 2)}), "out parent key .* got 1.0"),
+            (Branching("out", 0, {True: (0, 1), 2: (1, 2)}), "out parent key .* got True"),
+            (Branching("out", False, {1: (0, 1), 2: (1, 2)}), "out root .* got False"),
+        ],
+    )
+    def test_writer_refuses_keys_the_verifier_accepts(self, out, message):
+        """These certificates verify, since the verifier accepts a root or
+        key equal to a vertex, but JSON would write them as values
+        ``cert_from_json`` refuses; the writer names the first one."""
+        cert = GoodPairCert(3, out, Branching("in", 0, {1: (1, 0), 2: (2, 1)}))
+        assert verify_good_pair(PATH3, cert) is None
+        with pytest.raises(ValueError, match=message):
+            cert_to_json(cert)
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("n",), 3.0, "n must .* got 3.0"),
+            (("in", "root"), 0.0, "in root .* got 0.0"),
+            (("out", "parent", "2"), (1, 2.0), "out parent arc endpoint of 2 .* got 2.0"),
+            (("in", "parent", "1"), (True, 0), "in parent arc endpoint of 1 .* got True"),
+        ],
+    )
+    def test_writer_refuses_non_int_fields(self, path, value, message):
+        cert = cert_from_json(json.dumps(PATH3_CERT))
+        out, in_ = cert.out, cert.in_
+        if path == ("n",):
+            cert = GoodPairCert(value, out, in_)
+        elif path == ("in", "root"):
+            cert = GoodPairCert(3, out, Branching("in", value, in_.parent))
+        else:
+            b = out if path[0] == "out" else in_
+            b = Branching(b.kind, b.root, {**b.parent, int(path[2]): value})
+            cert = GoodPairCert(3, b, in_) if path[0] == "out" else GoodPairCert(3, out, b)
+        with pytest.raises(ValueError, match=message):
+            cert_to_json(cert)
 
     def test_negative_vertex_parses_and_fails_verification(self):
         # a well-formed certificate that names no vertex of the digraph is

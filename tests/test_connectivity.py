@@ -16,7 +16,7 @@ from goodpairs import (
     verify_branching,
     verify_dipath,
 )
-from goodpairs.connectivity import _cut_below_2, _max_flow, _short_pair, _short_paths
+from goodpairs.connectivity import _cut_below, _max_flow, _short_paths
 from goodpairs.digraph import _in_rows, _reach, from_arcs
 
 from oracles import (
@@ -190,14 +190,6 @@ class TestArcConnectivity:
             arc_connectivity(BI3, cap=0)
 
 
-def _claims(rows, in_rows, s, t, k):
-    """The short-path test for k: ``_short_pair``'s at k = 2, which also
-    tries 3-paths, ``_short_paths``' otherwise."""
-    if k == 2:
-        return _short_pair(rows, in_rows, s, t) is None
-    return _short_paths(rows, in_rows, s, t, k)
-
-
 class TestShortPaths:
     def test_never_claims_more_than_the_flow(self):
         """Sufficient only: every claim of k paths is backed by a flow of k,
@@ -213,7 +205,7 @@ class TestShortPaths:
                     if s == t:
                         continue
                     for k in (1, 2, 3):
-                        if _claims(rows, in_rows, s, t, k):
+                        if _short_paths(rows, in_rows, s, t, k) is None:
                             claims += 1
                             assert _max_flow(n, rows, s, t, cap=k)[0] == k, (d, s, t, k)
         assert claims > 10_000
@@ -238,19 +230,20 @@ class TestShortPaths:
     def test_each_rule(self, arcs, k, claimed):
         d = from_arcs(6, arcs)
         rows, in_rows = d.out_adj, _in_rows(6, d.out_adj)
-        assert _claims(rows, in_rows, 0, 1, k) is claimed
+        assert (_short_paths(rows, in_rows, 0, 1, k) is None) is claimed
         assert _max_flow(6, rows, 0, 1, cap=k)[0] == (k if claimed else k - 1)
 
 
-class TestCutBelow2:
+class TestCutBelow:
     def test_agrees_with_flow(self):
         """On seeded digraphs with 2..12 vertices, sparse (often not
         strong) to dense (with digons), every pair the short-path test
-        leaves open is decided as the flow decides it, both along the path
-        that test saw and along the path ``_augment`` finds; below 2 the
-        set is the residual reach of an uncapped flow."""
+        leaves open at k = 1..4 is decided as a flow capped at k decides
+        it, both along the path that test saw and along the paths
+        ``_augment`` finds; below k the set is that flow's residual reach."""
         rng = random.Random(2024)
-        below = bfs = digons = non_strong = 0
+        below = [0] * 5
+        bfs = seen = digons = non_strong = 0
         for _ in range(300):
             n = rng.randint(2, 12)
             d = rand_digraph(rng, n, rng.choice((0.1, 0.2, 0.3, 0.5, 0.8)))
@@ -261,21 +254,24 @@ class TestCutBelow2:
                 for t in range(n):
                     if s == t:
                         continue
-                    value, fwd, bwd = _max_flow(n, rows, s, t)
-                    path = _short_pair(rows, in_rows, s, t)
-                    if path is None:
-                        assert value >= 2, (d, s, t)
-                        continue
-                    if path:
-                        assert (path[0], path[-1]) == (s, t) and len(path) <= 4
-                        assert all(rows[u] >> v & 1 for u, v in zip(path, path[1:]))
-                    side = _reach([f | b for f, b in zip(fwd, bwd)], 1 << s, d.full_mask)
-                    want = 0 if value >= 2 else side
-                    assert _cut_below_2(n, rows, s, t, path) == want, (d, s, t)
-                    assert _cut_below_2(n, rows, s, t, ()) == want, (d, s, t)
-                    bfs += not path
-                    below += value < 2
-        assert below > 3000 and bfs > 2000 and digons > 100 and non_strong > 100
+                    for k in (1, 2, 3, 4):
+                        value, fwd, bwd = _max_flow(n, rows, s, t, cap=k)
+                        path = _short_paths(rows, in_rows, s, t, k)
+                        if path is None:
+                            assert value == k, (d, s, t, k)
+                            continue
+                        if path:
+                            assert k == 2 and (path[0], path[-1]) == (s, t) and len(path) <= 4
+                            assert all(rows[u] >> v & 1 for u, v in zip(path, path[1:]))
+                        side = _reach([f | b for f, b in zip(fwd, bwd)], 1 << s, d.full_mask)
+                        want = (k, 0) if value == k else (value, side)
+                        assert _cut_below(n, rows, s, t, k, path) == want, (d, s, t, k)
+                        assert _cut_below(n, rows, s, t, k) == want, (d, s, t, k)
+                        bfs += not path
+                        seen += bool(path)
+                        below[k] += value < k
+        assert min(below[1:]) > 3000 and bfs > 25_000 and seen > 2000
+        assert digons > 100 and non_strong > 100
 
     def test_arc_connectivity_cap_2_matches_enumeration(self):
         rng = random.Random(62)

@@ -841,6 +841,46 @@ class TestReduceAndLift:
             assert res.status == "found"
             assert verify_good_pair(d, res.cert) is None
 
+    def test_closing_rules_never_decline_when_2_arc_strong(self, monkeypatch):
+        """On lambda >= 2 the pairing and the spare-vertex rule close every
+        time they run.  Q's neighbourhoods X and Y are disjoint, so an
+        initial component of D[X] is entered only from Y (or w) and a
+        terminal one of D[Y] leaves only into X (or to w): each has two
+        such arcs.  A feed arc v->w leaves only v's component short, by
+        one arc; a lone w has two in-neighbours in X and two out-neighbours
+        in Y.  So the exact search runs only without a seed or with two or
+        more vertices left outside Q, X and Y."""
+        closes = collections.Counter()
+
+        def wrapped(name):
+            real = getattr(constructions, name)
+
+            def closing_rule(*args):
+                got = real(*args)
+                assert not isinstance(got, ConditionNotMet), (name, args[0], got)
+                closes[name] += 1
+                return got
+
+            monkeypatch.setattr(constructions, name, closing_rule)
+
+        wrapped("_component_pairing")
+        wrapped("_pair_with_spare_vertex")
+        fallbacks = 0
+        for i in range(1200):
+            for kind in ("arc-minimal", "gnp-repair"):
+                d = random_2arc_strong(GenModel(kind, 9, 0.3, derive_seed(2024, i)))
+                res, trace = reduce_and_lift(d)
+                assert res.status == "found"
+                if trace.steps[-1].rule != "exact-fallback" or len(trace.steps) == 1:
+                    continue
+                q_set = trace.steps[-2].subdigraph
+                rows = d.out_adj
+                x_set, y_set = constructions._neighbourhoods(rows, _in_rows(9, rows), q_set)
+                assert (d.full_mask & ~(q_set | x_set | y_set)).bit_count() >= 2, d
+                fallbacks += 1
+        assert min(closes.values()) >= 100 and len(closes) == 2, closes
+        assert fallbacks >= 100
+
     def test_never_runs_the_hamilton_split(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the pipeline ran the Hamilton code")

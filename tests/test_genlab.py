@@ -210,7 +210,7 @@ class TestRepair:
         answers 1 exactly then)."""
         proofs = []
         deficient_rounds = []
-        prove, full_scan = connectivity._cut_below_2, oracles.arc_connectivity
+        prove, full_scan = connectivity._cut_below, oracles.arc_connectivity
 
         def counted_proof(*args):
             proofs.append(args[2:4])
@@ -221,7 +221,7 @@ class TestRepair:
             deficient_rounds.append(lam == 1)
             return lam, witness
 
-        monkeypatch.setattr(connectivity, "_cut_below_2", counted_proof)
+        monkeypatch.setattr(connectivity, "_cut_below", counted_proof)
         monkeypatch.setattr(oracles, "arc_connectivity", counted_scan)
         rng = random.Random(31)
         total = 0
@@ -246,7 +246,7 @@ class TestRepair:
         only flow it runs pushes the one unit of a pair no short path
         proves."""
         proofs = []
-        prove, flow = connectivity._cut_below_2, connectivity._max_flow
+        prove, flow = connectivity._cut_below, connectivity._max_flow
 
         def counted_proof(*args):
             proofs.append(args[2:4])
@@ -257,7 +257,7 @@ class TestRepair:
             return flow(n, adj, s, t, cap)
 
         for module in (connectivity, genlab):
-            monkeypatch.setattr(module, "_cut_below_2", counted_proof)
+            monkeypatch.setattr(module, "_cut_below", counted_proof)
         monkeypatch.setattr(connectivity, "_max_flow", one_unit_flow)
         for i in range(100):
             random_2arc_strong(GenModel(kind, 20, 0.3, derive_seed(1, i)))
