@@ -8,16 +8,19 @@ disjoint; the roots may differ.
 
 Certificates carry one parent arc per non-root vertex.  The verifiers
 share no code with the builders, ``digraph._reach`` included: one pass over
-a parent map tests each arc and files it in its parent's children mask, a
-reach from the root along those masks must cover every vertex, and every
-message is the one the earlier walk-per-vertex verifier gave.
+a parent map tests each arc and reaches from the root in map order, a
+vertex whose parent is already reached being reached at once.  Only a
+vertex read before its parent is filed in its parent's children mask, and
+a closure from the reached set along those masks reaches the filed ones
+afterwards.  Every builder lists parents first, so its certificates need
+no closure.  Every message is the one the earlier walk-per-vertex verifier
+gave.
 
 A certificate of a sub-digraph D[Q] names vertices by their number in d.
 The verifiers take Q as an optional vertex set, every vertex of d by
-default, and run the same pass on d's rows restricted to Q: a vertex
-outside Q gets an empty row and is cleared from every other, so a root,
-key or arc outside D[Q] fails as an out-of-range one does on d, and
-n = |Q|.
+default, and test each arc's endpoints against Q's mask before reading
+d's row, so a root, key or arc outside D[Q] fails as an out-of-range one
+does on d, and n = |Q|.
 
 The exact search (``find_good_pair_exact``) prunes a partial out-branching
 with two tests: every unreached vertex stays reachable from the tree
@@ -46,7 +49,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Sequence
 
 from .digraph import (
     Digraph,
@@ -114,45 +116,47 @@ def verify_branching(d: Digraph, b: Branching, vertices: VertexSet | None = None
     naming a vertex outside d raises ValueError.
 
     Linear in n.  One pass over the parent map tests each arc by its own
-    endpoints (direction, range, one row bit) and sets its vertex's bit in
-    its parent's children mask.  With no failing arc the keys are distinct
-    non-root vertices, so ``len(parent) == |vertices| - 1`` replaces
-    comparing key sets; otherwise key errors still come first, then the
-    lowest vertex with a failing arc.  A reach from the root one layer at a
-    time along the children masks names the lowest vertex it misses.  On
-    arcs that are pairs of ints, verdicts and messages are those of the
-    walk-per-vertex verifier this replaced, and keys equal to a vertex but
-    of another type (``True``, ``1.0``) pass.  A root that is not an int
-    is out of range, and an arc with an endpoint that is not an int is not
-    an arc of the digraph.
+    endpoints (direction, membership of the vertex set, one bit of d's
+    rows) and reaches from the root in map order: a vertex whose parent is
+    already reached is reached at once, and one read before its parent is
+    filed in its parent's children mask.  With no failing arc the keys are
+    distinct non-root vertices, so ``len(parent) == |vertices| - 1``
+    replaces comparing key sets; otherwise key errors still come first,
+    then the lowest vertex with a failing arc.  A closure from the reached
+    set along the children masks, one layer at a time, reaches the filed
+    vertices and names the lowest vertex it misses; a map that lists every
+    parent before its children needs none.  On arcs that are pairs of ints,
+    verdicts and messages are those of the walk-per-vertex verifier this
+    replaced, and keys equal to a vertex but of another type (``True``,
+    ``1.0``) pass.  A root that is not an int is out of range, and an arc
+    with an endpoint that is not an int is not an arc of the digraph.
     """
-    q, rows = _restricted(d, vertices)
-    return _branching_violation(d.n, q, rows, b)
+    return _branching_violation(d, _vertex_set(d, vertices), b)
 
 
-def _restricted(d: Digraph, vertices: VertexSet | None) -> tuple[VertexSet, Sequence[int]]:
-    """(the vertex set, d's rows restricted to it): a vertex outside the set
-    has an empty row and no row names it, so an arc of these rows is an arc
-    of D[vertices]."""
+def _vertex_set(d: Digraph, vertices: VertexSet | None) -> VertexSet:
+    """The vertex set, every vertex of d by default."""
     if vertices is None:
-        return d.full_mask, d.out_adj
+        return d.full_mask
     if vertices & ~d.full_mask:
         raise ValueError("vertex set mentions vertices >= n")
-    return vertices, [row & vertices if vertices >> u & 1 else 0 for u, row in enumerate(d.out_adj)]
+    return vertices
 
 
-def _branching_violation(n: int, q: VertexSet, rows: Sequence[int], b: Branching) -> str | None:
-    """``verify_branching`` on the vertex set q of a digraph on n vertices,
-    whose rows are restricted to q."""
+def _branching_violation(d: Digraph, q: VertexSet, b: Branching) -> str | None:
+    """``verify_branching`` on the vertex set q of d."""
     kind, root, parent = b.kind, b.root, b.parent
     if kind not in ("out", "in"):
         return f"unknown kind {kind!r}"
-    if not (isinstance(root, int) and 0 <= root < n and q >> root & 1):
+    if not (isinstance(root, int) and 0 <= root < d.n and q >> root & 1):
         return f"root {root} out of range"
     if root in parent:
         return f"root {root} has a parent arc"
+    rows = d.out_adj
     out = kind == "out"
-    children = [0] * n  # children[p]: the vertices whose parent is p
+    reached = 1 << root
+    children = None  # children[p]: the vertices read before their parent p
+    parents = 0  # the p with children[p] nonzero
     bad = False  # whether some parent arc fails
     try:
         for v, (a, h) in parent.items():
@@ -160,8 +164,16 @@ def _branching_violation(n: int, q: VertexSet, rows: Sequence[int], b: Branching
                 p, c = a, h
             else:
                 p, c = h, a
-            if c == v and 0 <= p < n and 0 <= c < n and rows[a] >> h & 1:
-                children[p] |= 1 << c
+            # a and h are tested before they shift: a negative count raises
+            # ValueError, and a non-int one TypeError
+            if c == v and a >= 0 and h >= 0 and q >> p & q >> c & 1 and rows[a] >> h & 1:
+                if reached >> p & 1:
+                    reached |= 1 << c
+                else:
+                    if children is None:
+                        children = [0] * d.n
+                    children[p] |= 1 << c
+                    parents |= 1 << p
             else:
                 bad = True
     except TypeError:  # an endpoint that is not an int, such as 0.0
@@ -179,14 +191,15 @@ def _branching_violation(n: int, q: VertexSet, rows: Sequence[int], b: Branching
         for v in sorted(expected):  # as ints, whatever the keys' types
             a, h = parent[v]
             ints = isinstance(a, int) and isinstance(h, int)
-            if not (ints and 0 <= a < n and 0 <= h < n and rows[a] >> h & 1):
+            if not (ints and a >= 0 and h >= 0 and q >> a & q >> h & 1 and rows[a] >> h & 1):
                 return f"parent arc ({a}, {h}) of {v} is not an arc of the digraph"
             if (h if out else a) != v:
                 return f"parent arc ({a}, {h}) of {v} must {'point at' if out else 'start at'} {v}"
-    # reach from the root one layer at a time until every vertex is reached;
-    # each vertex has one parent, so none enters two layers, and a vertex on
-    # a cycle of parent pointers enters none
-    reached = layer = 1 << root
+    # reach the filed vertices from the reached set one layer at a time,
+    # through the parents that have any; each was filed once, under a
+    # parent not yet reached, so none enters two layers, and a vertex on a
+    # cycle of parent pointers enters none
+    layer = reached & parents
     while reached != q:
         below = 0
         while layer:
@@ -198,7 +211,7 @@ def _branching_violation(n: int, q: VertexSet, rows: Sequence[int], b: Branching
             v = (missed & -missed).bit_length() - 1
             return f"parent pointers from {v} never reach the root"
         reached |= below
-        layer = below
+        layer = below & parents
     return None
 
 
@@ -207,8 +220,10 @@ def verify_good_pair(
 ) -> str | None:
     """None for a valid certificate of D[vertices], else the first violated
     invariant.  ``vertices`` defaults to every vertex of d; the certificate
-    names vertices by their number in d, and its n is the set's size."""
-    q, rows = _restricted(d, vertices)
+    names vertices by their number in d, and its n is the set's size.
+    Each branching takes ``verify_branching``'s one pass, which reaches in
+    map order; the shared arcs come from one set intersection."""
+    q = _vertex_set(d, vertices)
     size = q.bit_count()
     if cert.n != size:
         return f"certificate is for n={cert.n}, digraph has n={size}"
@@ -216,10 +231,10 @@ def verify_good_pair(
         return "first branching must have kind 'out'"
     if cert.in_.kind != "in":
         return "second branching must have kind 'in'"
-    bad = _branching_violation(d.n, q, rows, cert.out)
+    bad = _branching_violation(d, q, cert.out)
     if bad:
         return f"out-branching: {bad}"
-    bad = _branching_violation(d.n, q, rows, cert.in_)
+    bad = _branching_violation(d, q, cert.in_)
     if bad:
         return f"in-branching: {bad}"
     out_arcs = set(cert.out.parent.values())

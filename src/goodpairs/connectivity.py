@@ -151,13 +151,17 @@ def _short_paths(
     out = rows[s]
     into = in_rows[t]
     mid = out & into
-    if (out >> t & 1) + mid.bit_count() >= k:
-        return None
     if k != 2:
-        return ()
+        return None if (out >> t & 1) + mid.bit_count() >= k else ()
+    # at k = 2 these branches settle the pair without a count, which the
+    # generator's hot loop would pay for on every pair, and keep the path seen
     if out >> t & 1:
+        if mid:
+            return None
         seen: tuple[int, ...] = (s, t)
     elif mid:
+        if mid & (mid - 1):
+            return None
         seen = (s, mid.bit_length() - 1, t)
     else:
         seen = ()

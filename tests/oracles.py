@@ -55,10 +55,13 @@ def rand_digraph(rng: random.Random, n: int, p: float) -> Digraph:
 
 def verify_branching_reference(d: Digraph, b: Branching) -> str | None:
     """``verify_branching`` with a full walk to the root from every vertex,
-    up to n steps each; same checks, order and messages."""
+    up to n steps each; same checks, order and messages.  A root that is
+    not an int is out of range, an arc with an endpoint that is not an int
+    is not an arc of the digraph, and a vertex is named as the int it
+    equals, whatever its key's type."""
     if b.kind not in ("out", "in"):
         return f"unknown kind {b.kind!r}"
-    if not 0 <= b.root < d.n:
+    if not (isinstance(b.root, int) and 0 <= b.root < d.n):
         return f"root {b.root} out of range"
     if b.root in b.parent:
         return f"root {b.root} has a parent arc"
@@ -69,9 +72,10 @@ def verify_branching_reference(d: Digraph, b: Branching) -> str | None:
         if missing:
             return f"vertex {min(missing)} has no parent arc"
         return f"unexpected vertex {min(got - expected)} in parent map"
-    for v in sorted(b.parent):
+    for v in sorted(expected):
         a, h = b.parent[v]
-        if not (0 <= a < d.n and 0 <= h < d.n) or not d.has_arc(a, h):
+        in_range = all(isinstance(x, int) and 0 <= x < d.n for x in (a, h))
+        if not in_range or not d.has_arc(a, h):
             return f"parent arc ({a}, {h}) of {v} is not an arc of the digraph"
         if b.kind == "out" and h != v:
             return f"parent arc ({a}, {h}) of {v} must point at {v}"

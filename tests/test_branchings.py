@@ -120,52 +120,54 @@ class TestVerifyBranching:
     @pytest.mark.parametrize("kind", ["out", "in"])
     def test_walk_is_linear_on_a_path(self, kind):
         """Each vertex is walked through once: on a path-shaped branching a
-        walk that never marks vertices settled takes about n^2 / 2 steps."""
-        n = 62
-        d = from_arcs(n, [(v, v + s) for v in range(n) for s in (1, -1) if 0 <= v + s < n])
-        if kind == "out":
-            b = Branching("out", 0, {v: (v - 1, v) for v in range(1, n)})
-        else:
-            b = Branching("in", n - 1, {v: (v, v + 1) for v in range(n - 1)})
-        code = verify_branching.__code__
-        lines = 0
+        walk that never marks vertices settled takes about n^2 / 2 steps.
+        Listed parents first, the pass reaches every vertex itself."""
+        d, b = _path_branching(kind)
+        assert _parent_first(b)
+        lines = _lines_in_pass(d, b)
+        assert 0 < lines <= 25 * d.n, lines
 
-        def local(frame, event, arg):
-            nonlocal lines
-            lines += event == "line"
-            return local
-
-        previous = sys.gettrace()
-        sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
-        try:
-            got = verify_branching(d, b)
-        finally:
-            sys.settrace(previous)
-        assert got is None
-        assert 0 < lines <= 25 * n, lines
+    @pytest.mark.parametrize("kind", ["out", "in"])
+    def test_closure_is_linear_on_a_reversed_path(self, kind):
+        """The path with its keys in reverse order: every vertex but the
+        root's child is read before its parent, so the closure reaches it,
+        one layer per vertex, within the same bound."""
+        d, b = _path_branching(kind)
+        b = Branching(b.kind, b.root, dict(reversed(b.parent.items())))
+        lines = _lines_in_pass(d, b)
+        assert 0 < lines <= 25 * d.n, lines
 
     def test_matches_reference_on_corruptions(self):
         """Same first violation as the quadratic reference, on seeded valid
-        branchings (random and path-shaped trees) and their corruptions."""
+        branchings (random and path-shaped trees) and their corruptions,
+        each verified as built, parents first, and with its parent map
+        shuffled.  Over 2,000 valid shuffled maps read some vertex before
+        its parent, so the closure reaches it."""
         rng = random.Random(4242)
+        order = random.Random(4243)
         messages = ("out of range", "has a parent", "no parent", "unexpected",
                     "not an arc", "must", "never reach")
         seen = collections.Counter()
+        routes = collections.Counter()
         for i in range(3000):
             n = rng.randint(1, 20)
             kind = ("out", "in")[i & 1]
             rows, b = _random_branching(rng, n, kind, path=i % 3 == 0)
             d = Digraph(n, tuple(rows))
-            assert verify_branching(d, b) is None
             assert verify_branching_reference(d, b) is None
+            for built, c in ((True, b), (False, _shuffled(order, b))):
+                assert verify_branching(d, c) is None
+                routes[built, _parent_first(c)] += 1
             for _ in range(rng.randint(1, 2)):
                 rows, b = _corrupt(rng, rows, b)
             d = Digraph(n, tuple(rows))
-            got = verify_branching(d, b)
-            assert got == verify_branching_reference(d, b), (rows, b)
+            got = verify_branching_reference(d, b)
+            for c in (b, _shuffled(order, b)):
+                assert verify_branching(d, c) == got, (rows, c)
             seen[next((m for m in messages if got and m in got), got)] += 1
         assert set(seen) == {*messages, None}
         assert min(seen.values()) > 50, seen
+        assert routes[True, True] == 3000 and routes[False, False] > 2000, routes
 
 
 class TestGoodPairVerification:
@@ -217,41 +219,54 @@ class TestGoodPairVerification:
         """Same verdict and message as the reference on seeded good pairs with
         n up to 62 and their corruptions: a defect of either branching, an
         out-arc put in the in-branching too, a vertex's key renamed to n with
-        the arc (0, 0), and keys equal to their vertex but of another type.
-        Passing every vertex of d as the vertex set gives the same message.
+        the arc (0, 0), keys equal to their vertex but of another type, and
+        roots and arc endpoints that are floats.  Each pair is verified as
+        built, parents first, and with both parent maps shuffled; passing
+        every vertex of d as the vertex set gives the same message.
 
-        Two traps of a one-pass design are each hit at least 50 times: a
+        Traps of a one-pass design are each hit at least 50 times: a
         renamed key leaves n - 1 keys, so only the key set shows the missing
-        vertex, and a float key breaks a row-bit shift by the key."""
+        vertex; a float key must still be named as an int; a float root
+        or endpoint passes ``>= 0`` but cannot shift a mask.  At least 1,000
+        valid shuffled pairs read some vertex before its parent."""
         rng = random.Random(6262)
+        order = random.Random(6263)
         messages = ("out of range", "has a parent", "no parent", "unexpected",
                     "not an arc", "must", "never reach", "used by both")
         seen = collections.Counter()
         traps = collections.Counter()
+        routes = collections.Counter()
         for i in range(1500):
             n = rng.randint(1, 62)
             rows, cert = _random_good_pair(rng, n, path=i % 3 == 0)
             d = Digraph(n, tuple(rows))
-            assert verify_good_pair(d, cert) is None
             assert verify_good_pair_reference(d, cert) is None
+            for built, c in ((True, cert), (False, _shuffled_pair(order, cert))):
+                assert verify_good_pair(d, c) is None
+                routes[built, _parent_first(c.out) and _parent_first(c.in_)] += 1
             for _ in range(rng.randint(0, 2)):
                 rows, cert = _corrupt_pair(rng, rows, cert)
             d = Digraph(n, tuple(rows))
-            cert = GoodPairCert(n, _retyped(rng, d, cert.out), _retyped(rng, d, cert.in_))
-            got = verify_good_pair(d, cert)
-            assert got == verify_good_pair_reference(d, cert), (rows, cert)
-            assert got == verify_good_pair(d, cert, d.full_mask), (rows, cert)
+            cert = GoodPairCert(n, _retyped(rng, cert.out), _retyped(rng, cert.in_))
+            got = verify_good_pair_reference(d, cert)
+            for c in (cert, _shuffled_pair(order, cert)):
+                assert verify_good_pair(d, c) == got, (rows, c)
+                assert verify_good_pair(d, c, d.full_mask) == got, (rows, c)
             seen[next((m for m in messages if got and m in got), got)] += 1
             # the branchings the verifier reaches: the in-branching only
             # after the out-branching passes
             for b in (cert.out, cert.in_):
-                if 0 <= b.root < n and b.root not in b.parent:
+                traps["float root"] += type(b.root) is float
+                if type(b.root) is int and 0 <= b.root < n and b.root not in b.parent:
                     traps["renamed"] += len(b.parent) == n - 1 and b.parent.get(n) == (0, 0)
                     traps["float key"] += any(type(v) is float for v in b.parent)
+                    traps["float endpoint"] += any(type(x) is float
+                                                   for arc in b.parent.values() for x in arc)
                 if verify_branching_reference(d, b):
                     break
         assert min(seen[m] for m in (*messages, None)) >= 10, seen
-        assert min(traps.values()) >= 50, traps
+        assert len(traps) == 4 and min(traps.values()) >= 50, traps
+        assert routes[True, True] == 1500 and routes[False, False] >= 1000, routes
 
     def test_vertex_set_matches_the_induced_digraph(self):
         """Seeded hosts d with a vertex set Q and a good pair of D[Q] in d's
@@ -259,13 +274,20 @@ class TestGoodPairVerification:
         becomes one outside Q, then given a parent arc of d that leaves Q
         or a wrong size.  The verifier on Q fails exactly when the verifier
         on ``induced_subdigraph(d, Q)`` fails on the dense copy, with the
-        same kind of message.  Every kind shows up, and a parent arc of d
-        that leaves Q at least 50 times."""
+        same kind of message.  A vertex outside Q may also take a member's
+        key, with a parent arc of d from Q, which keeps |Q| - 1 keys.  Each
+        certificate is verified as built, parents first, and with both
+        parent maps shuffled, with the same message.  Every kind shows up,
+        a parent arc of d that leaves Q at least 50 times, a key outside Q
+        with an arc of d at least 50 times, and at least 200 valid
+        certificates are read parents first and 200 others not."""
         rng = random.Random(6363)
+        order = random.Random(6364)
         messages = ("out of range", "has a parent", "no parent", "unexpected",
                     "not an arc", "must", "never reach", "used by both", "n=")
         seen = collections.Counter()
-        leaves = 0
+        leaves = enters = 0
+        routes = collections.Counter()
         for i in range(1500):
             n = rng.randint(1, 62)
             k = rng.randint(1, n)
@@ -297,21 +319,40 @@ class TestGoodPairVerification:
                     v, x = rng.choice(ends)
                     b = Branching(b.kind, b.root, {**b.parent, v: (x, v) if out else (v, x)})
                     cert = GoodPairCert(cert.n, *((b, cert.in_) if out else (cert.out, b)))
+            if rng.random() < 0.2:  # a vertex outside Q takes a member's key
+                out = rng.random() < 0.5
+                b, near = (cert.out, d.in_adj()) if out else (cert.in_, d.out_adj)
+                ends = [(x, y) for x in range(n) if not q_set >> x & 1
+                        for y in bits(near[x] & q_set)]
+                if ends and b.parent:
+                    x, y = rng.choice(ends)
+                    parent = dict(b.parent)
+                    del parent[rng.choice(sorted(parent))]
+                    parent[x] = (y, x) if out else (x, y)
+                    b = Branching(b.kind, b.root, parent)
+                    cert = GoodPairCert(cert.n, *((b, cert.in_) if out else (cert.out, b)))
             if rng.random() < 0.2:
                 cert = GoodPairCert(cert.n + rng.choice((-1, 1)), cert.out, cert.in_)
             h, _ = induced_subdigraph(d, q_set)
             assert h == Digraph(k, tuple(rows_q))
             got = verify_good_pair(d, cert, q_set)
+            shuffled = _shuffled_pair(order, cert)
+            assert verify_good_pair(d, shuffled, q_set) == got, (rows, shuffled)
+            if got is None:
+                for c in (cert, shuffled):
+                    routes[_parent_first(c.out) and _parent_first(c.in_)] += 1
             want = verify_good_pair(h, dense_cert(cert, q_set))
             kind = next((m for m in messages if got and m in got), got)
             assert kind == next((m for m in messages if want and m in want), want), (got, want)
             seen[kind] += 1
-            leaves += any(
-                0 <= t < n and 0 <= e < n and d.has_arc(t, e) and not q_set >> t & q_set >> e & 1
-                for b in (cert.out, cert.in_) for t, e in b.parent.values()
-            )
+            arcs = [(t, e) for b in (cert.out, cert.in_) for t, e in b.parent.values()
+                    if 0 <= t < n and 0 <= e < n and d.has_arc(t, e)]
+            leaves += any(not q_set >> t & q_set >> e & 1 for t, e in arcs)
+            enters += any(0 <= v < n and not q_set >> v & 1 and arc in arcs
+                          for b in (cert.out, cert.in_) for v, arc in b.parent.items())
         assert min(seen[m] for m in (*messages, None)) >= 10, seen
-        assert leaves >= 50, leaves
+        assert leaves >= 50 and enters >= 50, (leaves, enters)
+        assert min(routes[True], routes[False]) >= 200, routes
 
     def test_vertex_set_outside_the_digraph_rejected(self):
         cert = self._pair()
@@ -580,6 +621,37 @@ class TestExactSearch:
             assert (res.status == "found") == good_pair_exists_bruteforce(d)
 
 
+def _path_branching(kind):
+    """The bidirected path on 62 vertices and its branching along the path
+    from one end, listed parents first."""
+    n = 62
+    d = from_arcs(n, [(v, v + s) for v in range(n) for s in (1, -1) if 0 <= v + s < n])
+    if kind == "out":
+        return d, Branching("out", 0, {v: (v - 1, v) for v in range(1, n)})
+    return d, Branching("in", n - 1, {v: (v, v + 1) for v in reversed(range(n - 1))})
+
+
+def _lines_in_pass(d, b):
+    """The lines ``verify_branching(d, b)`` runs in the frame that holds its
+    pass and its closure, given that b is valid."""
+    code = branchings._branching_violation.__code__
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        got = verify_branching(d, b)
+    finally:
+        sys.settrace(previous)
+    assert got is None
+    return lines
+
+
 def _random_branching(rng, n, kind, path):
     """Host rows plus a spanning branching of them: each vertex in a
     shuffled order hangs from an earlier one (its predecessor when
@@ -683,16 +755,43 @@ def _corrupt_pair(rng, rows, cert):
     return rows, GoodPairCert(cert.n, out, in_)
 
 
-def _retyped(rng, d, b):
-    """b with a random part of the keys whose arcs pass every per-arc check
-    replaced by an equal key of another type: True for 1, else a float."""
+def _retyped(rng, b):
+    """b with a random part of its keys replaced by an equal key of another
+    type (True for 1, else a float), and now and then its root or an
+    endpoint of one of its arcs made a float."""
     parent = {}
-    for v, (a, h) in b.parent.items():
-        if (rng.random() < 0.3 and 0 <= a < d.n and 0 <= h < d.n and d.has_arc(a, h)
-                and v == (h if b.kind == "out" else a)):
+    for v, arc in b.parent.items():
+        if rng.random() < 0.3:
             v = True if v == 1 and rng.random() < 0.5 else float(v)
-        parent[v] = (a, h)
-    return Branching(b.kind, b.root, parent)
+        parent[v] = arc
+    if parent and rng.random() < 0.08:
+        v = rng.choice(list(parent))
+        a, h = parent[v]
+        parent[v] = (float(a), h) if rng.random() < 0.5 else (a, float(h))
+    root = float(b.root) if rng.random() < 0.04 else b.root
+    return Branching(b.kind, root, parent)
+
+
+def _shuffled(rng, b):
+    """b with its parent map's items in a random order."""
+    items = list(b.parent.items())
+    rng.shuffle(items)
+    return Branching(b.kind, b.root, dict(items))
+
+
+def _shuffled_pair(rng, cert):
+    return GoodPairCert(cert.n, _shuffled(rng, cert.out), _shuffled(rng, cert.in_))
+
+
+def _parent_first(b):
+    """Whether each key's parent is the root or an earlier key, so that the
+    verifier's pass reaches every vertex and leaves nothing to its closure."""
+    reached = {b.root}
+    for v, (a, h) in b.parent.items():
+        if (a if b.kind == "out" else h) not in reached:
+            return False
+        reached.add(v)
+    return True
 
 
 def _terminal_comps(n, rows):
