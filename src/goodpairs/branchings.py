@@ -59,7 +59,6 @@ from .digraph import (
     _reaches,
     _strong_decomposition,
     bits,
-    strong_decomposition,
 )
 
 DEFAULT_NODE_BUDGET = 250_000
@@ -94,20 +93,6 @@ class SearchResult:
     status: str
     cert: GoodPairCert | None
     nodes: int
-
-
-def branching_roots(d: Digraph, kind: str) -> VertexSet:
-    """Vertices that can root a spanning branching of the given kind.
-
-    Nonempty exactly when the strong decomposition has a single initial
-    (kind "out") or terminal (kind "in") component, in which case the root
-    set is that whole component.
-    """
-    if kind not in ("out", "in"):
-        raise ValueError(f"kind must be 'out' or 'in', got {kind!r}")
-    dec = strong_decomposition(d)
-    comps = dec.initial_components() if kind == "out" else dec.terminal_components()
-    return comps[0] if len(comps) == 1 else 0
 
 
 def verify_branching(d: Digraph, b: Branching, vertices: VertexSet | None = None) -> str | None:

@@ -32,6 +32,8 @@ connectivity at any cap, the generator's repair and its arc stripping
 return what they would with every flow run to the end.
 ``edmonds_branchings`` asks the same question from one root by capped
 flows, whose residual also gives a blocked sink's co-reach.
+``_two_arc_strong`` decides lambda >= 2 without a flow, by one BFS tree
+out of vertex 0 and one into it (only their arcs can be strong bridges).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .branchings import Branching
-from .digraph import Digraph, Dipath, VertexSet, _in_rows, _reach, bits
+from .digraph import Digraph, Dipath, VertexSet, _in_rows, _reach, _reaches, bits
 
 
 @dataclass(frozen=True)
@@ -208,6 +210,40 @@ def _cut_below(
         res = [f | b for f, b in zip(fwd, bwd)]
     side = _reach(res, 1 << s, (1 << n) - 1)
     return (k, 0) if side >> t & 1 else (value, side)
+
+
+def _two_arc_strong(n: int, rows: list[int], in_rows: list[int]) -> bool:
+    """Whether lambda >= 2: 0 reaches every vertex and every vertex
+    reaches 0 with any one arc removed.  BFS layers from 0 give each v at
+    depth d the tree arc p->v from its lowest in-neighbour at depth d - 1,
+    and only tree arcs can cut a vertex off.  p->v cannot when v has
+    another in-neighbour at depth at most d, as no descendant of v lies
+    that shallow; else a walk back over v's other in-arcs must meet one.
+    Swapped rows settle the in-direction.  A walk clears one bit of a row
+    and restores it.
+    """
+    full = (1 << n) - 1
+    for rows, in_rows in ((rows, in_rows), (in_rows, rows)):
+        shallow = prev = 1  # depth at most d, depth d - 1
+        layer = rows[0] & ~1
+        while layer:
+            shallow |= layer
+            step = 0
+            for v in bits(layer):
+                step |= rows[v]
+                into = in_rows[v]
+                hit = into & prev
+                pbit = hit & -hit
+                if not into & shallow & ~pbit:
+                    in_rows[v] = into ^ pbit
+                    spared = _reaches(in_rows, 1 << v, shallow & ~(1 << v))
+                    in_rows[v] = into
+                    if not spared:
+                        return False
+            prev, layer = layer, step & ~shallow
+        if shallow != full:
+            return False
+    return True
 
 
 def max_arc_disjoint_paths(d: Digraph, s: int, t: int) -> PathPacking:

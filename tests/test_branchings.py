@@ -17,7 +17,6 @@ from goodpairs import (
     GenModel,
     GoodPairCert,
     bits,
-    branching_roots,
     cert_from_json,
     cert_to_json,
     derive_seed,
@@ -58,26 +57,6 @@ N10 = Path(__file__).parent / "data" / "no_good_pair_n10.json"
 
 BI3 = Digraph(3, (0b110, 0b101, 0b011))
 C3 = Digraph(3, (0b010, 0b100, 0b001))
-
-
-class TestBranchingRoots:
-    def test_cycle_all_roots(self):
-        assert branching_roots(C3, "out") == 0b111
-        assert branching_roots(C3, "in") == 0b111
-
-    def test_path_digraph(self):
-        d = from_arcs(3, [(0, 1), (1, 2)])
-        assert branching_roots(d, "out") == 0b001
-        assert branching_roots(d, "in") == 0b100
-
-    def test_two_sources(self):
-        d = from_arcs(3, [(0, 2), (1, 2)])
-        assert branching_roots(d, "out") == 0
-        assert branching_roots(d, "in") == 0b100
-
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            branching_roots(C3, "up")
 
 
 class TestHashing:

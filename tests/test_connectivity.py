@@ -11,12 +11,14 @@ from goodpairs import (
     arc_connectivity,
     cut_degree,
     edmonds_branchings,
+    enumerate_small,
     max_arc_disjoint_paths,
     parse_digraph,
     verify_branching,
     verify_dipath,
 )
-from goodpairs.connectivity import _cut_below, _max_flow, _short_paths
+from goodpairs import connectivity
+from goodpairs.connectivity import _cut_below, _max_flow, _short_paths, _two_arc_strong
 from goodpairs.digraph import _in_rows, _reach, from_arcs
 
 from oracles import (
@@ -287,6 +289,93 @@ class TestCutBelow:
                 assert w == CutWitness(w.x_set, "out", lam)
                 deficient += 1
         assert 50 < deficient < 180
+
+
+def _walks(monkeypatch) -> list[bool]:
+    """The answers of ``_two_arc_strong``'s backward walks, as they come."""
+    walks = []
+    reaches = connectivity._reaches
+
+    def recorded(*args):
+        walks.append(reaches(*args))
+        return walks[-1]
+
+    monkeypatch.setattr(connectivity, "_reaches", recorded)
+    return walks
+
+
+def _two_arc_strong_of(d: Digraph) -> bool:
+    rows, in_rows = list(d.out_adj), _in_rows(d.n, d.out_adj)
+    got = _two_arc_strong(d.n, rows, in_rows)
+    assert rows == list(d.out_adj) and in_rows == _in_rows(d.n, rows)  # bits restored
+    return got
+
+
+# bidirected triangles on 0, 1, 2 and on 3, 4, 5, joined by 0->3, 4->0 and
+# 5->1: the one arc into {3, 4, 5}, 0->3, is the only strong bridge
+ONE_BRIDGE = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1), (3, 4), (4, 3), (3, 5), (5, 3),
+              (4, 5), (5, 4), (0, 3), (4, 0), (5, 1)]
+
+
+class TestTwoArcStrong:
+    def test_agrees_with_the_capped_scan(self, monkeypatch):
+        """20,000 seeded digraphs on 2..14 vertices, p spread over (0, 1)
+        (8,300 with lambda >= 2); the backward walk runs 13,839 times and
+        finds a bridge in 8,064."""
+        walks = _walks(monkeypatch)
+        rng = random.Random(28)
+        yes = 0
+        for _ in range(20_000):
+            n = rng.randint(2, 14)
+            d = rand_digraph(rng, n, rng.uniform(0.01, 0.99))
+            got = _two_arc_strong_of(d)
+            assert got == (arc_connectivity(d, cap=2)[0] >= 2), d
+            yes += got
+        assert 5_000 < yes < 15_000
+        assert walks.count(True) > 4_000 and walks.count(False) > 6_000
+
+    def test_agrees_with_subset_cuts(self):
+        """Every digraph on 2..4 vertices and 3,000 seeded ones on 5 and 6
+        (1,261 of the 7,164 with lambda >= 2)."""
+        rng = random.Random(6)
+        cases = [d for n in (2, 3, 4) for d in enumerate_small(n)]
+        cases += [rand_digraph(rng, rng.randint(5, 6), rng.uniform(0.2, 0.95)) for _ in range(3000)]
+        yes = 0
+        for d in cases:
+            got = _two_arc_strong_of(d)
+            assert got == (lambda_enum(d) >= 2), d
+            yes += got
+        assert yes > 1000
+
+    def test_bidirected_62_cycle(self):
+        n = 62
+        d = from_arcs(n, [(v, (v + s) % n) for v in range(n) for s in (1, -1)])
+        assert _two_arc_strong_of(d)
+        for u, v in d.arcs():
+            rows = list(d.out_adj)
+            rows[u] ^= 1 << v
+            assert not _two_arc_strong_of(Digraph(n, tuple(rows))), (u, v)
+
+    @pytest.mark.parametrize("direction", ["out", "in"])
+    def test_the_only_bridge_needs_the_walk(self, monkeypatch, direction):
+        """The bridge is the tree arc of 3 (into 0 for "in"), whose other
+        neighbours on that side, 4 and 5, lie deeper, so only a walk back
+        from 3 finds it.  Reversed, 0 still reaches every vertex with the
+        bridge gone, so the in-tree's walk finds it."""
+        arcs = ONE_BRIDGE if direction == "out" else [(v, u) for u, v in ONE_BRIDGE]
+        d = from_arcs(6, arcs)
+        bridges = []
+        for u, v in arcs:
+            rows = list(d.out_adj)
+            rows[u] ^= 1 << v
+            reach = _reach(rows, 1, d.full_mask)
+            coreach = _reach(_in_rows(6, rows), 1, d.full_mask)
+            if reach & coreach != d.full_mask:
+                bridges.append((u, v, reach == d.full_mask))
+        assert bridges == [(*arcs[12], direction == "in")]
+        walks = _walks(monkeypatch)
+        assert not _two_arc_strong_of(d)
+        assert walks[-1] is False
 
 
 class TestEdmonds:

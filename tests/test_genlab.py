@@ -240,11 +240,12 @@ class TestRepair:
     @pytest.mark.parametrize("kind, most", [("tournament", 2), ("arc-minimal", 50)])
     def test_short_paths_spare_most_flows(self, monkeypatch, kind, most):
         """Mean proofs past the short-path test per n = 20 draw over 100
-        draws of seed 1; proving each pair that way took 38 per tournament
-        and about 108 per arc-minimal draw, while short arc-disjoint paths
-        prove most pairs outright.  A draw runs no flow capped at 2; the
-        only flow it runs pushes the one unit of a pair no short path
-        proves."""
+        draws of seed 1: the repair's pair scan, and the per-arc pass of
+        an arc-minimal draw whose degree-only strip fails its lambda >= 2
+        check (about 1.6 and 0.5 per arc-minimal draw; proving each pair
+        that way took 38 per tournament).  A draw runs no flow capped at
+        2; the only flow it runs pushes the one unit of a pair no short
+        path proves."""
         proofs = []
         prove, flow = connectivity._cut_below, connectivity._max_flow
 
@@ -262,7 +263,7 @@ class TestRepair:
         for i in range(100):
             random_2arc_strong(GenModel(kind, 20, 0.3, derive_seed(1, i)))
         assert len(proofs) / 100 <= most
-        assert proofs or kind == "tournament"  # the counter sees the strip's proofs
+        assert proofs or kind == "tournament"  # the counter sees the repair's proofs
 
     def test_repair_draws_call_no_arc_connectivity(self, monkeypatch):
         calls = []
@@ -330,6 +331,33 @@ class TestArcMinimize:
             d = random_2arc_strong(model)
             seed = rng.getrandbits(63)
             assert arc_minimize(d, seed) == arc_minimize_reference(d, seed)
+
+    def test_degree_strip_falls_back_to_the_per_arc_pass(self, monkeypatch):
+        """Over 800 arc-minimal draws with n = 9..20, the degree-only run
+        leaves lambda < 2 in at least 20 (measured 35), and every draw, on
+        either path, is ``arc_minimize_reference`` of the repaired digraph
+        with the draw's strip seed."""
+        strips = []
+        strip, check = genlab._strip_arcs, genlab._two_arc_strong
+
+        def recorded_strip(n, rows, in_rows, seed):
+            strips.append([n, tuple(rows), seed, None])
+            strip(n, rows, in_rows, seed)
+            strips[-1].append(tuple(rows))
+
+        def recorded_check(n, rows, in_rows):
+            strips[-1][3] = check(n, rows, in_rows)
+            return strips[-1][3]
+
+        monkeypatch.setattr(genlab, "_strip_arcs", recorded_strip)
+        monkeypatch.setattr(genlab, "_two_arc_strong", recorded_check)
+        for i in range(800):
+            random_2arc_strong(GenModel("arc-minimal", 9 + i % 12, 0.3, derive_seed(28, i)))
+        assert len(strips) == 800
+        for n, repaired, seed, _, stripped in strips:
+            want = arc_minimize_reference(Digraph(n, repaired), seed)
+            assert stripped == want.out_adj, (n, repaired, seed)
+        assert sum(ok is False for _, _, _, ok, _ in strips) >= 20
 
 
 class TestEnumerateSmall:
