@@ -18,8 +18,8 @@ Y and is fed by every vertex of X.  A rule declines only on its degrees.
 
 ``reduce_and_lift`` chains the rules: seed a small sub-digraph with a good
 pair, grow it by absorption, close with pairing / spare vertex, and fall
-back to exhaustive search.  Each applied rule appends one step to a
-replayable trace.
+back to exhaustive search, restarted on relabelled copies past 1,024
+nodes.  Each applied rule appends one step to a replayable trace.
 
 ``reduce_and_lift`` builds the host's in-rows once and hands them to every
 step: the seed scan, each absorb step, the pairing and spare-vertex steps
@@ -35,6 +35,7 @@ pair of D[Q] included) and then runs the same private step.
 from __future__ import annotations
 
 import json
+import random
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -795,6 +796,16 @@ def _tournament4_certs() -> tuple[GoodPairCert, ...]:
 _TOURNAMENT4_CERTS = _tournament4_certs()
 
 
+def _renamed(cert: GoodPairCert, n: int, name: Sequence[int]) -> GoodPairCert:
+    """A copy of cert, a good pair on n vertices, with vertex v named name[v]."""
+    return GoodPairCert(n, *(
+        Branching(b.kind, name[b.root], {
+            name[v]: (name[x], name[y]) for v, (x, y) in b.parent.items()
+        })
+        for b in (cert.out, cert.in_)
+    ))
+
+
 def _seed_subdigraph(
     d: Digraph, in_rows: Sequence[int]
 ) -> tuple[VertexSet, GoodPairCert, str] | None:
@@ -837,16 +848,9 @@ def _seed_subdigraph(
                         | (rows[b] >> e & 1) << 4
                         | (rows[c] >> e & 1) << 5
                     )
-                    cert = _TOURNAMENT4_CERTS[key]
-                    at = (a, b, c, e)
-                    out, in_ = (
-                        Branching(t.kind, at[t.root], {
-                            at[v]: (at[x], at[y]) for v, (x, y) in t.parent.items()
-                        })
-                        for t in (cert.out, cert.in_)
-                    )
+                    cert = _renamed(_TOURNAMENT4_CERTS[key], 4, (a, b, c, e))
                     mask = 1 << a | 1 << b | 1 << c | 1 << e
-                    return mask, GoodPairCert(4, out, in_), "4-vertex base with 6 arcs"
+                    return mask, cert, "4-vertex base with 6 arcs"
     return None
 
 
@@ -861,6 +865,12 @@ def reduce_and_lift(
     goes to the exhaustive solver.  Raises ValueError for a node budget below 1
     and otherwise never; the result status mirrors the solver's ("found",
     "none", "inconclusive").
+
+    The solver gets 1,024 nodes on d as given, then 2,048, 4,096, ... on
+    relabelled copies of d until the runs' budgets add up to
+    ``node_budget``, so a budget of at most 1,024 keeps the single-order
+    answer.  Only a run that exhausts its tree answers "none"; past the
+    budget the answer is "inconclusive" with ``node_budget + 1`` nodes.
 
     The host's in-rows are built once.  D[Q] is never induced: it is the
     vertex set Q over d's rows, and every certificate names vertices by
@@ -911,6 +921,46 @@ def reduce_and_lift(
                 steps.append(TraceStep("spare-vertex", q_set, f"spare vertex {w}"))
                 return SearchResult("found", got, 0), ReductionTrace(steps)
 
-    res = _find_good_pair_exact(d, in_rows, node_budget=node_budget)
-    steps.append(TraceStep("exact-fallback", full, res.status))
+    res, note = _exact_with_restarts(d, in_rows, node_budget)
+    steps.append(TraceStep("exact-fallback", full, note))
     return res, ReductionTrace(steps)
+
+
+# u, the first run's budget: 3,895 of 4,000 arc-minimal n = 20 searches keep
+# their single-order tree and certificate; reduce_golden.json's fallbacks need
+# at most 248 nodes (4x below u, 3% below 256); and peak_rss_mb, which grows with
+# the instances a timed run completes, stays in its bound (u = 512 would near it).
+_FIRST_RUN_NODES = 1_024
+_RELABEL_SEED = 0  # a fresh stream per call: an answer depends only on d and the budget
+
+
+def _exact_with_restarts(
+    d: Digraph, in_rows: Sequence[int], node_budget: int
+) -> tuple[SearchResult, str]:
+    """``reduce_and_lift``'s exact fallback and its trace note: the bare
+    status when run 1 answers, else the run that answered and the total
+    nodes.  Restarts cut the search's heavy tail in the vertex order (Gomes,
+    Selman and Kautz, AAAI 1998); a found pair is mapped back to d."""
+    n = d.n
+    budget = min(_FIRST_RUN_NODES, node_budget)
+    res = _find_good_pair_exact(d, in_rows, node_budget=budget)
+    if res.status != "inconclusive" or budget == node_budget:
+        return res, res.status
+    rng = random.Random(_RELABEL_SEED)
+    spent, runs = budget, 1
+    while spent < node_budget:
+        budget = min(_FIRST_RUN_NODES << runs, node_budget - spent)
+        runs += 1
+        to = list(range(n))  # vertex v of d is vertex to[v] of the copy
+        rng.shuffle(to)
+        back = sorted(range(n), key=to.__getitem__)  # and vertex j of the copy is back[j]
+        rows = [mask_of(to[w] for w in bits(d.out_adj[v])) for v in back]
+        ins = [mask_of(to[w] for w in bits(in_rows[v])) for v in back]
+        res = _find_good_pair_exact(Digraph(n, tuple(rows)), ins, node_budget=budget)
+        if res.status != "inconclusive":
+            cert = res.cert and _renamed(res.cert, n, back)
+            res = SearchResult(res.status, _checked(d, cert, "restart"), spent + res.nodes)
+            return res, f"{res.status} by run {runs}, {res.nodes} nodes in all"
+        spent += budget
+    res = SearchResult("inconclusive", None, node_budget + 1)
+    return res, f"inconclusive after run {runs}, {res.nodes} nodes in all"

@@ -383,7 +383,7 @@ def test_criterion_13_ten_vertex_digraph_without_good_pair():
     res = find_good_pair_exact(d)
     assert (res.status, res.nodes) == ("none", fixture["search_nodes"])
     res, trace = reduce_and_lift(d)
-    assert (res.status, res.nodes) == ("none", fixture["search_nodes"])
+    assert (res.status, res.nodes) == ("none", fixture["pipeline_search_nodes"])
     assert trace.steps[-1].rule == "exact-fallback"
     rooted = 0
     for root_out in range(d.n):

@@ -925,6 +925,27 @@ class TestReduceAndLift:
         assert verify_good_pair(d, res.cert) is None
         assert _sha(cert_to_json(res.cert)) == digest
 
+    def test_n62_arc_minimal_draws_found(self):
+        """Arc-minimal n = 62 draws of seeds 1-6 close by the exact fallback
+        within the default budget.  Seeds 2, 4 and 6 restart: their
+        single-order searches take 250,001 (inconclusive), 62,862 and
+        11,189 nodes.  The work is bounded by the pinned node counts."""
+        pinned = {
+            1: (88, "found"),
+            2: (5805, "found by run 3, 5805 nodes in all"),
+            3: (86, "found"),
+            4: (1128, "found by run 2, 1128 nodes in all"),
+            5: (123, "found"),
+            6: (3313, "found by run 3, 3313 nodes in all"),
+        }
+        for s, (nodes, note) in pinned.items():
+            d = random_2arc_strong(GenModel("arc-minimal", 62, 0.3, s))
+            res, trace = reduce_and_lift(d)
+            assert res.status == "found", s
+            assert verify_good_pair(d, res.cert) is None, s
+            step = TraceStep("exact-fallback", d.full_mask, note)
+            assert (res.nodes, trace.steps[-1]) == (nodes, step), s
+
     def test_trivial_single_vertex(self):
         res, _ = reduce_and_lift(Digraph(1, (0,)))
         assert res.status == "found"
@@ -972,6 +993,99 @@ class TestReduceAndLift:
         trace = ReductionTrace([step])
         line = trace.to_jsonl()
         assert '"rule": "absorb"' in line and '"0x5"' in line
+
+
+N10_D6 = "&II?OOKOIC@@I@?_K`?"  # tests/data/no_good_pair_n10.json: no good pair
+
+
+def _single_order(d, budget=branchings.DEFAULT_NODE_BUDGET):
+    return branchings._find_good_pair_exact(d, _in_rows(d.n, d.out_adj), node_budget=budget)
+
+
+def _answer(res, note):
+    cert = cert_to_json(res.cert) if res.cert is not None else None
+    return res.status, res.nodes, cert, note
+
+
+def _n62_seed2():
+    """Its single-order search is inconclusive after 250,000 nodes; with
+    restarts, runs 1 and 2 spend 1,024 and 2,048 nodes and run 3 finds a
+    pair in 2,733 more."""
+    return random_2arc_strong(GenModel("arc-minimal", 62, 0.3, 2))
+
+
+class TestExactFallbackRestarts:
+    """The fallback runs the single-order search with 1,024 nodes, then
+    relabelled copies with budgets 2,048, 4,096, ... up to node_budget."""
+
+    def test_stream_keeps_single_order_answers(self):
+        """First 600 arc-minimal n = 20 draws of seed 29: a fallback whose
+        single-order search needs at most 1,024 nodes keeps its status,
+        nodes, certificate bytes and bare note.  Every other one restarts,
+        finds a pair that verifies on d, and stays within its budget, the
+        default's and 2,000 nodes."""
+        restarts = 0
+        for i in range(600):
+            d = random_2arc_strong(GenModel("arc-minimal", 20, 0.3, derive_seed(29, i)))
+            res, trace = reduce_and_lift(d)
+            if trace.steps[-1].rule != "exact-fallback":
+                continue
+            note = trace.steps[-1].note
+            single = _single_order(d)
+            if single.nodes <= 1024:
+                assert _answer(res, note) == _answer(single, single.status), i
+                continue
+            restarts += 1
+            assert res.status == "found", i
+            assert verify_good_pair(d, res.cert) is None, i
+            assert 1024 < res.nodes <= branchings.DEFAULT_NODE_BUDGET, i
+            assert note.startswith("found by run ") and note.endswith(f", {res.nodes} nodes in all")
+            capped, _ = reduce_and_lift(d, node_budget=2000)
+            if capped.status == "found":
+                assert capped.nodes <= 2000 and verify_good_pair(d, capped.cert) is None, i
+            else:
+                assert (capped.status, capped.nodes) == ("inconclusive", 2001), i
+        assert restarts >= 20
+
+    @pytest.mark.parametrize("budget", [1, 500, 1024])
+    def test_budgets_up_to_the_first_run_answer_as_today(self, budget):
+        draws = [parse_digraph(N10_D6), _n62_seed2()] + [
+            random_2arc_strong(GenModel("arc-minimal", 20, 0.3, derive_seed(29, i)))
+            for i in range(40)
+        ]
+        for d in draws:
+            res, trace = reduce_and_lift(d, node_budget=budget)
+            if trace.steps[-1].rule == "exact-fallback":
+                single = _single_order(d, budget)
+                assert _answer(res, trace.steps[-1].note) == _answer(single, single.status)
+
+    @pytest.mark.parametrize("budget, runs", [(1025, 2), (3072, 2), (5000, 3), (5804, 3)])
+    def test_exhausted_budget_is_inconclusive(self, budget, runs):
+        res, trace = reduce_and_lift(_n62_seed2(), node_budget=budget)
+        note = f"inconclusive after run {runs}, {budget + 1} nodes in all"
+        assert _answer(res, trace.steps[-1].note) == ("inconclusive", budget + 1, None, note)
+
+    def test_budget_that_reaches_the_answer(self):
+        d = _n62_seed2()
+        res, trace = reduce_and_lift(d, node_budget=5805)
+        assert (res.status, res.nodes) == ("found", 5805)
+        assert trace.steps[-1].note == "found by run 3, 5805 nodes in all"
+        assert verify_good_pair(d, res.cert) is None
+
+    def test_none_only_from_an_exhausted_tree(self):
+        """The fixture's relabelled run 2 exhausts its tree in 1,323 nodes;
+        cut short, it is inconclusive."""
+        d = parse_digraph(N10_D6)
+        res, trace = reduce_and_lift(d)
+        note = "none by run 2, 2347 nodes in all"
+        assert _answer(res, trace.steps[-1].note) == ("none", 2347, None, note)
+        res, _ = reduce_and_lift(d, node_budget=2346)
+        assert (res.status, res.nodes) == ("inconclusive", 2347)
+
+    def test_deterministic(self):
+        for d in (parse_digraph(N10_D6), _n62_seed2()):
+            (r1, t1), (r2, t2) = reduce_and_lift(d), reduce_and_lift(d)
+            assert _answer(r1, t1.to_jsonl()) == _answer(r2, t2.to_jsonl())
 
 
 REDUCE_GOLDEN = json.loads((Path(__file__).parent / "data" / "reduce_golden.json").read_text())
