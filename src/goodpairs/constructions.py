@@ -18,8 +18,9 @@ Y and is fed by every vertex of X.  A rule declines only on its degrees.
 
 ``reduce_and_lift`` chains the rules: seed a small sub-digraph with a good
 pair, grow it by absorption, close with pairing / spare vertex, and fall
-back to exhaustive search, restarted on relabelled copies past 1,024
-nodes.  Each applied rule appends one step to a replayable trace.
+back to exhaustive search, restarted on relabelled copies on Luby's
+schedule of 512-node units.  Each applied rule appends one step to a
+replayable trace.
 
 ``reduce_and_lift`` builds the host's in-rows once and hands them to every
 step: the seed scan, each absorb step, the pairing and spare-vertex steps
@@ -38,7 +39,7 @@ import json
 import random
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .branchings import (
     Branching,
@@ -866,11 +867,13 @@ def reduce_and_lift(
     and otherwise never; the result status mirrors the solver's ("found",
     "none", "inconclusive").
 
-    The solver gets 1,024 nodes on d as given, then 2,048, 4,096, ... on
-    relabelled copies of d until the runs' budgets add up to
-    ``node_budget``, so a budget of at most 1,024 keeps the single-order
-    answer.  Only a run that exhausts its tree answers "none"; past the
-    budget the answer is "inconclusive" with ``node_budget + 1`` nodes.
+    The solver gets 512 nodes on d as given, then 512, 1,024, 512, 512,
+    1,024, 2,048, ... (Luby's schedule) on relabelled copies of d until
+    the runs' budgets add up to ``node_budget``; the run that would carry
+    the nodes spent past half of ``node_budget`` takes all that remains.
+    So a budget below 1,024 keeps the single-order answer.  Only a run
+    that exhausts its tree answers "none"; past the budget the answer is
+    "inconclusive" with ``node_budget + 1`` nodes.
 
     The host's in-rows are built once.  D[Q] is never induced: it is the
     vertex set Q over d's rows, and every certificate names vertices by
@@ -926,12 +929,31 @@ def reduce_and_lift(
     return res, ReductionTrace(steps)
 
 
-# u, the first run's budget: 3,895 of 4,000 arc-minimal n = 20 searches keep
-# their single-order tree and certificate; reduce_golden.json's fallbacks need
-# at most 248 nodes (4x below u, 3% below 256); and peak_rss_mb, which grows with
-# the instances a timed run completes, stays in its bound (u = 512 would near it).
-_FIRST_RUN_NODES = 1_024
+# u, the Luby unit: run k gets u * luby(k) nodes.  reduce_golden.json's
+# fallbacks need at most 248 nodes, under half of u, so run 1 answers each as
+# the single-order search does.  And peak_rss_mb, which grows with the
+# instances a timed run completes, stays in its 10% bound: u = 256 read +8.1%
+# to +8.5% at matched host speed, and the fit gives about +11% at its +40%
+# throughput.
+_LUBY_UNIT = 512
 _RELABEL_SEED = 0  # a fresh stream per call: an answer depends only on d and the budget
+
+
+def _run_budgets(node_budget: int) -> Iterator[int]:
+    """Run k's budget, u * luby(k) with luby = 1, 1, 2, 1, 1, 2, 4, 1, ...
+    (Luby, Sinclair and Zuckerman, IPL 1993), until the budgets add up to
+    ``node_budget``.  A run that would carry the sum past half of
+    ``node_budget`` takes all that remains, so the last run can still
+    exhaust a tree of half the budget and answer "none"."""
+    spent = 0
+    a, b = 1, 1  # Knuth's reluctant doubling: b is luby(k)
+    while spent < node_budget:
+        budget = _LUBY_UNIT * b
+        if 2 * (spent + budget) > node_budget:
+            budget = node_budget - spent
+        yield budget
+        spent += budget
+        a, b = (a + 1, 1) if a & -a == b else (a, 2 * b)
 
 
 def _exact_with_restarts(
@@ -942,14 +964,14 @@ def _exact_with_restarts(
     nodes.  Restarts cut the search's heavy tail in the vertex order (Gomes,
     Selman and Kautz, AAAI 1998); a found pair is mapped back to d."""
     n = d.n
-    budget = min(_FIRST_RUN_NODES, node_budget)
+    budgets = _run_budgets(node_budget)
+    budget = next(budgets)
     res = _find_good_pair_exact(d, in_rows, node_budget=budget)
     if res.status != "inconclusive" or budget == node_budget:
         return res, res.status
     rng = random.Random(_RELABEL_SEED)
     spent, runs = budget, 1
-    while spent < node_budget:
-        budget = min(_FIRST_RUN_NODES << runs, node_budget - spent)
+    for budget in budgets:
         runs += 1
         to = list(range(n))  # vertex v of d is vertex to[v] of the copy
         rng.shuffle(to)

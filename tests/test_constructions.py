@@ -932,11 +932,11 @@ class TestReduceAndLift:
         11,189 nodes.  The work is bounded by the pinned node counts."""
         pinned = {
             1: (88, "found"),
-            2: (5805, "found by run 3, 5805 nodes in all"),
+            2: (11274, "found by run 14, 11274 nodes in all"),
             3: (86, "found"),
-            4: (1128, "found by run 2, 1128 nodes in all"),
+            4: (616, "found by run 2, 616 nodes in all"),
             5: (123, "found"),
-            6: (3313, "found by run 3, 3313 nodes in all"),
+            6: (1265, "found by run 3, 1265 nodes in all"),
         }
         for s, (nodes, note) in pinned.items():
             d = random_2arc_strong(GenModel("arc-minimal", 62, 0.3, s))
@@ -945,6 +945,21 @@ class TestReduceAndLift:
             assert verify_good_pair(d, res.cert) is None, s
             step = TraceStep("exact-fallback", d.full_mask, note)
             assert (res.nodes, trace.steps[-1]) == (nodes, step), s
+
+    def test_fifty_n62_arc_minimal_draws_found(self):
+        """Every one of 50 arc-minimal n = 62 draws of derive_seed(9, i)
+        answers "found" with a verified certificate in at most 25,000 nodes
+        (the most is 22,614), within the default budget.  The search is
+        deterministic, so the total is pinned."""
+        total = 0
+        for i in range(50):
+            d = random_2arc_strong(GenModel("arc-minimal", 62, 0.3, derive_seed(9, i)))
+            res, _ = reduce_and_lift(d)
+            assert res.status == "found", i
+            assert verify_good_pair(d, res.cert) is None, i
+            assert res.nodes <= 25_000, i
+            total += res.nodes
+        assert total == 175_016
 
     def test_trivial_single_vertex(self):
         res, _ = reduce_and_lift(Digraph(1, (0,)))
@@ -1009,18 +1024,55 @@ def _answer(res, note):
 
 def _n62_seed2():
     """Its single-order search is inconclusive after 250,000 nodes; with
-    restarts, runs 1 and 2 spend 1,024 and 2,048 nodes and run 3 finds a
-    pair in 2,733 more."""
+    restarts, runs 1-13 spend 10,240 nodes and run 14 finds a pair in
+    1,034 more."""
     return random_2arc_strong(GenModel("arc-minimal", 62, 0.3, 2))
 
 
+def _luby(k):
+    """Luby's sequence 1, 1, 2, 1, 1, 2, 4, 1, ... by its recursive definition."""
+    i = k.bit_length()
+    if k == (1 << i) - 1:
+        return 1 << (i - 1)
+    return _luby(k - (1 << (i - 1)) + 1)
+
+
 class TestExactFallbackRestarts:
-    """The fallback runs the single-order search with 1,024 nodes, then
-    relabelled copies with budgets 2,048, 4,096, ... up to node_budget."""
+    """The fallback runs the single-order search with 512 nodes, then
+    relabelled copies with Luby budgets 512, 1,024, 512, 512, ... up to
+    node_budget; a run that would carry the spent nodes past half of
+    node_budget takes all that remains."""
+
+    @pytest.mark.parametrize("budget", [1, 511, 512, 1023, 1024, 1025, 2000, 5000, 250_000, 10**6])
+    def test_schedule(self, budget):
+        """Every run but the last gets 512 * luby(k), and together they stay
+        at or below half the budget; the last takes what remains, so the
+        budgets add up to node_budget exactly."""
+        runs = list(constructions._run_budgets(budget))
+        *head, last = runs
+        assert head == [512 * _luby(k) for k in range(1, len(runs))]
+        assert 2 * sum(head) <= budget and sum(runs) == budget
+        assert last == 512 * _luby(len(runs)) or 2 * (sum(head) + 512 * _luby(len(runs))) > budget
+
+    def test_default_schedule(self):
+        runs = list(constructions._run_budgets(branchings.DEFAULT_NODE_BUDGET))
+        assert runs[:8] == [512, 512, 1024, 512, 512, 1024, 2048, 512]
+        assert (len(runs), runs[-1]) == (92, 125_072)
+
+    @pytest.mark.parametrize("budget, nodes, runs", [(2000, 1835, 2), (3000, 2322, 3), (4000, 2322, 3)])
+    def test_last_run_can_exhaust_a_tree(self, budget, nodes, runs):
+        """The fixture's relabelled runs 2 and 3 exhaust their trees in 1,323
+        and 1,298 nodes, more than their Luby terms of 512 and 1,024: only
+        the last run's share of the budget lets them answer "none"."""
+        res, trace = reduce_and_lift(parse_digraph(N10_D6), node_budget=budget)
+        note = f"none by run {runs}, {nodes} nodes in all"
+        assert _answer(res, trace.steps[-1].note) == ("none", nodes, None, note)
+        luby_spent = sum(512 * _luby(k) for k in range(1, runs + 1))
+        assert nodes > luby_spent
 
     def test_stream_keeps_single_order_answers(self):
         """First 600 arc-minimal n = 20 draws of seed 29: a fallback whose
-        single-order search needs at most 1,024 nodes keeps its status,
+        single-order search needs at most 512 nodes keeps its status,
         nodes, certificate bytes and bare note.  Every other one restarts,
         finds a pair that verifies on d, and stays within its budget, the
         default's and 2,000 nodes."""
@@ -1032,23 +1084,25 @@ class TestExactFallbackRestarts:
                 continue
             note = trace.steps[-1].note
             single = _single_order(d)
-            if single.nodes <= 1024:
+            if single.nodes <= 512:
                 assert _answer(res, note) == _answer(single, single.status), i
                 continue
             restarts += 1
             assert res.status == "found", i
             assert verify_good_pair(d, res.cert) is None, i
-            assert 1024 < res.nodes <= branchings.DEFAULT_NODE_BUDGET, i
+            assert 512 < res.nodes <= branchings.DEFAULT_NODE_BUDGET, i
             assert note.startswith("found by run ") and note.endswith(f", {res.nodes} nodes in all")
             capped, _ = reduce_and_lift(d, node_budget=2000)
             if capped.status == "found":
                 assert capped.nodes <= 2000 and verify_good_pair(d, capped.cert) is None, i
             else:
                 assert (capped.status, capped.nodes) == ("inconclusive", 2001), i
-        assert restarts >= 20
+        assert restarts >= 40
 
-    @pytest.mark.parametrize("budget", [1, 500, 1024])
+    @pytest.mark.parametrize("budget", [1, 500, 512, 1023])
     def test_budgets_up_to_the_first_run_answer_as_today(self, budget):
+        """Up to 512 run 1 gets the whole budget by its Luby term, and below
+        1,024 because 1,024 would carry it past half the budget."""
         draws = [parse_digraph(N10_D6), _n62_seed2()] + [
             random_2arc_strong(GenModel("arc-minimal", 20, 0.3, derive_seed(29, i)))
             for i in range(40)
@@ -1059,28 +1113,31 @@ class TestExactFallbackRestarts:
                 single = _single_order(d, budget)
                 assert _answer(res, trace.steps[-1].note) == _answer(single, single.status)
 
-    @pytest.mark.parametrize("budget, runs", [(1025, 2), (3072, 2), (5000, 3), (5804, 3)])
+    @pytest.mark.parametrize("budget, runs", [(1025, 2), (3072, 3), (5000, 4), (20479, 13)])
     def test_exhausted_budget_is_inconclusive(self, budget, runs):
         res, trace = reduce_and_lift(_n62_seed2(), node_budget=budget)
         note = f"inconclusive after run {runs}, {budget + 1} nodes in all"
         assert _answer(res, trace.steps[-1].note) == ("inconclusive", budget + 1, None, note)
 
     def test_budget_that_reaches_the_answer(self):
+        """20,480 is the least budget whose schedule reaches run 14, the
+        default's answering run, as its last run."""
         d = _n62_seed2()
-        res, trace = reduce_and_lift(d, node_budget=5805)
-        assert (res.status, res.nodes) == ("found", 5805)
-        assert trace.steps[-1].note == "found by run 3, 5805 nodes in all"
+        res, trace = reduce_and_lift(d, node_budget=20480)
+        assert (res.status, res.nodes) == ("found", 11274)
+        assert trace.steps[-1].note == "found by run 14, 11274 nodes in all"
         assert verify_good_pair(d, res.cert) is None
 
     def test_none_only_from_an_exhausted_tree(self):
-        """The fixture's relabelled run 2 exhausts its tree in 1,323 nodes;
-        cut short, it is inconclusive."""
+        """The fixture's relabelled run 7 exhausts its tree in 1,328 nodes.
+        With 1,834 nodes, run 2 is the last and gets 1,322, one short of
+        its tree: inconclusive."""
         d = parse_digraph(N10_D6)
         res, trace = reduce_and_lift(d)
-        note = "none by run 2, 2347 nodes in all"
-        assert _answer(res, trace.steps[-1].note) == ("none", 2347, None, note)
-        res, _ = reduce_and_lift(d, node_budget=2346)
-        assert (res.status, res.nodes) == ("inconclusive", 2347)
+        note = "none by run 7, 5424 nodes in all"
+        assert _answer(res, trace.steps[-1].note) == ("none", 5424, None, note)
+        res, _ = reduce_and_lift(d, node_budget=1834)
+        assert (res.status, res.nodes) == ("inconclusive", 1835)
 
     def test_deterministic(self):
         for d in (parse_digraph(N10_D6), _n62_seed2()):
