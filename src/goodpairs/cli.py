@@ -23,7 +23,7 @@ from .branchings import (
     find_good_pair_exact,
     verify_good_pair,
 )
-from .connectivity import arc_connectivity, edmonds_branchings, max_arc_disjoint_paths
+from .connectivity import arc_connectivity, edmonds_branchings
 from .constructions import reduce_and_lift
 from .digraph import Digraph, ParseError, bits, parse_digraph, serialize_digraph
 from .genlab import GEN_KINDS, GenModel, canonical_form, enumerate_small, random_2arc_strong, verify_theorem_sample
@@ -86,6 +86,10 @@ def _vset(mask: int) -> list[int]:
     return list(bits(mask))
 
 
+def _cut_obj(w) -> dict:
+    return {"x_set": _vset(w.x_set), "direction": w.direction, "value": w.value}
+
+
 def _branching_obj(b) -> dict:
     return {
         "kind": b.kind,
@@ -103,35 +107,11 @@ def _cmd_lambda(args) -> int:
     d = _read_digraph(args.digraph)
     value, witness = arc_connectivity(d)
     if args.json:
-        print(json.dumps({
-            "lambda": value,
-            "witness": {
-                "x_set": _vset(witness.x_set),
-                "direction": witness.direction,
-                "value": witness.value,
-            },
-        }))
+        print(json.dumps({"lambda": value, "witness": _cut_obj(witness)}))
     else:
         print(f"lambda = {value}")
         print(f"tight cut: X = {{{', '.join(map(str, _vset(witness.x_set)))}}} "
               f"with {witness.value} leaving arcs")
-    return EXIT_OK
-
-
-def _cmd_paths(args) -> int:
-    d = _read_digraph(args.digraph)
-    packing = max_arc_disjoint_paths(d, args.source, args.target)
-    if args.json:
-        print(json.dumps({
-            "source": packing.s,
-            "target": packing.t,
-            "value": packing.value,
-            "paths": [list(p.vertices) for p in packing.paths],
-        }))
-    else:
-        print(f"{packing.value} arc-disjoint paths from {packing.s} to {packing.t}")
-        for p in packing.paths:
-            print("  " + " -> ".join(map(str, p.vertices)))
     return EXIT_OK
 
 
@@ -147,10 +127,7 @@ def _cmd_edmonds(args) -> int:
                 _print_branching(b)
         return EXIT_OK
     if args.json:
-        print(json.dumps({
-            "branchings": None,
-            "cut": {"x_set": _vset(got.x_set), "direction": got.direction, "value": got.value},
-        }))
+        print(json.dumps({"branchings": None, "cut": _cut_obj(got)}))
     else:
         print(f"impossible: X = {{{', '.join(map(str, _vset(got.x_set)))}}} "
               f"receives only {got.value} arcs, need {args.k}")
@@ -280,11 +257,6 @@ def _build_parser() -> _Parser:
 
     p = add("lambda", _cmd_lambda, "arc connectivity with a tight cut")
     p.add_argument("digraph", help="digraph file, or - for stdin")
-
-    p = add("paths", _cmd_paths, "maximum arc-disjoint path packing")
-    p.add_argument("digraph")
-    p.add_argument("source", type=_natural)
-    p.add_argument("target", type=_natural)
 
     p = add("edmonds", _cmd_edmonds, "k arc-disjoint out-branchings or a blocking cut")
     p.add_argument("digraph")

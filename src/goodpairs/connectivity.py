@@ -13,8 +13,7 @@ Values and cut witnesses do not depend on which augmenting paths are
 chosen.  A maximum flow has one value, and every maximum flow leaves the
 same residual reach from the source (the minimum cut closest to the
 source) and the same residual co-reach to the sink (the one closest to
-the sink).  Only the particular paths of ``max_arc_disjoint_paths``
-depend on the search order.
+the sink).
 
 Every connectivity question is one flow decision: does the s-t flow
 reach k, and if not, what is its value and which cut stops it?
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .branchings import Branching
-from .digraph import Digraph, Dipath, VertexSet, _in_rows, _reach, _reaches, bits
+from .digraph import Digraph, VertexSet, _in_rows, _reach, _reaches, bits
 
 
 @dataclass(frozen=True)
@@ -52,14 +51,6 @@ class CutWitness:
     x_set: VertexSet
     direction: str  # "out" | "in"
     value: int
-
-
-@dataclass(frozen=True)
-class PathPacking:
-    s: int
-    t: int
-    value: int
-    paths: tuple[Dipath, ...]
 
 
 def cut_degree(d: Digraph, x: VertexSet, direction: str) -> int:
@@ -122,14 +113,14 @@ def _augment(fwd: list[int], bwd: list[int], s: int, t: int) -> bool:
 
 
 def _max_flow(
-    n: int, adj: list[int] | tuple[int, ...], s: int, t: int, cap: int | None = None
+    n: int, adj: Sequence[int], s: int, t: int, cap: int
 ) -> tuple[int, list[int], list[int]]:
+    """An s-t flow of value ``min(cap, maximum)`` and its residual rows
+    ``fwd``, ``bwd``; below ``cap`` the flow is a maximum one."""
     fwd = list(adj)
     bwd = [0] * n
     value = 0
-    while cap is None or value < cap:
-        if not _augment(fwd, bwd, s, t):
-            break
+    while value < cap and _augment(fwd, bwd, s, t):
         value += 1
     return value, fwd, bwd
 
@@ -244,39 +235,6 @@ def _two_arc_strong(n: int, rows: list[int], in_rows: list[int]) -> bool:
         if shallow != full:
             return False
     return True
-
-
-def max_arc_disjoint_paths(d: Digraph, s: int, t: int) -> PathPacking:
-    """Maximum set of pairwise arc-disjoint s-t dipaths (Menger via max-flow).
-
-    The flow is split into paths by following the lowest remaining flow arc
-    out of each vertex.  A flow may also carry a circulation; when a walk
-    comes back to a vertex it already holds, the loop since that vertex is
-    such a circulation and is dropped, so every path is a dipath.
-    """
-    if not (0 <= s < d.n and 0 <= t < d.n):
-        raise ValueError("endpoint out of range")
-    if s == t:
-        raise ValueError("endpoints must differ")
-    value, fwd, _ = _max_flow(d.n, d.out_adj, s, t)
-    used = [d.out_adj[u] & ~fwd[u] for u in range(d.n)]
-    paths = []
-    for _ in range(value):
-        walk = [s]
-        held = 1 << s
-        cur = s
-        while cur != t:
-            step = used[cur] & -used[cur]  # lowest remaining flow arc
-            cur = step.bit_length() - 1
-            used[walk[-1]] ^= step
-            if held & step:
-                while walk[-1] != cur:
-                    held ^= 1 << walk.pop()
-            else:
-                held |= step
-                walk.append(cur)
-        paths.append(Dipath(tuple(walk)))
-    return PathPacking(s, t, value, tuple(paths))
 
 
 def arc_connectivity(d: Digraph, cap: int | None = None) -> tuple[int, CutWitness | None]:

@@ -352,20 +352,20 @@ def _assemble_pairing(
     q_set: VertexSet,
     cert_q: GoodPairCert,
     start: int,
-    skip_direct: VertexSet = 0,
 ) -> GoodPairCert:
     """Condition-one assembly: the deficient component (if any) is
     ``s.comps_x[start]``.
 
     cert_q is a good pair of D[Q] in the host's numbering; its parent maps
-    are copied, not shared.  Vertices in ``skip_direct`` take part in the
-    selection and forests but get no direct arc to or from Q; the caller
-    supplies their missing arc.  The caller verifies the certificate.
+    are copied, not shared.  A vertex of Y with no in-neighbour in Q, or
+    of X with no out-neighbour in Q, takes part in the selection and
+    forests but gets no direct arc from or to Q; the caller supplies its
+    missing arc.  The caller verifies the certificate.
 
     Under the degree condition it cannot fail: the selection finds every
     pick; the forests span, as every initial component of D[X] holds a
     head of p_x and every terminal one of D[Y] a tail of p_y; and Q feeds
-    every y in Y and is fed by every x in X.
+    every other y in Y and is fed by every other x in X.
     """
     p_x, p_y = _alternating_selection(s, start)
     # forests inside X / Y hanging off the p_x heads / the p_y tails
@@ -373,17 +373,19 @@ def _assemble_pairing(
     t_y = _in_forest(s.rows, s.in_rows, s.y_set, mask_of(u for u, _ in p_y))
 
     out_parent = dict(cert_q.out.parent)
-    for y in bits(s.y_set & ~skip_direct):
+    for y in bits(s.y_set):
         q = s.in_rows[y] & q_set
-        out_parent[y] = ((q & -q).bit_length() - 1, y)
+        if q:
+            out_parent[y] = ((q & -q).bit_length() - 1, y)
     for u, v in p_x:
         out_parent[v] = (u, v)
     out_parent.update(t_x)
 
     in_parent = dict(cert_q.in_.parent)
-    for x in bits(s.x_set & ~skip_direct):
+    for x in bits(s.x_set):
         q = s.rows[x] & q_set
-        in_parent[x] = (x, (q & -q).bit_length() - 1)
+        if q:
+            in_parent[x] = (x, (q & -q).bit_length() - 1)
     for u, v in p_y:
         in_parent[u] = (u, v)
     in_parent.update(t_y)
@@ -606,11 +608,9 @@ def _spare_with_feed_arc(
         else:
             start = deficient
         # run the condition-one assembly on the reversed stripped digraph,
-        # where the deficient side sits in X as required; w gets no direct
-        # Q-arc there because the deleted arc e will feed it instead
-        rcert = _assemble_pairing(
-            sides.reversed(), q_set, reverse_cert(cert_q), start, skip_direct=wbit
-        )
+        # where the deficient side sits in X as required; w has no arc to
+        # Q there, so it gets no direct Q-arc, and the deleted arc e feeds it
+        rcert = _assemble_pairing(sides.reversed(), q_set, reverse_cert(cert_q), start)
         cert = reverse_cert(rcert)
         cert.out.parent[w] = (v, w)
         return cert

@@ -26,7 +26,6 @@ from goodpairs import (
     enumerate_small,
     find_good_pair_exact,
     induced_subdigraph,
-    max_arc_disjoint_paths,
     parse_digraph,
     random_2arc_strong,
     reduce_and_lift,
@@ -34,13 +33,12 @@ from goodpairs import (
     reverse_cert,
     serialize_digraph,
     verify_branching,
-    verify_dipath,
     verify_good_pair,
     verify_theorem_sample,
 )
-from goodpairs.connectivity import CutWitness
+from goodpairs.connectivity import CutWitness, _cut_below
 from goodpairs.constructions import longest_dipath
-from goodpairs.digraph import _in_rows, bits
+from goodpairs.digraph import _in_rows, bits, verify_dipath
 
 from oracles import (
     edmonds_feasible,
@@ -154,9 +152,12 @@ def test_criterion_03_sampled_two_arc_strong_sweeps(sweep_stream):
           f"({elapsed:.1f}s)")
 
 
-def test_criterion_04_path_packing_matches_min_cut():
+def test_criterion_04_flow_decision_matches_min_cut():
+    """Asked whether the s-t flow reaches v + 1, where v is the enumerated
+    minimum cut, the flow decision answers no with a cut of exactly v
+    arcs that separates s from t; asked about v itself, it answers yes."""
     rng = random.Random(404)
-    checked = 0
+    checked = reached = 0
     for _ in range(1000):
         n = rng.randint(2, 10)
         d = rand_digraph(rng, n, rng.uniform(0.1, 0.9))
@@ -164,18 +165,18 @@ def test_criterion_04_path_packing_matches_min_cut():
         t = rng.randrange(n - 1)
         if t >= s:
             t += 1
-        packing = max_arc_disjoint_paths(d, s, t)
-        assert packing.value == subset_min_cut(d, s, t)
-        assert len(packing.paths) == packing.value
-        used = []
-        for p in packing.paths:
-            assert verify_dipath(d, p) is None
-            assert p.vertices[0] == s and p.vertices[-1] == t
-            used.extend(zip(p.vertices, p.vertices[1:]))
-        assert len(used) == len(set(used)), "packing reuses an arc"
+        v = subset_min_cut(d, s, t)
+        value, side = _cut_below(n, d.out_adj, s, t, v + 1)
+        assert value == v
+        assert side >> s & 1 and not side >> t & 1
+        assert cut_degree(d, side, "out") == v
+        if v >= 1:
+            assert _cut_below(n, d.out_adj, s, t, v) == (v, 0)
+            reached += 1
         checked += 1
-    print(f"[PASS] criterion 4: {checked}/1000 packings equal the "
-          f"enumerated minimum cut with valid disjoint paths")
+    print(f"[PASS] criterion 4: {checked}/1000 flow decisions stop at the "
+          f"enumerated minimum cut with a cut of that size, and {reached} "
+          f"reach it")
 
 
 def test_criterion_05_edmonds_characterization():

@@ -1,8 +1,11 @@
 """End-to-end command line checks, run in process through main()."""
 
+import argparse
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from goodpairs import Digraph, cert_to_json, find_good_pair_exact, serialize_digraph
-from goodpairs.cli import main
+from goodpairs.cli import _build_parser, main
 
 BI3_TEXT = "3\n0 1\n1 0\n0 2\n2 0\n1 2\n2 1\n"
 C3_TEXT = "3\n0 1\n1 2\n2 0\n"
@@ -43,6 +46,14 @@ class TestLambda:
             "witness": {"x_set": [0], "direction": "out", "value": 2},
         }
 
+    def test_json_not_strong(self, tmp_path, capsys):
+        f = tmp_path / "p3.txt"
+        f.write_text("3\n0 1\n1 2\n")
+        assert main(["lambda", "--json", str(f)]) == 0
+        assert capsys.readouterr().out == (
+            '{"lambda": 0, "witness": {"x_set": [1, 2], "direction": "out", "value": 0}}\n'
+        )
+
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(BI3_TEXT))
         assert main(["lambda", "-"]) == 0
@@ -55,18 +66,6 @@ class TestLambda:
         assert "lambda = 2" in capsys.readouterr().out
 
 
-class TestPaths:
-    def test_packing(self, bi3_file, capsys):
-        assert main(["paths", "--json", bi3_file, "0", "1"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["value"] == 2
-        assert all(p[0] == 0 and p[-1] == 1 for p in data["paths"])
-
-    def test_bad_vertex(self, bi3_file, capsys):
-        assert main(["paths", bi3_file, "0", "9"]) == 3
-        assert "error:" in capsys.readouterr().err
-
-
 class TestEdmonds:
     def test_branchings_found(self, bi3_file, capsys):
         assert main(["edmonds", bi3_file, "0", "2"]) == 0
@@ -77,6 +76,13 @@ class TestEdmonds:
         data = json.loads(capsys.readouterr().out)
         assert data["branchings"] is None
         assert data["cut"] == {"x_set": [1], "direction": "in", "value": 1}
+
+
+    def test_blocking_cut_json_bytes(self, c3_file, capsys):
+        assert main(["edmonds", "--json", c3_file, "0", "2"]) == 1
+        assert capsys.readouterr().out == (
+            '{"branchings": null, "cut": {"x_set": [1], "direction": "in", "value": 1}}\n'
+        )
 
 
 class TestGoodpair:
@@ -355,6 +361,18 @@ class TestErrors:
         assert exc.value.code == 3
         assert "invalid choice: 'hamilton'" in capsys.readouterr().err
 
+    def test_verbs_are_the_entry_points(self):
+        verbs = next(a.choices for a in _build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction))
+        assert list(verbs) == ["lambda", "edmonds", "goodpair", "reduce",
+                               "verify", "gen", "sweep", "enum"]
+
+    def test_retired_paths_verb_exits_3(self, bi3_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["paths", bi3_file, "0", "1"])
+        assert exc.value.code == 3
+        assert "invalid choice: 'paths'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("verb", [["gen", "--n", "6"], ["sweep", "--n", "5", "--count", "1"]])
     def test_seed_from_2_to_the_64_exits_3(self, verb, capsys):
         # derive_seed masked it to 64 bits: sweep drew seed 1's batch for 2^64 + 1
@@ -377,8 +395,6 @@ class TestErrors:
 
 # a command line per integer argument, "{}" marking it, and a value it takes
 INT_ARGS = {
-    "paths source": (["paths", "{file}", "{}", "1"], "2"),
-    "paths target": (["paths", "{file}", "0", "{}"], "2"),
     "edmonds root": (["edmonds", "{file}", "{}", "2"], "1"),
     "edmonds k": (["edmonds", "{file}", "0", "{}"], "2"),
     "goodpair --root-out": (["goodpair", "{file}", "--root-out", "{}"], "2"),
@@ -420,3 +436,24 @@ class TestIntegerArguments:
     def test_ascii_digits_accepted(self, bi3_file, name, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # a sweep writes its failures under the working directory
         assert main(_int_argv(name, INT_ARGS[name][1], bi3_file)) == 0
+
+
+def test_readme_command_line_block_parses():
+    """Every command of README's "Command line" block names a live verb
+    with arguments the parser takes; CI runs the block itself."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```sh\n(.*?)```", readme.split("\n## Command line\n", 1)[1], re.S)
+    commands = block.group(1).replace("\\\n", " ").splitlines()
+    parser = _build_parser()
+    parsed = 0
+    for line in commands:
+        words = shlex.split(line, comments=True)
+        if not words:
+            continue
+        assert words[0] == "goodpairs", line
+        for cut in ("|", ">"):
+            words = words[:words.index(cut)] if cut in words else words
+        args = parser.parse_args(words[1:])
+        assert callable(args.func), line
+        parsed += 1
+    assert parsed == 9

@@ -1,5 +1,6 @@
 """Flows, cuts, connectivity, and disjoint branchings."""
 
+import inspect
 import random
 
 import pytest
@@ -12,10 +13,8 @@ from goodpairs import (
     cut_degree,
     edmonds_branchings,
     enumerate_small,
-    max_arc_disjoint_paths,
     parse_digraph,
     verify_branching,
-    verify_dipath,
 )
 from goodpairs import connectivity
 from goodpairs.connectivity import _cut_below, _max_flow, _short_paths, _two_arc_strong
@@ -51,15 +50,13 @@ def digraphs(draw, max_n=10):
     return Digraph(n, tuple(rows))
 
 
-def _assert_valid_packing(d, packing):
-    assert len(packing.paths) == packing.value
-    used = set()
-    for path in packing.paths:
-        assert verify_dipath(d, path) is None
-        assert path.vertices[0] == packing.s and path.vertices[-1] == packing.t
-        for arc in path.arcs():
-            assert arc not in used
-            used.add(arc)
+def _assert_flow(d, s, t, value, fwd, bwd):
+    carried = [d.out_adj[u] & ~fwd[u] for u in range(d.n)]
+    assert all(fwd[u] & ~d.out_adj[u] == 0 for u in range(d.n)), "residual arc not in d"
+    for v in range(d.n):
+        assert bwd[v] == sum(1 << u for u in range(d.n) if carried[u] >> v & 1)
+        net = carried[v].bit_count() - bwd[v].bit_count()
+        assert net == (value if v == s else -value if v == t else 0), (v, net)
 
 
 class TestCutDegree:
@@ -79,30 +76,26 @@ class TestCutDegree:
             cut_degree(C3, 0b001, "sideways")
 
 
-class TestPathPacking:
-    def test_bi3(self):
-        p = max_arc_disjoint_paths(BI3, 0, 2)
-        assert p.value == 2 and p.s == 0 and p.t == 2
-        assert len(p.paths) == 2
-
-    def test_no_path(self):
-        d = from_arcs(2, [(1, 0)])
-        p = max_arc_disjoint_paths(d, 0, 1)
-        assert p.value == 0 and p.paths == ()
-
-    def test_rejects_equal_endpoints(self):
-        with pytest.raises(ValueError):
-            max_arc_disjoint_paths(C3, 1, 1)
-
+class TestMaxFlow:
     def test_matches_subset_min_cut(self):
+        """Capped at n, which no flow on n vertices reaches, the flow is a
+        maximum one."""
         rng = random.Random(11)
         for _ in range(200):
             n = rng.randint(2, 8)
             d = rand_digraph(rng, n, rng.uniform(0.1, 0.8))
             s, t = rng.sample(range(n), 2)
-            packing = max_arc_disjoint_paths(d, s, t)
-            assert packing.value == subset_min_cut(d, s, t)
-            _assert_valid_packing(d, packing)
+            assert _max_flow(n, d.out_adj, s, t, n)[0] == subset_min_cut(d, s, t)
+
+    def test_bi3(self):
+        assert _max_flow(3, BI3.out_adj, 0, 2, 3)[0] == 2
+        assert _max_flow(3, BI3.out_adj, 0, 2, 1)[0] == 1
+
+    def test_no_path(self):
+        d = from_arcs(2, [(1, 0)])
+        value, fwd, bwd = _max_flow(2, d.out_adj, 0, 1, 2)
+        assert value == 0 and fwd == list(d.out_adj) and bwd == [0, 0]
+        assert _cut_below(2, d.out_adj, 0, 1, 1) == (0, 0b01)
 
     @pytest.mark.parametrize(
         "text, s, t, value",
@@ -112,21 +105,52 @@ class TestPathPacking:
             ("&JNkK@AdQ{LKP?CtP@B{IO?", 2, 5, 3),
         ],
     )
-    def test_circulation_is_dropped(self, text, s, t, value):
-        # flows here once carried a cycle through a path vertex, and the
-        # decomposition returned a walk that repeats it
+    def test_flow_with_a_circulation(self, text, s, t, value):
+        # maximum flows here carry a cycle through a vertex on an s-t path
         d = parse_digraph(text)
-        packing = max_arc_disjoint_paths(d, s, t)
-        assert packing.value == value
-        _assert_valid_packing(d, packing)
+        got, fwd, bwd = _max_flow(d.n, d.out_adj, s, t, d.n)
+        assert got == value
+        _assert_flow(d, s, t, value, fwd, bwd)
+        side = _reach([f | b for f, b in zip(fwd, bwd)], 1 << s, d.full_mask)
+        assert not side >> t & 1 and cut_degree(d, side, "out") == value
+        assert _cut_below(d.n, d.out_adj, s, t, value + 1) == (value, side)
 
-    def test_paths_are_dipaths(self):
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3, 4])
+    def test_cap_bounds_the_value(self, cap):
+        """A flow capped at cap has value min(cap, minimum cut); one that
+        stops below cap leaves t out of the residual reach of s."""
+        rng = random.Random(500 + cap)
+        below = 0
+        for _ in range(150):
+            n = rng.randint(2, 8)
+            d = rand_digraph(rng, n, rng.uniform(0.1, 0.9))
+            s, t = rng.sample(range(n), 2)
+            v = subset_min_cut(d, s, t)
+            value, fwd, bwd = _max_flow(n, d.out_adj, s, t, cap)
+            assert value == min(cap, v), (d, s, t)
+            _assert_flow(d, s, t, value, fwd, bwd)
+            if value < cap:
+                side = _reach([f | b for f, b in zip(fwd, bwd)], 1 << s, d.full_mask)
+                assert not side >> t & 1 and cut_degree(d, side, "out") == value
+                below += 1
+        assert below >= (cap > 0) * 10
+
+    def test_carried_arcs_form_a_flow(self):
+        """The arcs a flow leaves out of ``fwd`` carry it: they conserve
+        flow off s and t, send ``value`` units out of s, and are the arcs
+        ``bwd`` records backwards."""
         rng = random.Random(4040)
         for _ in range(4000):
             n = rng.randint(2, 12)
             d = rand_digraph(rng, n, rng.uniform(0.1, 0.9))
             s, t = rng.sample(range(n), 2)
-            _assert_valid_packing(d, max_arc_disjoint_paths(d, s, t))
+            value, fwd, bwd = _max_flow(n, d.out_adj, s, t, rng.randint(1, n))
+            _assert_flow(d, s, t, value, fwd, bwd)
+
+    def test_cap_is_required(self):
+        assert inspect.signature(_max_flow).parameters["cap"].default is inspect.Parameter.empty
+        with pytest.raises(TypeError):
+            _max_flow(3, BI3.out_adj, 0, 2)
 
 
 class TestArcConnectivity:

@@ -15,7 +15,6 @@ from goodpairs import (
     Branching,
     ConditionNotMet,
     Digraph,
-    Dipath,
     GenModel,
     GoodPairCert,
     ReductionTrace,
@@ -34,7 +33,6 @@ from goodpairs import (
     random_2arc_strong,
     reduce_and_lift,
     reverse,
-    verify_dipath,
     verify_good_pair,
 )
 from goodpairs import branchings, connectivity, constructions, digraph
@@ -52,7 +50,7 @@ from goodpairs.constructions import (
     longest_dipath,
     pair_from_hamilton,
 )
-from goodpairs.digraph import _in_rows, from_arcs
+from goodpairs.digraph import Dipath, _in_rows, from_arcs, verify_dipath
 
 from oracles import (
     absorb_reference,
@@ -78,6 +76,21 @@ def _host_pair(d, q_set):
     """The exact search's good pair of D[Q], in d's numbering."""
     h, vmap = induced_subdigraph(d, q_set)
     return relabel_cert(find_good_pair_exact(h).cert, h.n, vmap.__getitem__)
+
+
+def _record_assembly(monkeypatch):
+    """Record each pairing assembly's sides, Q and parent maps, copied
+    before the caller adds to them."""
+    built = []
+    assemble = constructions._assemble_pairing
+
+    def recorded(s, q_set, cert_q, start):
+        cert = assemble(s, q_set, cert_q, start)
+        built.append((s, q_set, dict(cert.out.parent), dict(cert.in_.parent)))
+        return cert
+
+    monkeypatch.setattr(constructions, "_assemble_pairing", recorded)
+    return built
 
 
 class TestComponentPairing:
@@ -137,6 +150,43 @@ class TestComponentPairing:
         cert = find_good_pair_exact(BI3).cert  # wrong size for the digon
         with pytest.raises(ValueError, match="invalid"):
             component_pairing(PAIRING_D, Q_SET, cert)
+
+    @pytest.mark.parametrize("orientation", ["direct", "dual"])
+    def test_assembly_writes_only_arcs_of_its_rows(self, monkeypatch, orientation):
+        built = _record_assembly(monkeypatch)
+        d = PAIRING_D if orientation == "direct" else reverse(PAIRING_D)
+        assert isinstance(component_pairing(d, Q_SET, _host_pair(d, Q_SET)), GoodPairCert)
+        assert len(built) == 1
+        s, _, out_parent, in_parent = built[0]
+        for parent in (out_parent, in_parent):
+            for u, v in parent.values():
+                assert 0 <= u < d.n and 0 <= v < d.n and s.rows[u] >> v & 1, (u, v)
+
+    def test_direct_arcs_only_from_and_to_q_neighbours(self, monkeypatch):
+        """The assembly gives each Y vertex the arc from its lowest
+        in-neighbour in Q and each X vertex the arc to its lowest
+        out-neighbour in Q; a vertex with no such neighbour (the spare
+        vertex, once its feed arc is deleted) gets none."""
+        built = _record_assembly(monkeypatch)
+        for d, w in ((PAIRING_D, None), (reverse(PAIRING_D), None),
+                     (from_arcs(7, SPARE_BASE + [(4, 6), (6, 4), (6, 5)]), 6),
+                     (from_arcs(7, SPARE_BASE + [(6, 2), (6, 3), (2, 6)]), 6)):
+            cert_q = _host_pair(d, Q_SET)
+            got = (component_pairing(d, Q_SET, cert_q) if w is None
+                   else pair_with_spare_vertex(d, Q_SET, cert_q, w))
+            assert isinstance(got, GoodPairCert)
+        assert len(built) == 4
+        bare = 0
+        for s, q_set, out_parent, in_parent in built:
+            for y in bits(s.y_set):
+                q = s.in_rows[y] & q_set
+                assert out_parent.get(y) == (((q & -q).bit_length() - 1, y) if q else None)
+                bare += not q
+            for x in bits(s.x_set):
+                q = s.rows[x] & q_set
+                assert in_parent.get(x) == ((x, (q & -q).bit_length() - 1) if q else None)
+                bare += not q
+        assert bare == 2
 
     def test_selection_artifacts_disjoint(self):
         d = PAIRING_D
@@ -375,6 +425,20 @@ class TestSpareVertex:
         cert = pair_with_spare_vertex(d, Q_SET, _host_pair(d, Q_SET), 6)
         assert isinstance(cert, GoodPairCert)
         assert verify_good_pair(d, cert) is None
+
+    @pytest.mark.parametrize("feed", ["feed-from-y", "feed-into-x"])
+    def test_assembly_writes_only_arcs_of_its_rows(self, monkeypatch, feed):
+        """w has no neighbour in Q, so the pairing assembly gives it no
+        direct Q-arc: every parent arc it writes is an arc of the rows it
+        was given, before the deleted feed arc becomes w's parent."""
+        built = _record_assembly(monkeypatch)
+        d = from_arcs(7, SPARE_BASE + SPARE_ARCS[feed])
+        assert isinstance(pair_with_spare_vertex(d, Q_SET, _host_pair(d, Q_SET), 6), GoodPairCert)
+        assert built
+        for s, _, out_parent, in_parent in built:
+            for kind, parent in (("out", out_parent), ("in", in_parent)):
+                for u, v in parent.values():
+                    assert 0 <= u < 7 and 0 <= v < 7 and s.rows[u] >> v & 1, (feed, kind, u, v)
 
     def test_too_few_attachments(self):
         d = from_arcs(7, SPARE_BASE + [(2, 6), (6, 4), (6, 5)])

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from goodpairs import (
     Digraph,
-    Dipath,
     MAX_VERTICES,
     ParseError,
     alpha_at_most_2,
@@ -22,9 +21,8 @@ from goodpairs import (
     serialize_digraph,
     sniff_format,
     strong_decomposition,
-    verify_dipath,
 )
-from goodpairs.digraph import _in_forest, _in_rows, _out_forest, from_arcs
+from goodpairs.digraph import Dipath, _in_forest, _in_rows, _out_forest, from_arcs, verify_dipath
 
 from oracles import closure_sccs, independent_set_size, rand_digraph
 

@@ -253,7 +253,7 @@ class TestRepair:
             proofs.append(args[2:4])
             return prove(*args)
 
-        def one_unit_flow(n, adj, s, t, cap=None):
+        def one_unit_flow(n, adj, s, t, cap):
             assert cap == 1, "a draw ran a flow capped above 1"
             return flow(n, adj, s, t, cap)
 

@@ -1,17 +1,22 @@
-"""The package's public names: what the certifier runs, and nothing else."""
+"""The package's public names, and the names retired from them."""
 
 import pytest
 
 import goodpairs
 
-# no longer run by the certifier: the Hamilton split stays in
-# goodpairs.constructions, and the branching enumerator is a test oracle
+# no longer run by the certifier: the Hamilton split and the dipaths it
+# reads stay in goodpairs.constructions and goodpairs.digraph, the
+# branching enumerator is a test oracle, and path packing is gone
 RETIRED = (
+    "Dipath",
+    "PathPacking",
     "digon_root_transfer",
     "enumerate_branchings",
     "hamilton_dipath",
     "longest_dipath",
+    "max_arc_disjoint_paths",
     "pair_from_hamilton",
+    "verify_dipath",
 )
 
 
