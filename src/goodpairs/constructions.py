@@ -6,9 +6,11 @@ partition of the remaining vertices into the in-neighbourhood X and the
 out-neighbourhood Y of Q, two disjoint cross-arc systems are selected
 alternately between the initial strong components of D[X] and the terminal
 strong components of D[Y]; forests inside X and Y finish the job.
-Absorption attaches vertices directly and the spare-vertex rule reduces to
-the same pattern.  The Hamilton-path split of an orientation is neither
-run by the pipeline nor exported; it stays while the benchmark binds it.
+Absorption attaches vertices directly.  The spare-vertex rule is the
+pairing with w moved into Y or X by deleting a feed arc, which then takes
+w into a branching; else it pairs Q, X and Y and absorbs w.  The
+Hamilton-path split of an orientation is neither run by the pipeline nor
+exported; it stays while the benchmark binds it.
 
 Once the degree condition holds the pairing cannot fail.  Only the start
 component may have a single crossing arc, and it is picked first, so every
@@ -316,18 +318,39 @@ def _component_pairing(
     D[Q], in_rows are d's in-rows, and X, Y are Q's disjoint in- and
     out-neighbourhoods covering every vertex outside Q, a proper subset.
     The certificate it builds is verified here, once."""
-    sides = _Sides.build(d.out_adj, in_rows, x_set, y_set)
+    got = _pairing(d.out_adj, in_rows, q_set, cert_q, x_set, y_set)
+    return _checked(d, got, "component pairing")
+
+
+def _pairing(
+    rows: Sequence[int],
+    in_rows: Sequence[int],
+    q_set: VertexSet,
+    cert_q: GoodPairCert,
+    x_set: VertexSet,
+    y_set: VertexSet,
+    hint: VertexSet = 0,
+) -> GoodPairCert | ConditionNotMet:
+    """The pairing of X and Y on explicit rows, unverified.
+
+    The deficient component is sought in D[X] first, then in D[Y] on the
+    reversal.  When D[X] has none, the assembly starts at the first
+    component meeting ``hint``, else at the first.  Vertices outside Q, X
+    and Y are left out of the certificate.
+    """
+    sides = _Sides.build(rows, in_rows, x_set, y_set)
     comps_x, comps_y = sides.comps_x, sides.comps_y
     din, dout = _cross_degrees(sides)
     ok, deficient = _check_condition(din, dout)
     if ok:
-        cert = _assemble_pairing(sides, q_set, cert_q, deficient or 0)
-        return _checked(d, cert, "component pairing")
+        if deficient is None:
+            deficient = next((i for i, c in enumerate(comps_x) if c & hint), 0)
+        return _assemble_pairing(sides, q_set, cert_q, deficient)
     # dual orientation: allow the deficient component on the Y side
     ok, deficient = _check_condition(dout, din)
     if ok:
         rcert = _assemble_pairing(sides.reversed(), q_set, reverse_cert(cert_q), deficient or 0)
-        return _checked(d, reverse_cert(rcert), "component pairing")
+        return reverse_cert(rcert)
     # report the first offending component; without zeros, failing both
     # orientations takes two single-arc components
     if 0 in din:
@@ -491,13 +514,13 @@ def pair_with_spare_vertex(
 ) -> GoodPairCert | ConditionNotMet:
     """Component pairing with one vertex w outside Q, X, and Y.
 
-    If some arc runs from Y to w, that arc is deleted, w joins Y, and the
-    pairing runs with the deleted arc's side allowed one deficient
-    component; the deleted arc then feeds w in the out-branching.  The
-    symmetric case (an arc from w into X) is handled on the reversed
-    digraph.  If w sees neither Y nor X that way, w must have two
-    in-neighbours in X and two out-neighbours in Y; a plain pairing plus
-    one arc into w and one out of w finishes.
+    Each arc v->w from Y is tried in turn: it is deleted, w joins Y, and
+    when that pairing succeeds the deleted arc feeds w in the
+    out-branching.  Then each arc w->u into X, with w joining X and the
+    arc taking w into the in-branching.  Failing both, Q, X and Y are
+    paired and w is absorbed, so w needs one in-neighbour and one
+    out-neighbour, not two.  A decline gives the last pairing's reason,
+    or w when it lacks an in- or an out-neighbour.
     """
     n = d.n
     if not 0 <= w < n:
@@ -525,96 +548,37 @@ def _pair_with_spare_vertex(
     """``pair_with_spare_vertex`` on checked input: cert_q is a good pair
     of D[Q], in_rows are d's in-rows, and Q, its disjoint in- and
     out-neighbourhoods X and Y, and w partition the vertices.  The
-    certificate it builds is verified here, once."""
-    wbit = 1 << w
-    rows = d.out_adj
-    if in_rows[w] & y_set:
-        got = _spare_with_feed_arc(rows, in_rows, q_set, cert_q, x_set, y_set, w)
-        return _checked(d, got, "spare vertex rule")
-    if rows[w] & x_set:
-        got = _spare_with_feed_arc(in_rows, rows, q_set, reverse_cert(cert_q), y_set, x_set, w)
-        if isinstance(got, GoodPairCert):
-            got = reverse_cert(got)
-        return _checked(d, got, "spare vertex rule")
+    certificate it builds is verified here, once: after a feed arc, or by
+    the absorb step that attaches w.
 
-    # w is seen only by X and only sees Y
-    win = in_rows[w] & x_set
-    wout = rows[w] & y_set
-    if win.bit_count() < 2:
-        return ConditionNotMet("spare vertex needs two in-neighbours in X", wbit)
-    if wout.bit_count() < 2:
-        return ConditionNotMet("spare vertex needs two out-neighbours in Y", wbit)
-    sides = _Sides.build(rows, in_rows, x_set, y_set)
-    din, dout = _cross_degrees(sides)
-    if any(v < 2 for v in din):
-        return ConditionNotMet(
-            "component of D[X] short of entering arcs from Y", sides.comps_x[din.index(min(din))]
-        )
-    if any(v < 2 for v in dout):
-        return ConditionNotMet(
-            "component of D[Y] short of leaving arcs into X", sides.comps_y[dout.index(min(dout))]
-        )
-    # the assembled certificate is fresh: w's two arcs go straight into it
-    cert = _assemble_pairing(sides, q_set, cert_q, 0)
-    cert.out.parent[w] = ((win & -win).bit_length() - 1, w)
-    cert.in_.parent[w] = (w, (wout & -wout).bit_length() - 1)
-    return _checked(d, cert, "spare vertex rule")
-
-
-def _spare_with_feed_arc(
-    rows: Sequence[int],
-    in_rows: Sequence[int],
-    q_set: VertexSet,
-    cert_q: GoodPairCert,
-    x_set: VertexSet,
-    y_set: VertexSet,
-    w: int,
-) -> GoodPairCert | ConditionNotMet:
-    """Branch with an arc e from Y into w: delete e, treat Y + w as Y.
-
-    The tail's component may be left with a single leaving arc, so it
-    plays the deficient role and is processed first.  The deleted arc
-    itself becomes w's parent in the out-branching.  The caller verifies
-    the certificate and makes sure some arc runs from Y into w.  Deleting
-    it keeps Q's neighbourhoods, w lying outside Q, so only the degrees
-    can make an arc fail; the last arc's reason is returned.
+    No arc joins Q and w, so a pairing with w in X gives w no arc in B-,
+    and the deleted feed arc w->u takes that place; without a deficient
+    component the pairing starts at u's, when u's is initial.  A feed arc
+    v->w from Y is such an arc of the reversal, where the deficient
+    component is sought in D[Y + w] first.
     """
     wbit = 1 << w
-    y_prime = y_set | wbit
-    for v in bits(in_rows[w] & y_set):
-        stripped = list(rows)
-        stripped[v] &= ~wbit
-        in_stripped = list(in_rows)
-        in_stripped[w] &= ~(1 << v)
-        sides = _Sides.build(stripped, in_stripped, x_set, y_prime)
-        comps_x, comps_y = sides.comps_x, sides.comps_y
-        din, dout = _cross_degrees(sides)
-        ok, deficient = _check_condition(dout, din)
-        if not ok:
-            bad_i = next((i for i, val in enumerate(din) if val < 2), None)
-            if bad_i is not None:
-                last_reason = ConditionNotMet(
-                    "component of D[X] short of entering arcs", comps_x[bad_i]
-                )
-            else:
-                bad_j = [j for j, val in enumerate(dout) if val < 2]
-                idx = bad_j[1] if len(bad_j) > 1 else bad_j[0]
-                last_reason = ConditionNotMet(
-                    "component of Y + w short of leaving arcs into X", comps_y[idx]
-                )
-            continue
-        if deficient is None:
-            start = next((j for j, c in enumerate(comps_y) if c >> v & 1), 0)
-        else:
-            start = deficient
-        # run the condition-one assembly on the reversed stripped digraph,
-        # where the deficient side sits in X as required; w has no arc to
-        # Q there, so it gets no direct Q-arc, and the deleted arc e feeds it
-        rcert = _assemble_pairing(sides.reversed(), q_set, reverse_cert(cert_q), start)
-        cert = reverse_cert(rcert)
-        cert.out.parent[w] = (v, w)
-        return cert
-    return last_reason
+    rows = d.out_adj
+    if not (rows[w] and in_rows[w]):
+        return ConditionNotMet("spare vertex needs an in- and an out-neighbour", wbit)
+    # an arc from Y into w is an arc from w into X of the reversal
+    for flip, r, r_in, cq, xs, ys in (
+        (True, in_rows, rows, reverse_cert(cert_q), y_set, x_set),
+        (False, rows, in_rows, cert_q, x_set, y_set),
+    ):
+        for u in bits(r[w] & xs):
+            stripped, in_stripped = list(r), list(r_in)
+            stripped[w] &= ~(1 << u)
+            in_stripped[u] &= ~wbit
+            got = _pairing(stripped, in_stripped, q_set, cq, xs | wbit, ys, 1 << u)
+            if isinstance(got, GoodPairCert):
+                got.in_.parent[w] = (w, u)
+                return _checked(d, reverse_cert(got) if flip else got, "spare vertex rule")
+    got = _pairing(rows, in_rows, q_set, cert_q, x_set, y_set)
+    if isinstance(got, ConditionNotMet):
+        return got
+    # w has an in- and an out-neighbour, all in X and Y, so it is attached
+    return _absorb_phase(d, in_rows, d.full_mask & ~wbit, got, wbit)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -840,18 +804,12 @@ def _seed_subdigraph(
             for c in bits(above_b):
                 above_c = above_b & joined[c] & ~((2 << c) - 1)
                 if above_c:
-                    e = (above_c & -above_c).bit_length() - 1
-                    key = (
-                        (rows[a] >> b & 1)
-                        | (rows[a] >> c & 1) << 1
-                        | (rows[a] >> e & 1) << 2
-                        | (rows[b] >> c & 1) << 3
-                        | (rows[b] >> e & 1) << 4
-                        | (rows[c] >> e & 1) << 5
+                    quad = (a, b, c, (above_c & -above_c).bit_length() - 1)
+                    key = sum(
+                        (rows[quad[i]] >> quad[j] & 1) << k for k, (i, j) in enumerate(_PAIRS4)
                     )
-                    cert = _renamed(_TOURNAMENT4_CERTS[key], 4, (a, b, c, e))
-                    mask = 1 << a | 1 << b | 1 << c | 1 << e
-                    return mask, cert, "4-vertex base with 6 arcs"
+                    cert = _renamed(_TOURNAMENT4_CERTS[key], 4, quad)
+                    return mask_of(quad), cert, "4-vertex base with 6 arcs"
     return None
 
 
@@ -885,10 +843,11 @@ def reduce_and_lift(
     are disjoint, so no arc joins Q to X or Y to Q: an initial component
     of D[X] is entered only from Y (or w), a terminal one of D[Y] leaves
     only into X (or to w), and each has two such arcs.  Deleting a feed
-    arc v->w leaves only v's component short, by one arc; a lone w has
-    two in-neighbours in X and two out-neighbours in Y.  So the exact
-    search runs only without a seed or with two or more vertices outside
-    Q, X and Y.
+    arc v->w and moving w into Y leaves only v's component short, by one
+    arc, so the first feed arc closes.  Without one, X and Y pair as they
+    are and w, with in-neighbours in X and out-neighbours in Y, is
+    absorbed.  So the exact search runs only without a seed or with two
+    or more vertices outside Q, X and Y.
     """
     if node_budget < 1:
         raise ValueError(f"node_budget must be at least 1, got {node_budget}")

@@ -374,10 +374,14 @@ class VerificationReport:
 _SWEEP_CHUNK = 32  # instances per task sent to a worker process
 
 
-def _sweep_case(args: tuple[int, str, float, int, int]) -> tuple[str, str]:
+def _sweep_case(args: tuple[int, str, float, int, int]) -> tuple[str, str | None]:
+    """The status of one sweep instance, and its digraph6 unless found: the
+    report keeps only the instances without a certificate."""
     n, kind, p, seed, node_budget = args
     d = random_2arc_strong(GenModel(kind, n, p, seed))
     res, _ = reduce_and_lift(d, node_budget=node_budget)
+    if res.status == "found":
+        return res.status, None
     return res.status, serialize_digraph(d, "digraph6")
 
 

@@ -75,6 +75,10 @@ class TestCutDegree:
         with pytest.raises(ValueError):
             cut_degree(C3, 0b001, "sideways")
 
+    def test_rejects_vertices_beyond_n(self):
+        with pytest.raises(ValueError, match="vertices >= n"):
+            cut_degree(C3, 0b1001, "out")
+
 
 class TestMaxFlow:
     def test_matches_subset_min_cut(self):

@@ -3,6 +3,7 @@ and the reduction pipeline."""
 
 import collections
 import copy
+import functools
 import hashlib
 import json
 import random
@@ -151,6 +152,10 @@ class TestComponentPairing:
         with pytest.raises(ValueError, match="invalid"):
             component_pairing(PAIRING_D, Q_SET, cert)
 
+    def test_empty_q_rejected(self):
+        with pytest.raises(ValueError, match="nonempty vertex set"):
+            component_pairing(PAIRING_D, 0, _host_pair(PAIRING_D, Q_SET))
+
     @pytest.mark.parametrize("orientation", ["direct", "dual"])
     def test_assembly_writes_only_arcs_of_its_rows(self, monkeypatch, orientation):
         built = _record_assembly(monkeypatch)
@@ -225,6 +230,17 @@ class TestAbsorption:
         cq = _host_pair(PAIRING_D, Q_SET)
         with pytest.raises(ValueError, match="disjoint"):
             absorb_external_vertices(PAIRING_D, Q_SET, cq, 0b000001)
+
+    def test_empty_q_rejected(self):
+        cq = _host_pair(PAIRING_D, Q_SET)
+        with pytest.raises(ValueError, match="Q must be nonempty"):
+            absorb_external_vertices(PAIRING_D, 0, cq, 0b000100)
+
+    @pytest.mark.parametrize("q_set, x_set", [(Q_SET | 1 << 6, 0b000100), (Q_SET, 1 << 6)])
+    def test_vertices_beyond_n_rejected(self, q_set, x_set):
+        cq = _host_pair(PAIRING_D, Q_SET)
+        with pytest.raises(ValueError, match="vertices >= n"):
+            absorb_external_vertices(PAIRING_D, q_set, cq, x_set)
 
     @pytest.mark.parametrize("x_set", [0, 0b100])
     def test_invalid_cert_rejected(self, x_set):
@@ -440,17 +456,37 @@ class TestSpareVertex:
                 for u, v in parent.values():
                     assert 0 <= u < 7 and 0 <= v < 7 and s.rows[u] >> v & 1, (feed, kind, u, v)
 
-    def test_too_few_attachments(self):
+    def test_one_in_neighbour_is_enough(self):
+        """X and Y pair as they are, and w is absorbed through its one
+        in-neighbour in X."""
         d = from_arcs(7, SPARE_BASE + [(2, 6), (6, 4), (6, 5)])
+        cert = pair_with_spare_vertex(d, Q_SET, _host_pair(d, Q_SET), 6)
+        assert isinstance(cert, GoodPairCert)
+        assert verify_good_pair(d, cert) is None
+        assert (cert.out.parent[6], cert.in_.parent[6]) == ((2, 6), (6, 4))
+
+    def test_too_few_attachments(self):
+        d = from_arcs(7, SPARE_BASE + [(6, 4), (6, 5)])
         got = pair_with_spare_vertex(d, Q_SET, _host_pair(d, Q_SET), 6)
-        assert isinstance(got, ConditionNotMet)
-        assert "two in-neighbours" in got.reason
+        assert got == ConditionNotMet("spare vertex needs an in- and an out-neighbour", 1 << 6)
 
     def test_w_inside_q_rejected(self):
         with pytest.raises(ValueError, match="outside Q"):
             pair_with_spare_vertex(
                 PAIRING_D, Q_SET, _host_pair(PAIRING_D, Q_SET), 0
             )
+
+    @pytest.mark.parametrize("w", [-1, 7, 64])
+    def test_w_out_of_range_rejected(self, w):
+        d = from_arcs(7, SPARE_BASE + SPARE_ARCS["plain"])
+        with pytest.raises(ValueError, match=f"vertex {w} out of range"):
+            pair_with_spare_vertex(d, Q_SET, _host_pair(d, Q_SET), w)
+
+    @pytest.mark.parametrize("w", [2, 5])  # one vertex of X, one of Y
+    def test_w_inside_a_neighbourhood_rejected(self, w):
+        d = from_arcs(7, SPARE_BASE + SPARE_ARCS["plain"])
+        with pytest.raises(ValueError, match="outside the neighbourhoods of Q"):
+            pair_with_spare_vertex(d, Q_SET, _host_pair(d, Q_SET), w)
 
     def test_coverage_required(self):
         d = from_arcs(8, SPARE_BASE + [(2, 6), (3, 6), (6, 4), (6, 5), (7, 6), (6, 7)])
@@ -565,14 +601,7 @@ PAIRING_REASONS = {
     "two components of D[X] with a single entering arc",
     "two components of D[Y] with a single leaving arc",
 }
-SPARE_REASONS = {
-    "spare vertex needs two in-neighbours in X",
-    "spare vertex needs two out-neighbours in Y",
-    "component of D[X] short of entering arcs from Y",
-    "component of D[Y] short of leaving arcs into X",
-    "component of D[X] short of entering arcs",
-    "component of Y + w short of leaving arcs into X",
-}
+SPARE_REASONS = PAIRING_REASONS | {"spare vertex needs an in- and an out-neighbour"}
 
 
 def _partitioned_instance(rng, spare):
@@ -615,6 +644,18 @@ def _partitioned_instance(rng, spare):
             return d, q_set, relabel_cert(res.cert, h.n, vmap.__getitem__), x_set, y_set, w
 
 
+SPARE_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "spare_vertex_golden.json").read_text()
+)
+
+
+@functools.cache
+def _spare_draws():
+    """The spare-vertex instances that TestPairingIsTotal checks, drawn once."""
+    rng = random.Random(SPARE_GOLDEN["seed"])
+    return tuple(_partitioned_instance(rng, spare=True) for _ in range(SPARE_GOLDEN["draws"]))
+
+
 def _degrees(d, x_set, y_set):
     """Arcs from Y into each initial component of D[X], and out of each
     terminal component of D[Y] into X, from the reference components."""
@@ -625,16 +666,25 @@ def _degrees(d, x_set, y_set):
     return din, dout
 
 
-def _feed_arc_admits(d, x_set, y_set, w):
-    """Some arc v -> w from Y leaves, once deleted, degrees the pairing of
-    X and Y + w admits with its deficient component on the Y side."""
-    for v in bits(y_set):
-        if d.has_arc(v, w):
-            stripped = from_arcs(d.n, [a for a in d.arcs() if a != (v, w)])
-            din, dout = _degrees(stripped, x_set, y_set | 1 << w)
-            if _check_condition(dout, din)[0]:
-                return True
-    return False
+def _pairing_admits(d, x_set, y_set):
+    """The degrees of X and Y admit a pairing in one orientation or the other."""
+    din, dout = _degrees(d, x_set, y_set)
+    return _check_condition(din, dout)[0] or _check_condition(dout, din)[0]
+
+
+def _spare_admits(d, x_set, y_set, w):
+    """w has an in- and an out-neighbour, and one of three pairings is
+    admitted: of X and Y + w once some feed arc v -> w from Y is deleted,
+    of X + w and Y once some feed arc w -> u into X is deleted, or of X
+    and Y as they are."""
+    if not (d.out_adj[w] and any(d.has_arc(v, w) for v in range(d.n))):
+        return False
+    feeds = [((v, w), x_set, y_set | 1 << w) for v in bits(y_set) if d.has_arc(v, w)]
+    feeds += [((w, u), x_set | 1 << w, y_set) for u in bits(x_set) if d.has_arc(w, u)]
+    for arc, xs, ys in feeds:
+        if _pairing_admits(from_arcs(d.n, [a for a in d.arcs() if a != arc]), xs, ys):
+            return True
+    return _pairing_admits(d, x_set, y_set)
 
 
 class TestPairingIsTotal:
@@ -665,20 +715,16 @@ class TestPairingIsTotal:
         assert all(seen[r] for r in PAIRING_REASONS), seen
 
     def test_spare_vertex(self):
-        rng = random.Random(1602)
         seen = collections.Counter()
-        for _ in range(4_000):
-            d, q_set, cert_q, x_set, y_set, w = _partitioned_instance(rng, spare=True)
+        for d, q_set, cert_q, x_set, y_set, w in _spare_draws():
             wbit = 1 << w
             if any(d.has_arc(v, w) for v in bits(y_set)):
-                case, ok = "feed", _feed_arc_admits(d, x_set, y_set, w)
+                case = "feed"
             elif any(d.has_arc(w, v) for v in bits(x_set)):
-                case, ok = "dual feed", _feed_arc_admits(reverse(d), y_set, x_set, w)
+                case = "dual feed"
             else:
-                din, dout = _degrees(d, x_set, y_set)
-                win = sum(d.has_arc(v, w) for v in bits(x_set))
-                wout = sum(d.has_arc(w, v) for v in bits(y_set))
-                case, ok = "plain", min(din + dout + [win, wout]) >= 2
+                case = "plain"
+            ok = _spare_admits(d, x_set, y_set, w)
             got = pair_with_spare_vertex(d, q_set, cert_q, w)
             if ok:
                 assert isinstance(got, GoodPairCert), (d, q_set, w, got)
@@ -691,6 +737,21 @@ class TestPairingIsTotal:
             assert not wbit & (q_set | x_set | y_set)
         for case in ("feed", "dual feed", "plain"):
             assert seen[case, True] >= 20 and seen[case, False] >= 20, seen
+
+    def test_spare_vertex_golden(self):
+        """Every draw that answered when the golden file was recorded still
+        answers, with the same certificate bytes; any other certificate
+        verifies."""
+        answered = set(SPARE_GOLDEN["answered"])
+        lines = []
+        for i, (d, q_set, cert_q, _, _, w) in enumerate(_spare_draws()):
+            got = pair_with_spare_vertex(d, q_set, cert_q, w)
+            if i in answered:
+                assert isinstance(got, GoodPairCert), (i, got)
+                lines.append(f"{i} {cert_to_json(got)}")
+            elif isinstance(got, GoodPairCert):
+                assert verify_good_pair(d, got) is None, i
+        assert _sha("\n".join(lines)) == SPARE_GOLDEN["sha256"]
 
 
 class TestEndComponents:
@@ -910,10 +971,11 @@ class TestReduceAndLift:
         time they run.  Q's neighbourhoods X and Y are disjoint, so an
         initial component of D[X] is entered only from Y (or w) and a
         terminal one of D[Y] leaves only into X (or to w): each has two
-        such arcs.  A feed arc v->w leaves only v's component short, by
-        one arc; a lone w has two in-neighbours in X and two out-neighbours
-        in Y.  So the exact search runs only without a seed or with two or
-        more vertices left outside Q, X and Y."""
+        such arcs.  Deleting a feed arc v->w leaves only v's component
+        short, by one arc; without a feed arc, X and Y pair as they are and
+        w, with in-neighbours in X and out-neighbours in Y, is absorbed.  So
+        the exact search runs only without a seed or with two or more
+        vertices left outside Q, X and Y."""
         closes = collections.Counter()
 
         def wrapped(name):

@@ -197,6 +197,17 @@ class TestEdgeListFormat:
         with pytest.raises(ParseError, match="line 1"):
             parse_digraph("x\n0 1\n", "edge-list")
 
+    @pytest.mark.parametrize("text", ["\n3\n0 1\n", " \t\n3\n"])
+    def test_blank_first_line(self, text):
+        with pytest.raises(ParseError, match="^line 1: expected vertex count$"):
+            parse_digraph(text, "edge-list")
+
+    def test_unknown_format(self):
+        with pytest.raises(ValueError, match="unknown format 'graph6'"):
+            parse_digraph("3\n0 1\n", "graph6")
+        with pytest.raises(ValueError, match="unknown format 'graph6'"):
+            serialize_digraph(C3, "graph6")
+
     def test_blanks_around_tokens_and_crlf(self):
         assert parse_digraph(" 3 \r\n0\t 1\r\n 1 2\n2 0 \n") == C3
 
@@ -251,6 +262,10 @@ class TestDigraph6Format:
             ("&", "vertex count"),
             ("&B\\", "data bytes"),
             ("&B\\oo", "data bytes"),
+            ("&?", "vertex count 0 out of range 1..62"),
+            ("&~" + "?" * 655, "vertex count 63 out of range 1..62"),
+            ("&B o", "invalid data byte ' '"),
+            ("&B\x7fo", r"invalid data byte '\\x7f'"),
         ],
     )
     def test_malformed(self, text, fragment):

@@ -23,6 +23,7 @@ from goodpairs import (
     enumerate_small,
     parse_digraph,
     random_2arc_strong,
+    reduce_and_lift,
     serialize_digraph,
     verify_theorem_sample,
 )
@@ -434,6 +435,24 @@ class TestSweep:
         rep = verify_theorem_sample(6, 40, 17)
         assert rep.tested == 40 and rep.found == 40
         assert rep.failures == [] and rep.inconclusive == []
+
+    def test_found_instances_are_not_serialized(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(genlab, "serialize_digraph", lambda *a: calls.append(a))
+        assert verify_theorem_sample(6, 40, 17).found == 40
+        assert calls == []
+
+    def test_inconclusive_instances_are_reported(self, tmp_path):
+        """A one-node budget leaves some n = 9 draws inconclusive; each is
+        reported, and written, as the digraph6 of the digraph drawn."""
+        rep = verify_theorem_sample(9, 64, 1, node_budget=1, artifact_dir=tmp_path)
+        kinds = ("gnp-repair", "arc-minimal")
+        drawn = [random_2arc_strong(GenModel(kinds[i % 2], 9, 0.3, derive_seed(1, i)))
+                 for i in range(64)]
+        stuck = [d for d in drawn if reduce_and_lift(d, node_budget=1)[0].status == "inconclusive"]
+        assert rep.failures == [] and rep.found == 64 - 11
+        assert [parse_digraph(text) for text in rep.inconclusive] == stuck
+        assert (tmp_path / "inconclusive.d6").read_text() == "\n".join(rep.inconclusive) + "\n"
 
     def test_parallel_matches_serial(self):
         # 70 instances make three 32-instance chunks, so both workers start
